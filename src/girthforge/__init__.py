@@ -8,61 +8,7 @@ map, and checks every structural claim (girth, forbidden cycle lengths,
 degrees, incidence counts) with exact decision procedures.
 """
 
-from .algebraic import (
-    BudgetExceededError,
-    CoordLabel,
-    LUParams,
-    WengerParams,
-    build_lu_graph,
-    build_wenger_graph,
-    lu_edge,
-    lu_label,
-    lu_labels,
-    lu_neighbors,
-    wenger_edge,
-    wenger_neighbors,
-)
-from .exactmath import ceil_pow, floor_pow, int_nth_root, is_prime, next_prime, prime_in_window
-from .geometry import (
-    AffineLineKD,
-    PlanarArrangement,
-    ProjectionError,
-    ProjectionMap,
-    certify_lines_distinct,
-    incidence_set_kd,
-    line_from_params_lu,
-    line_from_params_wenger,
-    point_on_line,
-    project_generic,
-    project_with_map,
-    sample_projection,
-)
-from .graphs import (
-    BipartiteGraph,
-    DegreeSummary,
-    GirthReport,
-    degree_stats,
-    girth,
-    girth_target,
-    graphs_identical,
-    has_cycle_of_length,
-    st_ratio,
-    theoretical_exponent,
-)
-from .truncation import (
-    LUTruncationSpec,
-    TruncatedArrangement,
-    WengerTruncationSpec,
-    build_truncated,
-    embedding_prime,
-    lu_edge_free,
-    lu_line_range,
-    lu_point_range,
-    max_coordinate,
-    verify_subgraph_embedding,
-    wenger_edge_free,
-    wenger_line_range,
-    wenger_point_range,
-)
+from .geometry import line_from_params
+from .truncation import LUTruncationSpec, WengerTruncationSpec, build_truncated
 
 __version__ = "0.1.0"

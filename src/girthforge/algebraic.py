@@ -1,12 +1,8 @@
-"""Bipartite graphs over prime fields defined by layered polynomial equations.
+"""Bipartite graphs over prime fields, one per family of the family table.
 
-Two families are built here.  The layered family ``D(q, k)`` lives on two
-copies of F_q^k with a block-structured coordinate labeling; one side of
-each defining equation is the difference of matching coordinates and the
-other is a product of a first coordinate with an earlier coordinate, which
-makes neighbor generation a forward substitution.  The second family
-``H_k(p)`` uses plain positional coordinates and the relations
-``v_j = u_j + u_{j+1} * v_{k-1}``.
+Each graph lives on two copies of F_q^k, points u and line vertices v, with
+an edge when the family's equations hold mod q.  Neighbor generation solves
+the equations for v by substitution from u (see :mod:`girthforge.families`).
 
 Both graphs are regular on both sides; that is asserted by tests, not here.
 """
@@ -14,24 +10,20 @@ Both graphs are regular on both sides; that is asserted by tests, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from itertools import product
 
 from .exactmath import is_prime
+from .families import family_named, plan_holds_mod, substitute
 from .graphs import BipartiteGraph
 
 __all__ = [
     "BudgetExceededError",
-    "CoordLabel",
+    "FieldParams",
     "LUParams",
     "WengerParams",
-    "lu_label",
-    "lu_labels",
-    "lu_equation_plan",
-    "lu_edge",
-    "lu_neighbors",
-    "wenger_edge",
-    "wenger_neighbors",
+    "field_edge",
+    "field_neighbors",
     "build_lu_graph",
     "build_wenger_graph",
     "DEFAULT_VERTEX_BUDGET",
@@ -45,137 +37,21 @@ class BudgetExceededError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CoordLabel:
-    """Label of one coordinate position in a layered vertex tuple.
+class FieldParams:
+    """A family's field graph: k coordinates over the prime field F_q."""
 
-    kind is 'first' for the leading coordinate, 'pair' for a doubly indexed
-    coordinate (indices differ by at most one), or 'primed' for the primed
-    diagonal coordinates that exist from layer 2 on.  The primed coordinate
-    of layer 1 is identified with the (1, 1) pair and never stored.
-    """
-
-    kind: str
-    i: int = 0
-    j: int = 0
-
-    def __post_init__(self):
-        if self.kind == "first":
-            if self.i or self.j:
-                raise ValueError("'first' carries no indices")
-        elif self.kind == "pair":
-            if self.i < 1 or self.j < 1 or abs(self.i - self.j) > 1:
-                raise ValueError(f"invalid pair indices ({self.i}, {self.j})")
-        elif self.kind == "primed":
-            if self.i < 2:
-                raise ValueError("primed coordinates start at layer 2")
-            if self.j != self.i:
-                raise ValueError("primed coordinates are diagonal")
-        else:
-            raise ValueError(f"unknown coordinate kind {self.kind!r}")
-
-    def __str__(self) -> str:
-        if self.kind == "first":
-            return "c1"
-        if self.kind == "pair":
-            return f"c{self.i},{self.j}"
-        return f"c'{self.i},{self.i}"
-
-
-_FIRST = CoordLabel("first")
-
-
-def lu_label(pos: int, k: int) -> CoordLabel:
-    """Coordinate label at 1-based position pos of a length-k layered tuple.
-
-    Position 1 is the first coordinate; positions 2..5 are the pairs
-    (1,1), (1,2), (2,1), (2,2); afterwards blocks of four repeat for each
-    layer i >= 2: primed(i), (i,i+1), (i+1,i), (i+1,i+1).
-    """
-    if not 1 <= pos <= k:
-        raise ValueError(f"position {pos} out of range 1..{k}")
-    if pos == 1:
-        return _FIRST
-    if pos <= 5:
-        i, j = ((1, 1), (1, 2), (2, 1), (2, 2))[pos - 2]
-        return CoordLabel("pair", i, j)
-    block, step = divmod(pos - 6, 4)
-    layer = block + 2
-    if step == 0:
-        return CoordLabel("primed", layer, layer)
-    if step == 1:
-        return CoordLabel("pair", layer, layer + 1)
-    if step == 2:
-        return CoordLabel("pair", layer + 1, layer)
-    return CoordLabel("pair", layer + 1, layer + 1)
-
-
-@lru_cache(maxsize=None)
-def lu_labels(k: int) -> tuple[CoordLabel, ...]:
-    """All k coordinate labels in storage order."""
-    return tuple(lu_label(pos, k) for pos in range(1, k + 1))
-
-
-@lru_cache(maxsize=None)
-def lu_equation_plan(k: int) -> tuple[tuple[bool, int], ...]:
-    """Right-hand-side recipe of the k-1 defining equations, one per position.
-
-    Entry t-2 describes the equation constraining position t (t = 2..k):
-    the constrained coordinate of v minus the same coordinate of u equals
-    either ``v[0] * u[src]`` (flag True) or ``u[0] * v[src]`` (flag False),
-    where src is an earlier 0-based position.  Derived entirely from
-    :func:`lu_label`, so no position is ever hard-coded.
-    """
-    labels = lu_labels(k)
-    pos_of = {label: idx for idx, label in enumerate(labels)}
-    plan = []
-    for t in range(1, k):
-        label = labels[t]
-        if label.kind == "pair":
-            a, b = label.i, label.j
-            if a == b:
-                src = 0 if a == 1 else pos_of[CoordLabel("pair", a - 1, a)]
-                plan.append((True, src))
-            elif b == a + 1:
-                plan.append((False, pos_of[CoordLabel("pair", a, a)]))
-            else:  # a == b + 1, reads the primed diagonal of layer b
-                key = CoordLabel("pair", 1, 1) if b == 1 else CoordLabel("primed", b, b)
-                plan.append((True, pos_of[key]))
-        else:  # primed layer i reads v at pair (i, i-1)
-            plan.append((False, pos_of[CoordLabel("pair", label.i, label.i - 1)]))
-    for t, (_, src) in enumerate(plan, start=1):
-        if src >= t:
-            raise AssertionError("equation must only read earlier positions")
-    return tuple(plan)
-
-
-@dataclass(frozen=True)
-class LUParams:
-    """Parameters of the layered graph: odd k >= 3 coordinates over F_q."""
-
+    family: str
     k: int
     q: int
 
     def __post_init__(self):
-        if self.k < 3 or self.k % 2 == 0:
-            raise ValueError(
-                f"the lu family is only defined for odd k >= 3, got k={self.k}"
-            )
+        family_named(self.family).check_k(self.k)
         if not is_prime(self.q):
             raise ValueError(f"field size must be prime, got {self.q}")
 
 
-@dataclass(frozen=True)
-class WengerParams:
-    """Parameters of the positional-coordinate graph: k in {2, 3, 5} over F_p."""
-
-    k: int
-    p: int
-
-    def __post_init__(self):
-        if self.k not in (2, 3, 5):
-            raise ValueError(f"the wenger family requires k in {{2, 3, 5}}, got {self.k}")
-        if not is_prime(self.p):
-            raise ValueError(f"field size must be prime, got {self.p}")
+LUParams = partial(FieldParams, "lu")
+WengerParams = partial(FieldParams, "wenger")
 
 
 def _check_length(vertex, k: int, name: str) -> None:
@@ -183,56 +59,19 @@ def _check_length(vertex, k: int, name: str) -> None:
         raise ValueError(f"{name} has length {len(vertex)}, expected {k}")
 
 
-def lu_edge(u, v, params: LUParams) -> bool:
-    """Whether the k-1 layered equations hold mod q for point u and line-vertex v."""
-    k, q = params.k, params.q
-    _check_length(u, k, "u")
-    _check_length(v, k, "v")
-    for t, (uses_v1, src) in enumerate(lu_equation_plan(k), start=1):
-        rhs = v[0] * u[src] if uses_v1 else u[0] * v[src]
-        if (v[t] - u[t] - rhs) % q:
-            return False
-    return True
+def field_edge(u, v, params: FieldParams) -> bool:
+    """Whether the family's equations hold mod q for point u and line-vertex v."""
+    _check_length(u, params.k, "u")
+    _check_length(v, params.k, "v")
+    return plan_holds_mod(family_named(params.family).plan(params.k), u, v, params.q)
 
 
-def lu_neighbors(u, params: LUParams) -> list[tuple[int, ...]]:
-    """The q neighbors of u, one per value of the free first coordinate of v.
-
-    Equation t determines v's position-t coordinate from earlier positions
-    only, so the whole tuple follows by forward substitution.
-    """
-    k, q = params.k, params.q
-    _check_length(u, k, "u")
-    plan = lu_equation_plan(k)
-    out = []
-    for v1 in range(q):
-        v = [v1] + [0] * (k - 1)
-        for t, (uses_v1, src) in enumerate(plan, start=1):
-            rhs = v[0] * u[src] if uses_v1 else u[0] * v[src]
-            v[t] = (u[t] + rhs) % q
-        out.append(tuple(v))
-    return out
-
-
-def wenger_edge(u, v, params: WengerParams) -> bool:
-    """Whether v_j = u_j + u_{j+1} * v_{k-1} holds mod p for j = 0..k-2."""
-    k, p = params.k, params.p
-    _check_length(u, k, "u")
-    _check_length(v, k, "v")
-    last = v[k - 1]
-    return all((v[j] - u[j] - u[j + 1] * last) % p == 0 for j in range(k - 1))
-
-
-def wenger_neighbors(u, params: WengerParams) -> list[tuple[int, ...]]:
-    """The p neighbors of u, one per value of the free last coordinate of v."""
-    k, p = params.k, params.p
-    _check_length(u, k, "u")
-    out = []
-    for last in range(p):
-        v = [(u[j] + u[j + 1] * last) % p for j in range(k - 1)]
-        v.append(last)
-        out.append(tuple(v))
-    return out
+def field_neighbors(u, params: FieldParams) -> list[tuple[int, ...]]:
+    """The q neighbors of u, one per value of the free coordinate of v."""
+    _check_length(u, params.k, "u")
+    q = params.q
+    const, slope = substitute(family_named(params.family).plan(params.k), u, from_point=True)
+    return [tuple((c + s * x) % q for c, s in zip(const, slope)) for x in range(q)]
 
 
 def _tuple_index(vertex, base: int) -> int:
@@ -242,29 +81,25 @@ def _tuple_index(vertex, base: int) -> int:
     return idx
 
 
-def _build_graph(size: int, neighbor_fn, coords, budget: int, base: int) -> BipartiteGraph:
+def _build_graph(params: FieldParams, budget: int) -> BipartiteGraph:
+    k, q = params.k, params.q
+    size = q**k
     if size > budget:
         raise BudgetExceededError(
             f"{size} vertices per side exceeds the budget of {budget}"
         )
     edges = []
-    for pi, u in enumerate(coords):
-        for v in neighbor_fn(u):
-            edges.append((pi, _tuple_index(v, base)))
+    for pi, u in enumerate(product(range(q), repeat=k)):
+        for v in field_neighbors(u, params):
+            edges.append((pi, _tuple_index(v, q)))
     return BipartiteGraph(size, size, edges)
 
 
-def build_lu_graph(params: LUParams, budget: int = DEFAULT_VERTEX_BUDGET) -> BipartiteGraph:
+def build_lu_graph(params: FieldParams, budget: int = DEFAULT_VERTEX_BUDGET) -> BipartiteGraph:
     """The full layered graph on 2 * q**k vertices; index order is lexicographic."""
-    k, q = params.k, params.q
-    size = q**k
-    coords = product(range(q), repeat=k)
-    return _build_graph(size, lambda u: lu_neighbors(u, params), coords, budget, q)
+    return _build_graph(params, budget)
 
 
-def build_wenger_graph(params: WengerParams, budget: int = DEFAULT_VERTEX_BUDGET) -> BipartiteGraph:
+def build_wenger_graph(params: FieldParams, budget: int = DEFAULT_VERTEX_BUDGET) -> BipartiteGraph:
     """The full positional graph on 2 * p**k vertices; index order is lexicographic."""
-    k, p = params.k, params.p
-    size = p**k
-    coords = product(range(p), repeat=k)
-    return _build_graph(size, lambda u: wenger_neighbors(u, params), coords, budget, p)
+    return _build_graph(params, budget)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .algebraic import BudgetExceededError
+from .families import FAMILIES
 from .files import (
     ParseError,
     parse_arrangement,
@@ -25,19 +26,12 @@ from .geometry import (
     ProjectionError,
     certify_lines_distinct,
     incidence_set_kd,
-    line_from_params_lu,
-    line_from_params_wenger,
+    line_from_params,
     project_generic,
 )
 from .graphs import degree_stats, girth, has_cycle_of_length, st_ratio, theoretical_exponent
 from .svg import export_svg
-from .truncation import (
-    LUTruncationSpec,
-    WengerTruncationSpec,
-    build_truncated,
-    embedding_prime,
-    verify_subgraph_embedding,
-)
+from .truncation import TruncationSpec, build_truncated, embedding_prime, verify_subgraph_embedding
 
 __all__ = ["run", "main"]
 
@@ -60,7 +54,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a truncated arrangement file")
-    p.add_argument("--family", required=True, choices=["lu", "wenger"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--out", required=True, type=Path)
@@ -98,11 +92,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_for(family: str, k: int, n: int):
+def _spec_for(family: str, k: int, n: int) -> TruncationSpec:
     try:
-        if family == "lu":
-            return LUTruncationSpec(k, n)
-        return WengerTruncationSpec(k, n)
+        return TruncationSpec(family, k, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -114,17 +106,28 @@ def _read(path: Path) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_arrangement(path: Path):
+def _load(path: Path):
+    """The file's kind ('arrangement' or 'planar') and its parsed content.
+
+    A malformed file of either kind is a usage error.
+    """
     text = _read(path)
     try:
-        return parse_arrangement(text)
+        kind = sniff_format(text)
+        return kind, parse_arrangement(text) if kind == "arrangement" else parse_planar(text)
     except ParseError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _load_arrangement(path: Path):
+    kind, arr = _load(path)
+    if kind != "arrangement":
+        raise UsageError(f"{path}: expected an arrangement file, got a {kind} one")
+    return arr
+
+
 def _lines_of(arr):
-    maker = line_from_params_lu if arr.family == "lu" else line_from_params_wenger
-    return [maker(v, arr.k) for v in arr.line_params]
+    return [line_from_params(arr.family, v, arr.k) for v in arr.line_params]
 
 
 def _cmd_construct(args) -> int:
@@ -206,9 +209,12 @@ def _cmd_verify(args) -> int:
 def _cmd_project(args) -> int:
     arr = _load_arrangement(args.infile)
     lines = _lines_of(arr)
-    planar, pmap = project_generic(
-        arr.points, lines, seed=args.seed, bound=args.bound, max_retries=args.retries
-    )
+    try:
+        planar, pmap = project_generic(
+            arr.points, lines, seed=args.seed, bound=args.bound, max_retries=args.retries
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     args.out.write_text(render_planar(planar))
     print(f"seed {pmap.seed} bound {pmap.bound}")
     print(f"rows {' '.join(map(str, pmap.rows[0]))} | {' '.join(map(str, pmap.rows[1]))}")
@@ -220,46 +226,32 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    text = _read(args.infile)
-    try:
-        kind = sniff_format(text)
-    except ParseError as exc:
-        raise UsageError(f"{args.infile}: {exc}") from exc
+    kind, data = _load(args.infile)
     if args.format == "svg":
         if kind != "planar":
             raise UsageError("svg export needs a planar file; run 'project' first")
-        planar = parse_planar(text)
         try:
-            args.out.write_text(export_svg(planar))
+            args.out.write_text(export_svg(data))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         print(f"wrote {args.out}")
         return 0
-    if kind == "arrangement":
-        edges = parse_arrangement(text).edges
-    else:
-        edges = sorted(parse_planar(text).incidences)
+    edges = data.edges if kind == "arrangement" else sorted(data.incidences)
     args.out.write_text(render_edge_list(edges))
     print(f"wrote {args.out}: {len(edges)} edges")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    text = _read(args.infile)
-    kind = sniff_format(text)
+    kind, data = _load(args.infile)
+    graph = data.to_bipartite_graph()
     if kind == "arrangement":
-        arr = parse_arrangement(text)
-        graph = arr.to_bipartite_graph()
-        n_points, n_lines = len(arr.points), len(arr.line_params)
-        n_inc = len(arr.edges)
-        print(f"family {arr.family}  k {arr.k}  n {arr.n}")
-        exponent = theoretical_exponent(arr.family, arr.k)
+        n_points, n_lines, n_inc = len(data.points), len(data.line_params), len(data.edges)
+        print(f"family {data.family}  k {data.k}  n {data.n}")
+        exponent = theoretical_exponent(data.family, data.k)
         print(f"incidence exponent {exponent} = {float(exponent):.6f}")
     else:
-        planar = parse_planar(text)
-        graph = planar.to_bipartite_graph()
-        n_points, n_lines = len(planar.points), len(planar.lines)
-        n_inc = len(planar.incidences)
+        n_points, n_lines, n_inc = len(data.points), len(data.lines), len(data.incidences)
         print("planar arrangement")
     print(f"points {n_points}  lines {n_lines}  incidences {n_inc}")
     left, right = degree_stats(graph)

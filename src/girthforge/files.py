@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .geometry import PlanarArrangement, _as_exact
-from .truncation import TruncatedArrangement
+from .truncation import TruncatedArrangement, TruncationSpec
 
 __all__ = [
     "ParseError",
@@ -70,6 +70,12 @@ class _Reader:
         except ValueError as exc:
             raise ParseError(f"bad integer for {key!r}: {value!r}") from exc
 
+    def count_field(self, key: str) -> int:
+        value = self.int_field(key)
+        if value < 0:
+            raise ParseError(f"negative count for {key!r}: {value}")
+        return value
+
 
 def render_arrangement(arr: TruncatedArrangement, include_incidences: bool = True) -> str:
     out = [
@@ -94,11 +100,13 @@ def parse_arrangement(text: str) -> TruncatedArrangement:
         raise ParseError(f"missing header {ARRANGEMENT_HEADER!r}")
     k = r.int_field("dim")
     family = r.keyword("family")
-    if family not in ("lu", "wenger"):
-        raise ParseError(f"unknown family {family!r}")
     n = r.int_field("n")
-    n_points = r.int_field("points")
-    n_lines = r.int_field("lines")
+    try:
+        TruncationSpec(family, k, n)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    n_points = r.count_field("points")
+    n_lines = r.count_field("lines")
     points = tuple(_int_row(r, k) for _ in range(n_points))
     line_params = tuple(_int_row(r, k) for _ in range(n_lines))
     edges = _parse_incidences(r, n_points, n_lines)
@@ -115,7 +123,7 @@ def _int_row(r: _Reader, k: int) -> tuple[int, ...]:
 def _parse_incidences(r: _Reader, n_points: int, n_lines: int) -> tuple:
     if r.peek() is None:
         return ()
-    count = r.int_field("incidences")
+    count = r.count_field("incidences")
     edges = []
     for _ in range(count):
         parts = r.next_line().split()
@@ -152,7 +160,7 @@ def parse_planar(text: str) -> PlanarArrangement:
     r = _Reader(text)
     if r.next_line() != PLANAR_HEADER:
         raise ParseError(f"missing header {PLANAR_HEADER!r}")
-    n_points = r.int_field("points")
+    n_points = r.count_field("points")
     points = []
     for _ in range(n_points):
         parts = r.next_line().split()
@@ -161,7 +169,7 @@ def parse_planar(text: str) -> PlanarArrangement:
         points.append(tuple(_as_exact(Fraction(p)) for p in parts))
     if len(set(points)) != len(points):
         raise ParseError("duplicate planar point")
-    n_lines = r.int_field("lines")
+    n_lines = r.count_field("lines")
     lines = []
     for _ in range(n_lines):
         parts = r.next_line().split()

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebraic import lu_equation_plan
+from .families import family_named, substitute
 
 __all__ = [
     "AffineLineKD",
     "ProjectionMap",
     "PlanarArrangement",
     "ProjectionError",
-    "line_from_params_lu",
-    "line_from_params_wenger",
+    "line_from_params",
     "point_on_line",
     "certify_lines_distinct",
     "canonical_planar_line",
@@ -120,47 +119,16 @@ def point_on_line(point, line: AffineLineKD) -> bool:
     return True
 
 
-def line_from_params_lu(v, k: int) -> AffineLineKD:
-    """The solution line of the layered system for line parameters v.
+def line_from_params(family: str, v, k: int) -> AffineLineKD:
+    """The solution line of a family's equations for line parameters v.
 
-    Parametrized by the first coordinate: every other coordinate is affine
-    in it, obtained by forward substitution through the k-1 equations, so
-    base and direction entries are integers.
+    Parametrized by the family's free coordinate: substitution from v makes
+    every other coordinate affine in it, so base and direction entries are
+    integers.
     """
     if len(v) != k:
         raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
-    # coordinate t = const[t] + slope[t] * x1
-    const = [0] * k
-    slope = [0] * k
-    slope[0] = 1
-    for t, (uses_v1, src) in enumerate(lu_equation_plan(k), start=1):
-        if uses_v1:
-            # x_t = v_t - v1 * x_src
-            const[t] = v[t] - v[0] * const[src]
-            slope[t] = -v[0] * slope[src]
-        else:
-            # x_t = v_t - x1 * v_src
-            const[t] = v[t]
-            slope[t] = -v[src]
-    return AffineLineKD.through(tuple(const), tuple(slope))
-
-
-def line_from_params_wenger(v, k: int) -> AffineLineKD:
-    """The solution line of x_i + v_{k-1} x_{i+1} - v_i = 0 for i = 0..k-2.
-
-    Parametrized by the last coordinate and back-substituted downward; the
-    raw direction entry at position i is (-v_{k-1}) ** (k-1-i) before
-    canonicalization.
-    """
-    if len(v) != k:
-        raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
-    const = [0] * k
-    slope = [0] * k
-    slope[k - 1] = 1
-    vk = v[k - 1]
-    for i in range(k - 2, -1, -1):
-        const[i] = v[i] - vk * const[i + 1]
-        slope[i] = -vk * slope[i + 1]
+    const, slope = substitute(family_named(family).plan(k), v, from_point=False)
     return AffineLineKD.through(tuple(const), tuple(slope))
 
 
@@ -342,6 +310,8 @@ def project_generic(
     by one; when max_retries maps all fail, the coefficient bound is too
     small for the instance and a ProjectionError says so.
     """
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     points = [tuple(p) for p in points]
     if len(set(points)) != len(points):
         raise ValueError("input points must be pairwise distinct")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import int_nth_root
+from .families import family_named
 
 __all__ = [
     "BipartiteGraph",
@@ -286,19 +287,10 @@ def theoretical_exponent(family: str, k: int) -> Fraction:
     'lu' gives 1 + 4/(k^2 + 6k - 3) for odd k >= 3; 'wenger' gives
     1 + 2/(k(k+1)) for k in {2, 3, 5}.
     """
-    if family == "lu":
-        if k < 3 or k % 2 == 0:
-            raise ValueError(f"lu family requires odd k >= 3, got {k}")
-        return 1 + Fraction(4, k * k + 6 * k - 3)
-    if family == "wenger":
-        if k not in (2, 3, 5):
-            raise ValueError(f"wenger family requires k in {{2, 3, 5}}, got {k}")
-        return 1 + Fraction(2, k * (k + 1))
-    raise ValueError(f"unknown family {family!r}")
+    return family_named(family).exponent(k)
 
 
 def girth_target(k: int) -> int:
     """Guaranteed girth lower bound k + 5 for the layered construction, odd k >= 3."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"girth target is defined for odd k >= 3, got {k}")
+    family_named("lu").check_k(k)
     return k + 5

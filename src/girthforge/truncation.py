@@ -5,10 +5,11 @@ equations hold over the plain integers, so the resulting bipartite graph
 embeds into the field graph for any prime larger than every coordinate and
 inherits its cycle structure.  The boxes follow fixed fractional-power
 bounds evaluated exactly: closed ranges with floored upper ends (and ceiled
-lower ends where a lower bound exists).
+lower ends where a lower bound exists).  Each family's boxes, equations and
+prime window come from the family table in :mod:`girthforge.families`.
 
-Edge generation walks the free coordinate and substitutes forward; a brute
-force pass over all point/line pairs cross-checks the result whenever the
+Edge generation walks the free coordinate and substitutes; a brute force
+pass over all point/line pairs cross-checks the result whenever the
 instance is small enough, which covers every desk-scale run.
 """
 
@@ -17,29 +18,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
-from .algebraic import (
-    BudgetExceededError,
-    CoordLabel,
-    LUParams,
-    WengerParams,
-    lu_edge,
-    lu_equation_plan,
-    lu_labels,
-    wenger_edge,
-)
-from .exactmath import ceil_pow, floor_pow, is_prime, next_prime, prime_in_window
+from .algebraic import BudgetExceededError, FieldParams, field_edge
+from .exactmath import is_prime, next_prime, prime_in_window
+from .families import family_named, lu_equation_plan, substitute
 from .graphs import BipartiteGraph
 
 __all__ = [
+    "TruncationSpec",
     "LUTruncationSpec",
     "WengerTruncationSpec",
     "TruncatedArrangement",
-    "lu_point_range",
-    "lu_line_range",
-    "wenger_point_range",
-    "wenger_line_range",
     "lu_edge_free",
     "wenger_edge_free",
     "build_truncated",
@@ -57,111 +48,34 @@ DEFAULT_CROSS_CHECK_LIMIT = 400_000
 
 
 @dataclass(frozen=True)
-class LUTruncationSpec:
-    """Size parameters of a layered truncation: odd k >= 3 and scale n >= 1."""
+class TruncationSpec:
+    """Size parameters of a truncation: a family name, its k, and the scale n >= 1."""
 
+    family: str
     k: int
     n: int
 
     def __post_init__(self):
-        if self.k < 3 or self.k % 2 == 0:
-            raise ValueError(f"layered truncation requires odd k >= 3, got {self.k}")
+        family_named(self.family).check_k(self.k)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
     @property
-    def family(self) -> str:
-        return "lu"
-
-    @property
     def exponent_step(self) -> Fraction:
-        """The exponent unit 4 / (k^2 + 6k - 3); coordinate bounds are multiples of it."""
-        return Fraction(4, self.k * self.k + 6 * self.k - 3)
+        """The family's exponent unit at k; coordinate bounds are multiples of it."""
+        return family_named(self.family).exponent_step(self.k)
+
+    def point_ranges(self) -> list[tuple[int, int]]:
+        """Closed [lo, hi] range of each point coordinate."""
+        return family_named(self.family).point_ranges(self.k, self.n)
+
+    def line_ranges(self) -> list[tuple[int, int]]:
+        """Closed [lo, hi] range of each line-parameter coordinate."""
+        return family_named(self.family).line_ranges(self.k, self.n)
 
 
-@dataclass(frozen=True)
-class WengerTruncationSpec:
-    """Size parameters of a positional truncation: k in {2, 3, 5} and n >= 1."""
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.k not in (2, 3, 5):
-            raise ValueError(f"positional truncation requires k in {{2, 3, 5}}, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-
-    @property
-    def family(self) -> str:
-        return "wenger"
-
-    @property
-    def exponent_step(self) -> Fraction:
-        """The exponent unit 2 / (k(k+1))."""
-        return Fraction(2, self.k * (self.k + 1))
-
-
-def lu_point_range(label: CoordLabel, spec: LUTruncationSpec) -> tuple[int, int]:
-    """Closed coordinate range [0, hi] of a point coordinate.
-
-    The first coordinate is bounded by n**step; a pair or primed coordinate
-    with indices (i, j) by n**((i+j) * step).
-    """
-    step = spec.exponent_step
-    if label.kind == "first":
-        return 0, floor_pow(spec.n, step, 1)
-    return 0, floor_pow(spec.n, (label.i + label.j) * step, 1)
-
-
-def lu_line_range(label: CoordLabel, spec: LUTruncationSpec) -> tuple[int, int]:
-    """Closed coordinate range [0, hi] of a line-parameter coordinate.
-
-    Scales are chosen so that forward substitution from any in-box point
-    lands inside the box for every choice of the free first coordinate:
-    2 for the first coordinate, 3 for pairs (i,i) and (i+1,i), 4 for pairs
-    (i,i+1) and for primed coordinates.
-    """
-    step = spec.exponent_step
-    if label.kind == "first":
-        return 0, floor_pow(spec.n, step, 2)
-    if label.kind == "primed":
-        return 0, floor_pow(spec.n, 2 * label.i * step, 4)
-    a, b = label.i, label.j
-    scale = 4 if b == a + 1 else 3
-    return 0, floor_pow(spec.n, (a + b) * step, scale)
-
-
-def wenger_point_range(i: int, spec: WengerTruncationSpec) -> tuple[int, int]:
-    """Closed range [0, hi] of point coordinate i (0-based).
-
-    hi = 2**(2(k-i-1)) * n**((k-i) * step), which degenerates to n**step for
-    the last coordinate.
-    """
-    k = spec.k
-    if not 0 <= i <= k - 1:
-        raise ValueError(f"coordinate index {i} out of range 0..{k - 1}")
-    return 0, floor_pow(spec.n, (k - i) * spec.exponent_step, 2 ** (2 * (k - i - 1)))
-
-
-def wenger_line_range(i: int, spec: WengerTruncationSpec) -> tuple[int, int]:
-    """Closed range [lo, hi] of line-parameter coordinate i (0-based).
-
-    The lower end is the exact ceiling of half the upper bound (of n**step
-    for the last coordinate); the upper end matches the point box except for
-    the last coordinate, where it doubles.
-    """
-    k = spec.k
-    if not 0 <= i <= k - 1:
-        raise ValueError(f"coordinate index {i} out of range 0..{k - 1}")
-    step = spec.exponent_step
-    if i == k - 1:
-        return ceil_pow(spec.n, step, 1), floor_pow(spec.n, step, 2)
-    exponent = (k - i) * step
-    return (
-        ceil_pow(spec.n, exponent, 2 ** (2 * (k - i - 1) - 1)),
-        floor_pow(spec.n, exponent, 2 ** (2 * (k - i - 1))),
-    )
+LUTruncationSpec = partial(TruncationSpec, "lu")
+WengerTruncationSpec = partial(TruncationSpec, "wenger")
 
 
 def lu_edge_free(u, v, k: int) -> bool:
@@ -200,10 +114,8 @@ class TruncatedArrangement:
         object.__setattr__(self, "_edge_set", frozenset(self.edges))
 
     @property
-    def spec(self):
-        if self.family == "lu":
-            return LUTruncationSpec(self.k, self.n)
-        return WengerTruncationSpec(self.k, self.n)
+    def spec(self) -> TruncationSpec:
+        return TruncationSpec(self.family, self.k, self.n)
 
     @property
     def edge_set(self) -> frozenset:
@@ -214,18 +126,6 @@ class TruncatedArrangement:
         return BipartiteGraph(len(self.points), len(self.line_params), self.edges)
 
 
-def _point_ranges(spec) -> list[tuple[int, int]]:
-    if isinstance(spec, LUTruncationSpec):
-        return [lu_point_range(label, spec) for label in lu_labels(spec.k)]
-    return [wenger_point_range(i, spec) for i in range(spec.k)]
-
-
-def _line_ranges(spec) -> list[tuple[int, int]]:
-    if isinstance(spec, LUTruncationSpec):
-        return [lu_line_range(label, spec) for label in lu_labels(spec.k)]
-    return [wenger_line_range(i, spec) for i in range(spec.k)]
-
-
 def _box_size(ranges) -> int:
     size = 1
     for lo, hi in ranges:
@@ -233,67 +133,51 @@ def _box_size(ranges) -> int:
     return size
 
 
-def _lu_edges(spec, points, line_ranges, line_index) -> list[tuple[int, int]]:
-    plan = lu_equation_plan(spec.k)
-    v1_lo, v1_hi = line_ranges[0]
+def _walk(plan, fixed, partners, partner_ranges, from_point: bool) -> list[tuple[int, int]]:
+    """(fixed index, partner index) of every partner that lands inside its box.
+
+    Each fixed vertex (a point when from_point, else a line vertex) is
+    substituted once, then its partners are read off for every value of the
+    free coordinate in the partner box.
+    """
+    free = plan[0]
+    free_lo, free_hi = partner_ranges[free]
+    index = {w: j for j, w in enumerate(partners)}
     edges = []
-    for pi, u in enumerate(points):
-        for v1 in range(v1_lo, v1_hi + 1):
-            v = [v1] + [0] * (spec.k - 1)
-            ok = True
-            for t, (uses_v1, src) in enumerate(plan, start=1):
-                rhs = v[0] * u[src] if uses_v1 else u[0] * v[src]
-                v[t] = u[t] + rhs
-                lo, hi = line_ranges[t]
-                if not lo <= v[t] <= hi:
-                    ok = False
-                    break
-            if ok:
-                edges.append((pi, line_index[tuple(v)]))
+    for i, w in enumerate(fixed):
+        const, slope = substitute(plan, w, from_point)
+        for x in range(free_lo, free_hi + 1):
+            partner = tuple(c + s * x for c, s in zip(const, slope))
+            if all(lo <= c <= hi for c, (lo, hi) in zip(partner, partner_ranges)):
+                edges.append((i, index[partner]))
     return edges
 
 
-def _wenger_edges(spec, line_params, point_ranges, point_index) -> list[tuple[int, int]]:
-    k = spec.k
-    last_hi = point_ranges[k - 1][1]
-    edges = []
-    for lj, v in enumerate(line_params):
-        vk = v[k - 1]
-        for last in range(last_hi + 1):
-            u = [0] * k
-            u[k - 1] = last
-            ok = True
-            for i in range(k - 2, -1, -1):
-                u[i] = v[i] - vk * u[i + 1]
-                lo, hi = point_ranges[i]
-                if not lo <= u[i] <= hi:
-                    ok = False
-                    break
-            if ok:
-                edges.append((point_index[tuple(u)], lj))
-    return edges
+# The written-out equations that the brute-force pass checks the walk against.
+_EDGE_ORACLES = {"lu": lu_edge_free, "wenger": wenger_edge_free}
 
 
 def build_truncated(
-    spec,
+    spec: TruncationSpec,
     box_budget: int = DEFAULT_BOX_BUDGET,
     cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT,
 ) -> TruncatedArrangement:
     """Materialize the boxes and the no-modulus edge set for a truncation spec.
 
-    Edges come from walking the free coordinate (the line's first coordinate
-    for the layered family, the point's last coordinate for the positional
-    family) and substituting the remaining coordinates over the integers,
-    keeping a candidate only when it lands inside the partner box.  When
+    Edges come from walking the free coordinate of the family's plan from
+    every vertex of one side (the side with fewer candidates) and
+    substituting the remaining coordinates over the integers, keeping a
+    candidate only when it lands inside the partner box.  When
     |points| * |lines| <= cross_check_limit the edge set is re-derived by
-    evaluating the defining equations on every pair and the two must agree.
+    evaluating the written-out equations on every pair and the two must
+    agree.
 
     Raises BudgetExceededError when either box exceeds box_budget, and
     ValueError when a line box is empty (impossible for n >= 1, kept as a
     guard).
     """
-    point_ranges = _point_ranges(spec)
-    line_ranges = _line_ranges(spec)
+    point_ranges = spec.point_ranges()
+    line_ranges = spec.line_ranges()
     n_points = _box_size(point_ranges)
     n_lines = _box_size(line_ranges)
     if n_points > box_budget or n_lines > box_budget:
@@ -309,18 +193,17 @@ def build_truncated(
 
     points = tuple(product(*(range(lo, hi + 1) for lo, hi in point_ranges)))
     line_params = tuple(product(*(range(lo, hi + 1) for lo, hi in line_ranges)))
-
-    if isinstance(spec, LUTruncationSpec):
-        line_index = {v: j for j, v in enumerate(line_params)}
-        edges = _lu_edges(spec, points, line_ranges, line_index)
-        predicate = lu_edge_free
+    # Walk from the side with fewer (vertex, free value) candidates.
+    plan = family_named(spec.family).plan(spec.k)
+    (p_lo, p_hi), (l_lo, l_hi) = point_ranges[plan[0]], line_ranges[plan[0]]
+    if n_points * (l_hi - l_lo + 1) <= n_lines * (p_hi - p_lo + 1):
+        edges = _walk(plan, points, line_params, line_ranges, from_point=True)
     else:
-        point_index = {u: i for i, u in enumerate(points)}
-        edges = _wenger_edges(spec, line_params, point_ranges, point_index)
-        predicate = wenger_edge_free
-
+        edges = [(pi, lj) for lj, pi in _walk(plan, line_params, points, point_ranges, from_point=False)]
     edges = tuple(sorted(edges))
+
     if n_points * n_lines <= cross_check_limit:
+        predicate = _EDGE_ORACLES[spec.family]
         brute = tuple(
             sorted(
                 (pi, lj)
@@ -336,31 +219,24 @@ def build_truncated(
     return TruncatedArrangement(spec.family, spec.k, spec.n, points, line_params, edges)
 
 
-def max_coordinate(spec) -> int:
+def max_coordinate(spec: TruncationSpec) -> int:
     """Largest coordinate value occurring anywhere in the two boxes."""
-    return max(hi for _, hi in _point_ranges(spec) + _line_ranges(spec))
+    return max(hi for _, hi in spec.point_ranges() + spec.line_ranges())
 
 
-def embedding_prime(spec, mode: str = "minimal") -> int:
+def embedding_prime(spec: TruncationSpec, mode: str = "minimal") -> int:
     """A prime modulus under which the truncation is a legal residue structure.
 
     'minimal' returns the smallest prime exceeding every coordinate, which
     is all the subgraph property needs at desk scale.  'paper_window'
-    searches the much larger window (4 n**(8/k), 8 n**(8/k)) for the layered
-    family and (2**(2k) n**(2/k), 2**(2k+1) n**(2/k)) for the positional
-    one, with both ends evaluated exactly.
+    searches the family's much larger window, (4 n**(8/k), 8 n**(8/k)) for
+    the layered family and (2**(2k) n**(2/k), 2**(2k+1) n**(2/k)) for the
+    positional one, with both ends evaluated exactly.
     """
     if mode == "minimal":
         return next_prime(max(1, max_coordinate(spec)))
     if mode == "paper_window":
-        if isinstance(spec, LUTruncationSpec):
-            exponent = Fraction(8, spec.k)
-            lo = floor_pow(spec.n, exponent, 4)
-            hi = ceil_pow(spec.n, exponent, 8)
-        else:
-            exponent = Fraction(2, spec.k)
-            lo = floor_pow(spec.n, exponent, 2 ** (2 * spec.k))
-            hi = ceil_pow(spec.n, exponent, 2 ** (2 * spec.k + 1))
+        lo, hi = family_named(spec.family).prime_window(spec.k, spec.n)
         p = prime_in_window(lo, hi)
         if p is None:
             raise ValueError(f"no prime in the window ({lo}, {hi})")
@@ -382,10 +258,5 @@ def verify_subgraph_embedding(arr: TruncatedArrangement, q: int) -> bool:
         for c in tup:
             if not 0 <= c < q:
                 return False
-    if arr.family == "lu":
-        params = LUParams(arr.k, q)
-        edge_ok = lambda u, v: lu_edge(u, v, params)
-    else:
-        params = WengerParams(arr.k, q)
-        edge_ok = lambda u, v: wenger_edge(u, v, params)
-    return all(edge_ok(arr.points[pi], arr.line_params[lj]) for pi, lj in arr.edges)
+    params = FieldParams(arr.family, arr.k, q)
+    return all(field_edge(arr.points[pi], arr.line_params[lj], params) for pi, lj in arr.edges)

@@ -4,8 +4,7 @@ from girthforge import (
     LUTruncationSpec,
     WengerTruncationSpec,
     build_truncated,
-    line_from_params_lu,
-    line_from_params_wenger,
+    line_from_params,
 )
 
 
@@ -17,7 +16,7 @@ def lu64():
 
 @pytest.fixture(scope="session")
 def lu64_lines(lu64):
-    return [line_from_params_lu(v, 3) for v in lu64.line_params]
+    return [line_from_params("lu", v, 3) for v in lu64.line_params]
 
 
 @pytest.fixture(scope="session")
@@ -28,4 +27,4 @@ def wenger64():
 
 @pytest.fixture(scope="session")
 def wenger64_lines(wenger64):
-    return [line_from_params_wenger(v, 2) for v in wenger64.line_params]
+    return [line_from_params("wenger", v, 2) for v in wenger64.line_params]

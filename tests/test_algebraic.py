@@ -5,19 +5,14 @@ import pytest
 
 from girthforge.algebraic import (
     BudgetExceededError,
-    CoordLabel,
     LUParams,
     WengerParams,
     build_lu_graph,
     build_wenger_graph,
-    lu_edge,
-    lu_equation_plan,
-    lu_label,
-    lu_labels,
-    lu_neighbors,
-    wenger_edge,
-    wenger_neighbors,
+    field_edge,
+    field_neighbors,
 )
+from girthforge.families import CoordLabel, family_named, lu_equation_plan, lu_label, lu_labels
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
 
 
@@ -70,18 +65,30 @@ class TestLabels:
                 assert 0 <= src < t
 
 
+@pytest.mark.parametrize("name,ks", [("lu", (3, 5, 7, 9, 11, 13)), ("wenger", (2, 3, 5))])
+def test_plan_steps_read_only_solved_coordinates(name, ks):
+    """From either side, each step reads only the free or an earlier-solved coordinate."""
+    for k in ks:
+        free, steps = family_named(name).plan(k)
+        solved = {free}
+        for t, a, b in steps:
+            assert a in solved and b in solved and t not in solved
+            solved.add(t)
+        assert solved == set(range(k))
+
+
 class TestLUEdges:
     def test_direct_substitution_true(self):
-        assert lu_edge((1, 1, 0), (1, 2, 2), LUParams(3, 5))
+        assert field_edge((1, 1, 0), (1, 2, 2), LUParams(3, 5))
 
     def test_zero_point_accepts_any_first_coordinate(self):
         for q in (2, 3, 5):
             params = LUParams(3, q)
             for c in range(q):
-                assert lu_edge((0, 0, 0), (c, 0, 0), params)
+                assert field_edge((0, 0, 0), (c, 0, 0), params)
 
     def test_second_equation_fails(self):
-        assert not lu_edge((1, 1, 0), (1, 2, 3), LUParams(3, 5))
+        assert not field_edge((1, 1, 0), (1, 2, 3), LUParams(3, 5))
 
     def test_k5_plan_matches_handwritten_equations(self):
         # the four equations written out coordinate by coordinate
@@ -96,20 +103,20 @@ class TestLUEdges:
                 and (v[3] - u[3] - v[0] * u[1]) % 7 == 0
                 and (v[4] - u[4] - v[0] * u[2]) % 7 == 0
             )
-            assert lu_edge(u, v, params) == by_hand
+            assert field_edge(u, v, params) == by_hand
 
     def test_mismatched_length_rejected(self):
         with pytest.raises(ValueError):
-            lu_edge((1, 1), (1, 2, 2), LUParams(3, 5))
+            field_edge((1, 1), (1, 2, 2), LUParams(3, 5))
         with pytest.raises(ValueError):
-            lu_edge((1, 1, 0), (1, 2), LUParams(3, 5))
+            field_edge((1, 1, 0), (1, 2), LUParams(3, 5))
 
     def test_zero_propagation_neighbors(self):
-        got = lu_neighbors((0, 0, 0), LUParams(3, 3))
+        got = field_neighbors((0, 0, 0), LUParams(3, 3))
         assert got == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
 
     def test_neighbor_matches_edge_example(self):
-        nbrs = lu_neighbors((1, 1, 0), LUParams(3, 5))
+        nbrs = field_neighbors((1, 1, 0), LUParams(3, 5))
         assert (1, 2, 2) in nbrs
 
     @pytest.mark.parametrize("k,q", [(3, 2), (3, 3), (3, 5), (5, 2), (5, 3)])
@@ -118,7 +125,7 @@ class TestLUEdges:
         rng = random.Random(k * 100 + q)
         for _ in range(20):
             u = tuple(rng.randrange(q) for _ in range(k))
-            nbrs = lu_neighbors(u, params)
+            nbrs = field_neighbors(u, params)
             assert len(nbrs) == q
             assert len(set(nbrs)) == q
 
@@ -127,46 +134,58 @@ class TestLUEdges:
         params = LUParams(k, q)
         vertices = list(product(range(q), repeat=k))
         for u in vertices:
-            nbrs = set(lu_neighbors(u, params))
+            nbrs = set(field_neighbors(u, params))
             for v in vertices:
-                assert lu_edge(u, v, params) == (v in nbrs)
+                assert field_edge(u, v, params) == (v in nbrs)
 
 
 class TestWengerEdges:
     def test_true_example(self):
-        assert wenger_edge((1, 2), (0, 1), WengerParams(2, 3))
+        assert field_edge((1, 2), (0, 1), WengerParams(2, 3))
 
     def test_zero_point(self):
         for p in (2, 3, 5):
             params = WengerParams(2, p)
             for c in range(p):
-                assert wenger_edge((0, 0), (0, c), params)
+                assert field_edge((0, 0), (0, c), params)
 
     def test_false_example(self):
-        assert not wenger_edge((1, 2), (1, 1), WengerParams(2, 3))
+        assert not field_edge((1, 2), (1, 1), WengerParams(2, 3))
 
     def test_neighbors_example(self):
-        got = wenger_neighbors((1, 2), WengerParams(2, 3))
+        got = field_neighbors((1, 2), WengerParams(2, 3))
         assert set(got) == {(1, 0), (0, 1), (2, 2)}
 
     def test_zero_vertex_neighbors(self):
         params = WengerParams(3, 5)
-        got = wenger_neighbors((0, 0, 0), params)
+        got = field_neighbors((0, 0, 0), params)
         assert got == [(0, 0, c) for c in range(5)]
+
+    def test_k3_plan_matches_handwritten_equations(self):
+        params = WengerParams(3, 5)
+        rng = random.Random(2)
+        for _ in range(500):
+            u = tuple(rng.randrange(5) for _ in range(3))
+            v = tuple(rng.randrange(5) for _ in range(3))
+            by_hand = (
+                (v[0] - u[0] - u[1] * v[2]) % 5 == 0
+                and (v[1] - u[1] - u[2] * v[2]) % 5 == 0
+            )
+            assert field_edge(u, v, params) == by_hand
 
     def test_mismatched_length_rejected(self):
         with pytest.raises(ValueError):
-            wenger_edge((1,), (0, 1), WengerParams(2, 3))
+            field_edge((1,), (0, 1), WengerParams(2, 3))
 
     @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (5, 2)])
     def test_edge_iff_neighbor_exhaustive(self, k, p):
         params = WengerParams(k, p)
         vertices = list(product(range(p), repeat=k))
         for u in vertices:
-            nbrs = set(wenger_neighbors(u, params))
+            nbrs = set(field_neighbors(u, params))
             assert len(nbrs) == p
             for v in vertices:
-                assert wenger_edge(u, v, params) == (v in nbrs)
+                assert field_edge(u, v, params) == (v in nbrs)
 
 
 class TestParams:

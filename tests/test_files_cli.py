@@ -63,6 +63,39 @@ class TestArrangementFormat:
             sniff_format("junk\n")
 
 
+def small_arrangement_text(dim=2, family="wenger", n=1, points=1, lines=1, incidences=0):
+    """A header and all-zero rows; the defaults parse."""
+    rows = f"{' '.join(['0'] * dim)}\n" * (max(points, 0) + max(lines, 0))
+    return (
+        f"GIRTHFORGE-ARR 1\ndim {dim}\nfamily {family}\nn {n}\n"
+        f"points {points}\nlines {lines}\n{rows}incidences {incidences}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"family": "lu", "dim": 4},
+        {"family": "lu", "dim": 1},
+        {"family": "wenger", "dim": 4},
+        {"n": 0},
+        {"points": -1},
+        {"lines": -1},
+        {"incidences": -1},
+    ],
+    ids=lambda h: "-".join(f"{key}{value}" for key, value in h.items()),
+)
+def test_header_outside_family_rules_rejected(tmp_path, header):
+    assert parse_arrangement(small_arrangement_text()).k == 2
+    text = small_arrangement_text(**header)
+    with pytest.raises(ParseError):
+        parse_arrangement(text)
+    path = tmp_path / "bad.arr"
+    path.write_text(text)
+    assert run(["stats", "--in", str(path)]) == 2
+    assert run(["verify", "--in", str(path), "--subgraph-prime", "minimal"]) == 2
+
+
 class TestPlanarFormat:
     def test_round_trip(self, wenger64, wenger64_lines):
         planar = project_with_map(
@@ -104,6 +137,10 @@ class TestPlanarFormat:
         )
         with pytest.raises(ParseError, match="duplicate"):
             parse_planar(text)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParseError, match="negative"):
+            parse_planar("GIRTHFORGE-PLANAR 1\npoints -1\nlines 0\n")
 
 
 def test_edge_list_format():
@@ -277,6 +314,26 @@ class TestCLI:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["verify", "--in", str(tmp_path / "none.arr")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--in", "{bad}"],
+            ["project", "--in", "{arr}", "--out", "{out}", "--M", "1"],
+            ["project", "--in", "{arr}", "--out", "{out}", "--M", "-5"],
+            ["project", "--in", "{arr}", "--out", "{out}", "--retries", "0"],
+        ],
+        ids=["stats-bad-header", "project-M1", "project-M-5", "project-retries0"],
+    )
+    def test_bad_input_or_flag_is_usage_error(self, tmp_path, capsys, argv):
+        arr = tmp_path / "w.arr"
+        run(["construct", "--family", "wenger", "--k", "2", "--n", "4", "--out", str(arr)])
+        bad = tmp_path / "bad.arr"
+        bad.write_text("GIRTHFORGE-ARR 9\n")
+        capsys.readouterr()
+        paths = {"arr": arr, "bad": bad, "out": tmp_path / "w.planar"}
+        assert run([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSVG:

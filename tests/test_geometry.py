@@ -12,8 +12,7 @@ from girthforge.geometry import (
     canonical_planar_line,
     certify_lines_distinct,
     incidence_set_kd,
-    line_from_params_lu,
-    line_from_params_wenger,
+    line_from_params,
     point_on_line,
     project_generic,
     project_with_map,
@@ -43,12 +42,12 @@ def lu5_system_holds(v, x):
 
 class TestLineConstruction:
     def test_lu_k3_shape(self):
-        line = line_from_params_lu((1, 2, 2), 3)
+        line = line_from_params("lu", (1, 2, 2), 3)
         assert line.base == (0, 2, 2)
         assert line.direction == (1, -1, -2)
 
     def test_lu_zero_params_is_first_axis(self):
-        line = line_from_params_lu((0, 0, 0), 3)
+        line = line_from_params("lu", (0, 0, 0), 3)
         assert line.base == (0, 0, 0)
         assert line.direction == (1, 0, 0)
 
@@ -56,7 +55,7 @@ class TestLineConstruction:
     def test_lu_line_points_satisfy_system(self, seed):
         rng = random.Random(seed)
         v = tuple(rng.randrange(-6, 7) for _ in range(3))
-        line = line_from_params_lu(v, 3)
+        line = line_from_params("lu", v, 3)
         for t in (0, 1, -2, Fraction(1, 3)):
             assert lu3_system_holds(v, line.point_at(t))
 
@@ -64,26 +63,26 @@ class TestLineConstruction:
     def test_lu_k5_line_points_satisfy_system(self, seed):
         rng = random.Random(100 + seed)
         v = tuple(rng.randrange(-6, 7) for _ in range(5))
-        line = line_from_params_lu(v, 5)
+        line = line_from_params("lu", v, 5)
         for t in (0, 1, -3, Fraction(-2, 5)):
             assert lu5_system_holds(v, line.point_at(t))
 
     def test_wenger_k2_shape(self):
         v = (5, 3)
-        line = line_from_params_wenger(v, 2)
+        line = line_from_params("wenger", v, 2)
         # the line x0 + 3*x1 - 5 = 0: (5, 0) is on it, direction ~ (-3, 1)
         assert point_on_line((5, 0), line)
         assert line.direction in ((3, -1), (-3, 1))
 
     def test_wenger_k3_shape(self):
         v0, v1, v2 = 7, 4, 2
-        line = line_from_params_wenger((v0, v1, v2), 3)
+        line = line_from_params("wenger", (v0, v1, v2), 3)
         assert point_on_line((v0 - v2 * v1, v1, 0), line)
         # direction collinear with (v2**2, -v2, 1)
         assert line.direction == (4, -2, 1)
 
     def test_wenger_zero_params_is_last_axis(self):
-        line = line_from_params_wenger((0, 0, 0), 3)
+        line = line_from_params("wenger", (0, 0, 0), 3)
         assert line.base == (0, 0, 0)
         assert line.direction == (0, 0, 1)
 
@@ -92,37 +91,37 @@ class TestLineConstruction:
         rng = random.Random(k)
         for _ in range(8):
             v = tuple(rng.randrange(-5, 6) for _ in range(k))
-            line = line_from_params_wenger(v, k)
+            line = line_from_params("wenger", v, k)
             for t in (0, 2, -1, Fraction(5, 2)):
                 assert wenger_system_holds(v, line.point_at(t), k)
 
     def test_wrong_parameter_length(self):
         with pytest.raises(ValueError):
-            line_from_params_lu((1, 2), 3)
+            line_from_params("lu", (1, 2), 3)
         with pytest.raises(ValueError):
-            line_from_params_wenger((1, 2, 3), 2)
+            line_from_params("wenger", (1, 2, 3), 2)
 
 
 class TestPointOnLine:
     def test_derived_example_true(self):
-        line = line_from_params_lu((1, 2, 2), 3)
+        line = line_from_params("lu", (1, 2, 2), 3)
         assert point_on_line((1, 1, 0), line)
 
     def test_base_always_on_line(self):
-        line = line_from_params_wenger((5, 3), 2)
+        line = line_from_params("wenger", (5, 3), 2)
         assert point_on_line(line.base, line)
 
     def test_derived_example_false(self):
-        line = line_from_params_lu((1, 2, 2), 3)
+        line = line_from_params("lu", (1, 2, 2), 3)
         assert not point_on_line((1, 1, 1), line)
 
     def test_rational_points(self):
-        line = line_from_params_wenger((5, 3), 2)
+        line = line_from_params("wenger", (5, 3), 2)
         assert point_on_line((Fraction(7, 2), Fraction(1, 2)), line)
         assert not point_on_line((Fraction(7, 2), Fraction(1, 3)), line)
 
     def test_dimension_mismatch(self):
-        line = line_from_params_lu((1, 2, 2), 3)
+        line = line_from_params("lu", (1, 2, 2), 3)
         with pytest.raises(ValueError):
             point_on_line((1, 1), line)
 
@@ -183,17 +182,17 @@ class TestDistinctness:
 
     def test_duplicate_parameters_reported(self):
         lines = [
-            line_from_params_lu((1, 2, 2), 3),
-            line_from_params_lu((0, 0, 0), 3),
-            line_from_params_lu((1, 2, 2), 3),
+            line_from_params("lu", (1, 2, 2), 3),
+            line_from_params("lu", (0, 0, 0), 3),
+            line_from_params("lu", (1, 2, 2), 3),
         ]
         ok, pair = certify_lines_distinct(lines)
         assert not ok
         assert pair == (0, 2)
 
     def test_parallel_lines_distinct(self):
-        a = line_from_params_wenger((32, 4), 2)
-        b = line_from_params_wenger((33, 4), 2)
+        a = line_from_params("wenger", (32, 4), 2)
+        b = line_from_params("wenger", (33, 4), 2)
         assert a.direction == b.direction
         assert a != b
         ok, _ = certify_lines_distinct([a, b])
@@ -303,14 +302,14 @@ class TestProjection:
             project_generic([(0, 0, 0), (0, 0, 0)], lu64_lines[:5], seed=1)
 
     def test_duplicate_lines_rejected(self, lu64):
-        dup = [line_from_params_lu((1, 2, 2), 3)] * 2
+        dup = [line_from_params("lu", (1, 2, 2), 3)] * 2
         with pytest.raises(ValueError, match="coincide"):
             project_generic(lu64.points, dup, seed=1)
 
     def test_kernel_direction_fails_verification(self):
         # a map that kills the direction (0, 0, 1)
         points = [(0, 0, 0), (0, 0, 1)]
-        lines = [line_from_params_wenger((0, 0, 0), 3)]
+        lines = [line_from_params("wenger", (0, 0, 0), 3)]
         pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ProjectionError):
             project_with_map(points, lines, pmap)

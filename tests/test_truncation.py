@@ -4,23 +4,29 @@ from itertools import product
 
 import pytest
 
-from girthforge.algebraic import BudgetExceededError, CoordLabel
+from girthforge.algebraic import BudgetExceededError
 from girthforge.exactmath import floor_pow, next_prime
+from girthforge.families import (
+    CoordLabel,
+    family_named,
+    lu_labels,
+    lu_line_range,
+    lu_point_range,
+    wenger_line_range,
+    wenger_point_range,
+)
 from girthforge.graphs import degree_stats, girth
 from girthforge.truncation import (
     LUTruncationSpec,
     TruncatedArrangement,
     WengerTruncationSpec,
+    _walk,
     build_truncated,
     embedding_prime,
     lu_edge_free,
-    lu_line_range,
-    lu_point_range,
     max_coordinate,
     verify_subgraph_embedding,
     wenger_edge_free,
-    wenger_line_range,
-    wenger_point_range,
 )
 
 LU64 = LUTruncationSpec(3, 64)
@@ -38,58 +44,57 @@ def wenger2_edge_oracle(u, v):
 
 class TestRanges:
     def test_lu_point_ranges_at_64(self):
-        assert lu_point_range(CoordLabel("first"), LU64) == (0, 2)
-        assert lu_point_range(CoordLabel("pair", 1, 1), LU64) == (0, 4)
-        assert lu_point_range(CoordLabel("pair", 1, 2), LU64) == (0, 8)
+        assert lu_point_range(CoordLabel("first"), 3, 64) == (0, 2)
+        assert lu_point_range(CoordLabel("pair", 1, 1), 3, 64) == (0, 4)
+        assert lu_point_range(CoordLabel("pair", 1, 2), 3, 64) == (0, 8)
 
     def test_lu_line_ranges_at_64(self):
-        assert lu_line_range(CoordLabel("first"), LU64) == (0, 4)
-        assert lu_line_range(CoordLabel("pair", 1, 1), LU64) == (0, 12)
-        assert lu_line_range(CoordLabel("pair", 1, 2), LU64) == (0, 32)
+        assert lu_line_range(CoordLabel("first"), 3, 64) == (0, 4)
+        assert lu_line_range(CoordLabel("pair", 1, 1), 3, 64) == (0, 12)
+        assert lu_line_range(CoordLabel("pair", 1, 2), 3, 64) == (0, 32)
 
     def test_lu_line_scales_by_label_kind(self):
         spec = LUTruncationSpec(11, 4096)
         step = spec.exponent_step
-        assert lu_line_range(CoordLabel("primed", 2, 2), spec) == (
+        assert lu_line_range(CoordLabel("primed", 2, 2), 11, 4096) == (
             0,
             floor_pow(4096, 4 * step, 4),
         )
-        assert lu_line_range(CoordLabel("pair", 2, 3), spec) == (
+        assert lu_line_range(CoordLabel("pair", 2, 3), 11, 4096) == (
             0,
             floor_pow(4096, 5 * step, 4),
         )
-        assert lu_line_range(CoordLabel("pair", 3, 2), spec) == (
+        assert lu_line_range(CoordLabel("pair", 3, 2), 11, 4096) == (
             0,
             floor_pow(4096, 5 * step, 3),
         )
-        assert lu_line_range(CoordLabel("pair", 2, 2), spec) == (
+        assert lu_line_range(CoordLabel("pair", 2, 2), 11, 4096) == (
             0,
             floor_pow(4096, 4 * step, 3),
         )
 
     def test_wenger_point_ranges_at_64(self):
-        assert wenger_point_range(0, W64) == (0, 64)
-        assert wenger_point_range(1, W64) == (0, 4)
+        assert wenger_point_range(0, 2, 64) == (0, 64)
+        assert wenger_point_range(1, 2, 64) == (0, 4)
 
     def test_wenger_point_range_at_1(self):
-        assert wenger_point_range(1, WengerTruncationSpec(2, 1)) == (0, 1)
+        assert wenger_point_range(1, 2, 1) == (0, 1)
 
     def test_wenger_line_ranges_at_64(self):
-        assert wenger_line_range(0, W64) == (32, 64)
-        assert wenger_line_range(1, W64) == (4, 8)
+        assert wenger_line_range(0, 2, 64) == (32, 64)
+        assert wenger_line_range(1, 2, 64) == (4, 8)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            wenger_point_range(2, W64)
+            wenger_point_range(2, 2, 64)
         with pytest.raises(ValueError):
-            wenger_line_range(-1, W64)
+            wenger_line_range(-1, 2, 64)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_wenger_ranges_never_empty(self, k):
         for n in list(range(1, 60)) + [127, 128, 1000]:
-            spec = WengerTruncationSpec(k, n)
             for i in range(k):
-                lo, hi = wenger_line_range(i, spec)
+                lo, hi = wenger_line_range(i, k, n)
                 assert lo <= hi, (k, n, i)
 
     def test_spec_validation(self):
@@ -121,10 +126,8 @@ class TestBuildLU:
         assert oracle == lu64.edge_set
 
     def test_box_membership(self, lu64):
-        from girthforge.algebraic import lu_labels
-
-        point_his = [lu_point_range(lab, LU64)[1] for lab in lu_labels(3)]
-        line_his = [lu_line_range(lab, LU64)[1] for lab in lu_labels(3)]
+        point_his = [lu_point_range(lab, 3, 64)[1] for lab in lu_labels(3)]
+        line_his = [lu_line_range(lab, 3, 64)[1] for lab in lu_labels(3)]
         for u in lu64.points:
             assert all(0 <= c <= hi for c, hi in zip(u, point_his))
         for v in lu64.line_params:
@@ -192,11 +195,11 @@ class TestBuildWenger:
     def test_box_membership(self, wenger64):
         for u in wenger64.points:
             for i, c in enumerate(u):
-                lo, hi = wenger_point_range(i, W64)
+                lo, hi = wenger_point_range(i, 2, 64)
                 assert lo <= c <= hi
         for v in wenger64.line_params:
             for i, c in enumerate(v):
-                lo, hi = wenger_line_range(i, W64)
+                lo, hi = wenger_line_range(i, 2, 64)
                 assert lo <= c <= hi
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 9), (3, 8), (3, 27)])
@@ -225,12 +228,34 @@ def lu7_edge_oracle(u, v):
     )
 
 
+@pytest.mark.parametrize(
+    "spec,oracle",
+    [(LU64, lu3_edge_oracle), (LUTruncationSpec(3, 9), lu3_edge_oracle), (W64, wenger2_edge_oracle)],
+    ids=["lu3-n64", "lu3-n9", "wenger2-n64"],
+)
+def test_walk_from_either_side_finds_the_oracle_edges(spec, oracle):
+    """build_truncated walks from one side only; the other side must agree too."""
+    arr = build_truncated(spec, cross_check_limit=0)
+    plan = family_named(spec.family).plan(spec.k)
+    from_points = set(_walk(plan, arr.points, arr.line_params, spec.line_ranges(), True))
+    from_lines = {
+        (pi, lj) for lj, pi in _walk(plan, arr.line_params, arr.points, spec.point_ranges(), False)
+    }
+    expected = {
+        (pi, lj)
+        for pi, u in enumerate(arr.points)
+        for lj, v in enumerate(arr.line_params)
+        if oracle(u, v)
+    }
+    assert from_points == from_lines == expected
+
+
 class TestHigherK:
     def test_k5_instance_has_exact_free_coordinate_degrees(self):
         spec = LUTruncationSpec(5, 1024)
         arr = build_truncated(spec)
         assert len(arr.points) == 1350
-        v1_hi = lu_line_range(CoordLabel("first"), spec)[1]
+        v1_hi = lu_line_range(CoordLabel("first"), 5, 1024)[1]
         degrees = Counter(pi for pi, _ in arr.edges)
         assert all(degrees[pi] == v1_hi + 1 for pi in range(len(arr.points)))
         assert verify_subgraph_embedding(arr, embedding_prime(spec, "minimal"))
