@@ -1,8 +1,9 @@
 """Command-line front end: construct, verify, project, export, stats.
 
 Exit codes: 0 success, 1 a verification failed (witness or mismatch is
-printed), 2 usage or parameter error.  Every random choice is seeded and the
-seed is echoed, so any output can be reproduced byte for byte.
+printed), 2 usage or input error: a bad flag, an unreadable or unwritable
+path, or a malformed file.  Every random choice is seeded and the seed is
+echoed, so any output can be reproduced byte for byte.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .truncation import TruncationSpec, build_truncated, embedding_prime, verify
 __all__ = ["run", "main"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -92,31 +93,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_for(family: str, k: int, n: int) -> TruncationSpec:
-    try:
-        return TruncationSpec(family, k, n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _read(path: Path) -> str:
-    try:
-        return path.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-
-
 def _load(path: Path):
-    """The file's kind ('arrangement' or 'planar') and its parsed content.
-
-    A malformed file of either kind is a usage error.
-    """
-    text = _read(path)
+    """The file's kind ('arrangement' or 'planar') and its parsed content."""
+    text = path.read_text()
     try:
         kind = sniff_format(text)
         return kind, parse_arrangement(text) if kind == "arrangement" else parse_planar(text)
     except ParseError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_arrangement(path: Path):
@@ -131,14 +115,11 @@ def _lines_of(arr):
 
 
 def _cmd_construct(args) -> int:
-    spec = _spec_for(args.family, args.k, args.n)
+    spec = TruncationSpec(args.family, args.k, args.n)
     kwargs = {}
     if args.budget is not None:
         kwargs["box_budget"] = args.budget
-    try:
-        arr = build_truncated(spec, **kwargs)
-    except BudgetExceededError as exc:
-        raise UsageError(str(exc)) from exc
+    arr = build_truncated(spec, **kwargs)
     args.out.write_text(render_arrangement(arr))
     print(
         f"wrote {args.out}: family={arr.family} k={arr.k} n={arr.n} "
@@ -176,10 +157,7 @@ def _cmd_verify(args) -> int:
             )
         print(f"ok: girth {report.girth} >= {args.girth_at_least}")
     if args.no_cycle_length is not None:
-        try:
-            witness = has_cycle_of_length(graph, args.no_cycle_length)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        witness = has_cycle_of_length(graph, args.no_cycle_length)
         if witness is not None:
             cyc = " ".join(graph.vertex_label(v) for v in witness)
             raise CheckFailure(f"found a {args.no_cycle_length}-cycle: {cyc}")
@@ -209,12 +187,9 @@ def _cmd_verify(args) -> int:
 def _cmd_project(args) -> int:
     arr = _load_arrangement(args.infile)
     lines = _lines_of(arr)
-    try:
-        planar, pmap = project_generic(
-            arr.points, lines, seed=args.seed, bound=args.bound, max_retries=args.retries
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    planar, pmap = project_generic(
+        arr.points, lines, seed=args.seed, bound=args.bound, max_retries=args.retries
+    )
     args.out.write_text(render_planar(planar))
     print(f"seed {pmap.seed} bound {pmap.bound}")
     print(f"rows {' '.join(map(str, pmap.rows[0]))} | {' '.join(map(str, pmap.rows[1]))}")
@@ -230,13 +205,10 @@ def _cmd_export(args) -> int:
     if args.format == "svg":
         if kind != "planar":
             raise UsageError("svg export needs a planar file; run 'project' first")
-        try:
-            args.out.write_text(export_svg(data))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        args.out.write_text(export_svg(data))
         print(f"wrote {args.out}")
         return 0
-    edges = data.edges if kind == "arrangement" else sorted(data.incidences)
+    edges = data.edges if kind == "arrangement" else data.incidences
     args.out.write_text(render_edge_list(edges))
     print(f"wrote {args.out}: {len(edges)} edges")
     return 0
@@ -246,13 +218,12 @@ def _cmd_stats(args) -> int:
     kind, data = _load(args.infile)
     graph = data.to_bipartite_graph()
     if kind == "arrangement":
-        n_points, n_lines, n_inc = len(data.points), len(data.line_params), len(data.edges)
         print(f"family {data.family}  k {data.k}  n {data.n}")
         exponent = theoretical_exponent(data.family, data.k)
         print(f"incidence exponent {exponent} = {float(exponent):.6f}")
     else:
-        n_points, n_lines, n_inc = len(data.points), len(data.lines), len(data.incidences)
         print("planar arrangement")
+    n_points, n_lines, n_inc = graph.left_count, graph.right_count, graph.edge_count
     print(f"points {n_points}  lines {n_lines}  incidences {n_inc}")
     left, right = degree_stats(graph)
     print(f"point degrees min {left.minimum} max {left.maximum}")
@@ -266,24 +237,24 @@ def _cmd_stats(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code; this is the only place one is chosen.
+
+    Internal faults are raised as AssertionError and keep their traceback.
+    """
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (CheckFailure, ProjectionError) as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CheckFailure as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    except ProjectionError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -18,10 +18,11 @@ __all__ = [
     "prime_in_window",
 ]
 
-# First twelve primes: deterministic Miller-Rabin witnesses below 2**64
-# (in fact below 3.3e24, Sorenson & Webster 2015).
+# First twelve primes: deterministic Miller-Rabin witnesses below psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441, the least composite
+# that is a strong probable prime to all of them (Sorenson & Webster 2015).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 1 << 64
+_MR_LIMIT = 318665857834031151167461
 
 
 def int_nth_root(x: int, r: int) -> int:
@@ -86,8 +87,9 @@ def _exponent_parts(n: int, exponent: Fraction, scale: int) -> tuple[int, int]:
 def is_prime(m: int) -> bool:
     """Deterministic primality test.
 
-    Miller-Rabin with a fixed witness set (exact below 2**64); trial division
-    for anything larger, which only occurs far beyond desk scale.
+    Miller-Rabin with a fixed witness set (exact below _MR_LIMIT, about
+    3.2e23); trial division for anything larger, which only occurs far
+    beyond desk scale.
     """
     if m < 2:
         return False
@@ -123,7 +125,11 @@ def _trial_division(m: int) -> bool:
 
 
 def next_prime(x: int) -> int:
-    """Smallest prime strictly greater than x (x >= 1)."""
+    """Smallest prime strictly greater than x (x >= 1).
+
+    Raises ValueError when the scan reaches _MR_LIMIT, where trial division
+    would take astronomically long for a prime.
+    """
     if x < 1:
         raise ValueError(f"expected x >= 1, got {x}")
     c = x + 1
@@ -131,9 +137,11 @@ def next_prime(x: int) -> int:
         return 2
     if c % 2 == 0:
         c += 1
-    while not is_prime(c):
+    while c < _MR_LIMIT:
+        if is_prime(c):
+            return c
         c += 2
-    return c
+    raise ValueError(f"no prime above {x} below the exact primality limit {_MR_LIMIT}")
 
 
 def prime_in_window(lo: int, hi: int) -> int | None:

@@ -76,6 +76,17 @@ class _Reader:
             raise ParseError(f"negative count for {key!r}: {value}")
         return value
 
+    def row(self, width: int, convert=int) -> tuple:
+        """The next line as exactly width fields, each passed through convert."""
+        line = self.next_line()
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError(f"line {self.at}: expected {width} fields, got {len(parts)}")
+        try:
+            return tuple(map(convert, parts))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {self.at}: bad field in {line!r}") from exc
+
 
 def render_arrangement(arr: TruncatedArrangement, include_incidences: bool = True) -> str:
     out = [
@@ -107,17 +118,12 @@ def parse_arrangement(text: str) -> TruncatedArrangement:
         raise ParseError(str(exc)) from exc
     n_points = r.count_field("points")
     n_lines = r.count_field("lines")
-    points = tuple(_int_row(r, k) for _ in range(n_points))
-    line_params = tuple(_int_row(r, k) for _ in range(n_lines))
+    points = tuple(r.row(k) for _ in range(n_points))
+    if len(set(points)) != len(points):
+        raise ParseError("duplicate point")
+    line_params = tuple(r.row(k) for _ in range(n_lines))
     edges = _parse_incidences(r, n_points, n_lines)
     return TruncatedArrangement(family, k, n, points, line_params, edges)
-
-
-def _int_row(r: _Reader, k: int) -> tuple[int, ...]:
-    parts = r.next_line().split()
-    if len(parts) != k:
-        raise ParseError(f"expected {k} coordinates, got {len(parts)}")
-    return tuple(int(p) for p in parts)
 
 
 def _parse_incidences(r: _Reader, n_points: int, n_lines: int) -> tuple:
@@ -126,10 +132,7 @@ def _parse_incidences(r: _Reader, n_points: int, n_lines: int) -> tuple:
     count = r.count_field("incidences")
     edges = []
     for _ in range(count):
-        parts = r.next_line().split()
-        if len(parts) != 2:
-            raise ParseError("incidence rows have two indices")
-        pi, lj = int(parts[0]), int(parts[1])
+        pi, lj = r.row(2)
         if not (0 <= pi < n_points and 0 <= lj < n_lines):
             raise ParseError(f"incidence ({pi}, {lj}) out of range")
         edges.append((pi, lj))
@@ -156,33 +159,31 @@ def render_planar(pa: PlanarArrangement, include_incidences: bool = True) -> str
     return "\n".join(out) + "\n"
 
 
+def _rational(token: str):
+    """A planar coordinate: ``num/den`` or an integer, never decimal or exponent notation."""
+    num, slash, den = token.partition("/")
+    return _as_exact(Fraction(int(num), int(den) if slash else 1))
+
+
 def parse_planar(text: str) -> PlanarArrangement:
     r = _Reader(text)
     if r.next_line() != PLANAR_HEADER:
         raise ParseError(f"missing header {PLANAR_HEADER!r}")
     n_points = r.count_field("points")
-    points = []
-    for _ in range(n_points):
-        parts = r.next_line().split()
-        if len(parts) != 2:
-            raise ParseError("planar points have two coordinates")
-        points.append(tuple(_as_exact(Fraction(p)) for p in parts))
+    points = tuple(r.row(2, _rational) for _ in range(n_points))
     if len(set(points)) != len(points):
         raise ParseError("duplicate planar point")
     n_lines = r.count_field("lines")
     lines = []
     for _ in range(n_lines):
-        parts = r.next_line().split()
-        if len(parts) != 3:
-            raise ParseError("planar lines have three coefficients")
-        a, b, c = (int(p) for p in parts)
+        a, b, c = r.row(3)
         if (a, b) == (0, 0) or gcd(a, gcd(b, c)) != 1 or (a if a else b) < 0:
             raise ParseError(f"line ({a}, {b}, {c}) is not in canonical form")
         lines.append((a, b, c))
     if len(set(lines)) != len(lines):
         raise ParseError("duplicate planar line")
     edges = _parse_incidences(r, n_points, n_lines)
-    return PlanarArrangement(tuple(points), tuple(lines), frozenset(edges))
+    return PlanarArrangement(points, tuple(lines), frozenset(edges))
 
 
 def render_edge_list(edges) -> str:

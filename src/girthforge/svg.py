@@ -49,23 +49,15 @@ def _clip_line(a, b, c, xspan, yspan):
     return distinct[0], distinct[-1]
 
 
-def export_svg(planar: PlanarArrangement, viewport=None) -> str:
+def export_svg(planar: PlanarArrangement) -> str:
     """Render points as circles and clipped lines as segments.
 
-    viewport is ((xmin, xmax), (ymin, ymax)) in world coordinates; when
-    omitted it is the bounding box of the points padded by five percent.
-    Raises ValueError for an empty arrangement.
+    The viewport is the bounding box of the points padded by five percent
+    (at least one unit).  Raises ValueError for an empty arrangement.
     """
     if not planar.points:
         raise ValueError("cannot render an empty arrangement")
-    if viewport is None:
-        xspan, yspan = _viewport_from_points(planar.points)
-    else:
-        (x0, x1), (y0, y1) = viewport
-        xspan = (Fraction(x0), Fraction(x1))
-        yspan = (Fraction(y0), Fraction(y1))
-    if xspan[0] >= xspan[1] or yspan[0] >= yspan[1]:
-        raise ValueError("viewport must have positive extent")
+    xspan, yspan = _viewport_from_points(planar.points)
 
     sx = Fraction(_CANVAS_W - 2 * _MARGIN, 1) / (xspan[1] - xspan[0])
     sy = Fraction(_CANVAS_H - 2 * _MARGIN, 1) / (yspan[1] - yspan[0])

@@ -15,14 +15,13 @@ instance is small enough, which covers every desk-scale run.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
 
 from .algebraic import BudgetExceededError, FieldParams, field_edge
-from .exactmath import is_prime, next_prime, prime_in_window
+from .exactmath import _MR_LIMIT, is_prime, next_prime, prime_in_window
 from .families import family_named, lu_equation_plan, substitute
 from .graphs import BipartiteGraph
 
@@ -185,10 +184,6 @@ def build_truncated(
             f"box sizes {n_points} x {n_lines} exceed the budget of {box_budget}"
         )
     if n_lines == 0 or n_points == 0:
-        warnings.warn(
-            f"degenerate truncation at n={spec.n}: an empty coordinate box",
-            stacklevel=2,
-        )
         raise ValueError(f"empty coordinate box for spec {spec}")
 
     points = tuple(product(*(range(lo, hi + 1) for lo, hi in point_ranges)))
@@ -231,12 +226,17 @@ def embedding_prime(spec: TruncationSpec, mode: str = "minimal") -> int:
     is all the subgraph property needs at desk scale.  'paper_window'
     searches the family's much larger window, (4 n**(8/k), 8 n**(8/k)) for
     the layered family and (2**(2k) n**(2/k), 2**(2k+1) n**(2/k)) for the
-    positional one, with both ends evaluated exactly.
+    positional one, with both ends evaluated exactly.  A window reaching
+    past the exact range of the primality test is a ValueError.
     """
     if mode == "minimal":
         return next_prime(max(1, max_coordinate(spec)))
     if mode == "paper_window":
         lo, hi = family_named(spec.family).prime_window(spec.k, spec.n)
+        if hi >= _MR_LIMIT:
+            raise ValueError(
+                f"the window ({lo}, {hi}) reaches past the exact primality limit {_MR_LIMIT}"
+            )
         p = prime_in_window(lo, hi)
         if p is None:
             raise ValueError(f"no prime in the window ({lo}, {hi})")

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from girthforge.exactmath import (
+    _MR_LIMIT,
     ceil_pow,
     floor_pow,
     int_nth_root,
@@ -121,6 +123,17 @@ class TestPrimes:
         assert is_prime(2**31 - 1)
         assert not is_prime(2**32 + 1)
 
+    def test_witnesses_decide_beyond_2_64(self):
+        # Both lie above 2**64, where trial division needs 5e8 steps or more.
+        start = perf_counter()
+        assert is_prime(2**64 + 13)
+        assert not is_prime(1000000007 * 1000000000039)
+        assert perf_counter() - start < 1.0
+
+    def test_witness_limit_is_the_least_strong_pseudoprime(self):
+        # psi_12: composite, yet a strong probable prime to every base 2..37.
+        assert _MR_LIMIT == 399165290221 * 798330580441 == 318665857834031151167461
+
     def test_next_prime_examples(self):
         assert next_prime(32) == 37
         assert next_prime(2) == 3
@@ -141,6 +154,13 @@ class TestPrimes:
     def test_next_prime_rejects_zero(self):
         with pytest.raises(ValueError):
             next_prime(0)
+
+    def test_next_prime_stops_at_the_witness_limit(self):
+        assert next_prime(2**64) == 2**64 + 13
+        with pytest.raises(ValueError, match="limit"):
+            next_prime(_MR_LIMIT - 2)
+        with pytest.raises(ValueError, match="limit"):
+            next_prime(10**60)
 
     def test_window_examples(self):
         assert prime_in_window(4, 8) == 5

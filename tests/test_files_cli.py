@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import girthforge
 from girthforge.cli import run
 from girthforge.files import (
     ParseError,
@@ -12,9 +20,9 @@ from girthforge.files import (
     render_planar,
     sniff_format,
 )
-from girthforge.geometry import ProjectionMap, project_with_map
+from girthforge.geometry import ProjectionMap, line_from_params, project_generic, project_with_map
 from girthforge.svg import _clip_line, export_svg
-from girthforge.truncation import TruncatedArrangement
+from girthforge.truncation import TruncatedArrangement, WengerTruncationSpec, build_truncated
 
 
 class TestArrangementFormat:
@@ -56,6 +64,17 @@ class TestArrangementFormat:
         )
         with pytest.raises(ParseError):
             parse_arrangement(text)
+
+    def test_duplicate_point_rejected(self):
+        with pytest.raises(ParseError, match="duplicate"):
+            parse_arrangement(small_arrangement_text(points=2))
+
+    @pytest.mark.parametrize(
+        "row", ["0 x", "0", "0 0 0", "1/2 0"], ids=["token", "short", "long", "rational"]
+    )
+    def test_bad_coordinate_row_rejected(self, row):
+        with pytest.raises(ParseError, match="line 7: "):
+            parse_arrangement(small_arrangement_text().replace("0 0\n", row + "\n", 1))
 
     def test_sniff(self, wenger64):
         assert sniff_format(render_arrangement(wenger64)) == "arrangement"
@@ -141,6 +160,26 @@ class TestPlanarFormat:
     def test_negative_count_rejected(self):
         with pytest.raises(ParseError, match="negative"):
             parse_planar("GIRTHFORGE-PLANAR 1\npoints -1\nlines 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "GIRTHFORGE-PLANAR 1\npoints 1\n1/0 1\nlines 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 1\n0/1 x\nlines 0\n",
+            # exponent notation is refused: '1e99999999999' would expand into a huge integer
+            "GIRTHFORGE-PLANAR 1\npoints 1\n1e3 0/1\nlines 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 0\nlines 1\n1 0 x\n",
+            "GIRTHFORGE-PLANAR 1\npoints 0\nlines 1\n1 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n1 0 0\nincidences 1\n0 z\n",
+        ],
+        ids=[
+            "zero-denominator", "point-token", "exponent-notation", "line-token", "line-short",
+            "incidence-token",
+        ],
+    )
+    def test_bad_row_rejected(self, text):
+        with pytest.raises(ParseError, match=r"line \d+: "):
+            parse_planar(text)
 
 
 def test_edge_list_format():
@@ -322,18 +361,107 @@ class TestCLI:
             ["project", "--in", "{arr}", "--out", "{out}", "--M", "1"],
             ["project", "--in", "{arr}", "--out", "{out}", "--M", "-5"],
             ["project", "--in", "{arr}", "--out", "{out}", "--retries", "0"],
+            ["stats", "--in", "{coordinate}"],
+            ["verify", "--in", "{incidence}"],
+            ["export", "--in", "{point}", "--out", "{out}", "--format", "edges"],
+            ["stats", "--in", "{line}"],
+            ["construct", "--family", "wenger", "--k", "2", "--n", "4",
+             "--out", "{missing}/a.arr"],
+            ["verify", "--in", "{duplicate}"],
+            ["verify", "--in", "{huge}", "--subgraph-prime", "paper"],
+            ["verify", "--in", "{huger}", "--subgraph-prime", "minimal"],
         ],
-        ids=["stats-bad-header", "project-M1", "project-M-5", "project-retries0"],
+        ids=[
+            "stats-bad-header", "project-M1", "project-M-5", "project-retries0",
+            "arr-coordinate-token", "arr-incidence-token", "planar-zero-denominator",
+            "planar-line-token", "construct-unwritable-out", "arr-duplicate-point",
+            "paper-window-beyond-exact-primality", "minimal-prime-beyond-exact-primality",
+        ],
     )
     def test_bad_input_or_flag_is_usage_error(self, tmp_path, capsys, argv):
         arr = tmp_path / "w.arr"
         run(["construct", "--family", "wenger", "--k", "2", "--n", "4", "--out", str(arr)])
-        bad = tmp_path / "bad.arr"
-        bad.write_text("GIRTHFORGE-ARR 9\n")
+        bad_files = {
+            "bad": "GIRTHFORGE-ARR 9\n",
+            "coordinate": small_arrangement_text().replace("0 0\n", "0 x\n", 1),
+            "incidence": small_arrangement_text(incidences=1) + "0 z\n",
+            "point": "GIRTHFORGE-PLANAR 1\npoints 1\n1/0 1\nlines 0\n",
+            "line": "GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n1 0 x\n",
+            "duplicate": small_arrangement_text(points=2),
+            # the lu k=3 paper window starts near 4e32, beyond exact Miller-Rabin
+            "huge": small_arrangement_text(dim=3, family="lu", n=10**12, points=0, lines=0),
+            # ...and at n = 10**60 the box coordinates themselves pass it
+            "huger": small_arrangement_text(dim=3, family="lu", n=10**60, points=0, lines=0),
+        }
+        paths = {"arr": arr, "out": tmp_path / "w.planar", "missing": tmp_path / "no" / "dir"}
+        for name, text in bad_files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
         capsys.readouterr()
-        paths = {"arr": arr, "bad": bad, "out": tmp_path / "w.planar"}
         assert run([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_module_entry_point_keeps_the_exit_code(self, tmp_path):
+        src = str(Path(girthforge.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "girthforge.cli", "stats", "--in", str(tmp_path / "none.arr")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+
+@cache
+def small_valid_files() -> tuple[str, str]:
+    """The wenger k=2, n=4 arrangement file and its seed-1 planar projection."""
+    arr = build_truncated(WengerTruncationSpec(2, 4))
+    lines = [line_from_params("wenger", v, 2) for v in arr.line_params]
+    planar, _ = project_generic(arr.points, lines, seed=1)
+    return render_arrangement(arr), render_planar(planar)
+
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "-1", "2", "x", "1/0", "0/0", "3/2", "9" * 30, "points", "lu", "GIRTHFORGE-ARR"]
+)
+
+
+@st.composite
+def mutated_files(draw):
+    """A small valid file after one to three token or line mutations."""
+    text = draw(st.sampled_from(small_valid_files()))
+    rows = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["replace", "append", "drop", "delete"]))
+        if op == "delete" and len(rows) > 1:
+            del rows[i]
+        elif op == "append":
+            rows[i].insert(draw(st.integers(0, len(rows[i]))), draw(_TOKENS))
+        elif op in ("replace", "drop") and rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            if op == "replace":
+                rows[i][j] = draw(_TOKENS)
+            else:
+                del rows[i][j]
+    return "\n".join(map(" ".join, rows)) + "\n"
+
+
+@settings(max_examples=250, deadline=None)
+@given(mutated_files())
+def test_mutated_files_keep_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "mutated.txt"), Path(tmp, "edges.txt")
+        path.write_text(text)
+        for argv in (
+            ["stats", "--in", str(path)],
+            ["verify", "--in", str(path)],
+            ["export", "--in", str(path), "--out", str(out), "--format", "edges"],
+        ):
+            assert run(argv) in (0, 1, 2)
 
 
 class TestSVG:

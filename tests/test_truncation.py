@@ -304,6 +304,11 @@ class TestEmbedding:
         assert 1024 < p < 2048
         assert p == next_prime(1024)
 
+    def test_paper_window_beyond_exact_primality_rejected(self):
+        # (4 n**(8/3), 8 n**(8/3)) at n = 10**12 starts near 4e32.
+        with pytest.raises(ValueError, match="window"):
+            embedding_prime(LUTruncationSpec(3, 10**12), "paper_window")
+
     def test_nonprime_modulus_rejected(self, lu64):
         with pytest.raises(ValueError):
             verify_subgraph_embedding(lu64, 33)
