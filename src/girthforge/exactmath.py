@@ -87,17 +87,16 @@ def _exponent_parts(n: int, exponent: Fraction, scale: int) -> tuple[int, int]:
 def is_prime(m: int) -> bool:
     """Deterministic primality test.
 
-    Miller-Rabin with a fixed witness set (exact below _MR_LIMIT, about
-    3.2e23); trial division for anything larger, which only occurs far
-    beyond desk scale.
+    Miller-Rabin with a fixed witness set, exact below _MR_LIMIT (about
+    3.2e23).  Raises ValueError at or above it, where no answer is exact.
     """
+    if m >= _MR_LIMIT:
+        raise ValueError(f"{m} is at or above the exact primality limit {_MR_LIMIT}")
     if m < 2:
         return False
     for p in _MR_WITNESSES:
         if m % p == 0:
             return m == p
-    if m >= _MR_LIMIT:
-        return _trial_division(m)
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -115,20 +114,11 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _trial_division(m: int) -> bool:
-    f = 41  # witnesses already ruled out factors below this
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def next_prime(x: int) -> int:
     """Smallest prime strictly greater than x (x >= 1).
 
-    Raises ValueError when the scan reaches _MR_LIMIT, where trial division
-    would take astronomically long for a prime.
+    Raises ValueError when the scan reaches _MR_LIMIT, where is_prime has no
+    exact answer.
     """
     if x < 1:
         raise ValueError(f"expected x >= 1, got {x}")

@@ -142,28 +142,33 @@ def certify_lines_distinct(lines) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
+def _cross_key(x, direction, pivot) -> tuple:
+    """(x_i * d_pivot - x_pivot * d_i)_i: equal for two points exactly when
+    they differ by a multiple of the direction d."""
+    xj, dj = x[pivot], direction[pivot]
+    return tuple(xi * dj - xj * di for xi, di in zip(x, direction))
+
+
 def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
     """All (point index, line index) pairs with the point on the line.
 
-    Plain O(|points| * |lines|) evaluation of the exact membership test;
-    this is the straight-line definition the faster construction paths are
-    checked against.
+    Output-sensitive and exact: lines are grouped by direction, and a point
+    lies on a line of direction d exactly when its cross key (see
+    _cross_key) equals the key of the line's base.  One hash probe per
+    (direction, point) pair costs O(D * |points| + |lines|) for D distinct
+    directions instead of a scan of every pair.
     """
-    out = set()
+    groups: dict[tuple[int, ...], tuple[int, dict[tuple, list[int]]]] = {}
     for lj, line in enumerate(lines):
-        base, direction = line.base, line.direction
-        dim = line.dim
-        j = line.pivot
-        dj = direction[j]
-        bj = base[j]
+        pivot, bases = groups.setdefault(line.direction, (line.pivot, {}))
+        bases.setdefault(_cross_key(line.base, line.direction, pivot), []).append(lj)
+    out = set()
+    for direction, (pivot, bases) in groups.items():
+        dim = len(direction)
         for pi, p in enumerate(points):
             if len(p) != dim:
                 raise ValueError(f"point {pi} has dimension {len(p)}, line has {dim}")
-            tj = p[j] - bj
-            for x, b, d in zip(p, base, direction):
-                if (x - b) * dj != tj * d:
-                    break
-            else:
+            for lj in bases.get(_cross_key(p, direction, pivot), ()):
                 out.add((pi, lj))
     return out
 
@@ -262,6 +267,27 @@ def _project_line(line: AffineLineKD, pmap: ProjectionMap) -> tuple[int, int, in
     return canonical_planar_line(a, b, c)
 
 
+def _planar_incidences(points, lines) -> set[tuple[int, int]]:
+    """Planar (point, line) incidences, found per slope class.
+
+    A canonical line (a, b, c) with g = gcd(a, b) is a'x + b'y = -c/g for the
+    primitive slope class (a', b') = (a/g, b/g); the lines are pairwise
+    distinct, so within a class each value names at most one line.  One
+    evaluation per (class, point) pair costs O(D * |points| + |lines|).
+    """
+    classes: dict[tuple[int, int], dict[int | Fraction, int]] = {}
+    for lj, (a, b, c) in enumerate(lines):
+        g = gcd(a, b)
+        classes.setdefault((a // g, b // g), {})[_as_exact(Fraction(-c, g))] = lj
+    out = set()
+    for (a, b), by_value in classes.items():
+        for pi, (x, y) in enumerate(points):
+            lj = by_value.get(a * x + b * y)
+            if lj is not None:
+                out.add((pi, lj))
+    return out
+
+
 def project_with_map(points, lines, pmap: ProjectionMap, expected=None) -> PlanarArrangement:
     """Apply one projection map and verify it exactly.
 
@@ -284,11 +310,7 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected=None) -> Plana
         raise ProjectionError("projected lines collide")
     if expected is None:
         expected = incidence_set_kd(points, lines)
-    planar = set()
-    for lj, (a, b, c) in enumerate(flat_lines):
-        for pi, (x, y) in enumerate(flat_points):
-            if a * x + b * y + c == 0:
-                planar.add((pi, lj))
+    planar = _planar_incidences(flat_points, flat_lines)
     if planar != expected:
         gained = len(planar - expected)
         lost = len(expected - planar)

@@ -194,12 +194,15 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     start is the smallest global index on the cycle and the start's smaller
     neighbor comes first; each cycle is therefore generated at most once.
     Returns a validated witness, or None.  Odd lengths are rejected since
-    bipartite graphs have none.
+    bipartite graphs have none; a simple cycle alternates sides, so none is
+    longer than twice the smaller side and such lengths answer None at once.
     """
     if length % 2 != 0:
         raise ValueError(f"cycle length must be even in a bipartite graph, got {length}")
     if length < 4:
         raise ValueError(f"cycle length must be >= 4, got {length}")
+    if length > 2 * min(g.left_count, g.right_count):
+        return None
     adj = g.global_adjacency()
     adj_sets = [frozenset(nbrs) for nbrs in adj]
     n = len(adj)

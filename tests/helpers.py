@@ -1,4 +1,8 @@
-"""Shared oracles for the graph tests: everything here avoids the BFS path."""
+"""Shared oracles for the tests.
+
+The graph oracles avoid the BFS path; the incidence oracles test every
+point/line pair, independent of the grouped lookups in girthforge.geometry.
+"""
 
 import math
 
@@ -49,3 +53,34 @@ def enumeration_girth(graph):
         if has_cycle_of_length(graph, length) is not None:
             return length
     raise AssertionError("union-find says cyclic but no cycle was enumerated")
+
+
+def scan_incidence_set_kd(points, lines):
+    """Oracle incidences in R^k: the exact membership test on every pair."""
+    out = set()
+    for lj, line in enumerate(lines):
+        base, direction = line.base, line.direction
+        dim = line.dim
+        j = line.pivot
+        dj = direction[j]
+        bj = base[j]
+        for pi, p in enumerate(points):
+            if len(p) != dim:
+                raise ValueError(f"point {pi} has dimension {len(p)}, line has {dim}")
+            tj = p[j] - bj
+            for x, b, d in zip(p, base, direction):
+                if (x - b) * dj != tj * d:
+                    break
+            else:
+                out.add((pi, lj))
+    return out
+
+
+def scan_planar_incidences(points, lines):
+    """Oracle planar incidences: a*x + b*y + c == 0 on every pair."""
+    return {
+        (pi, lj)
+        for lj, (a, b, c) in enumerate(lines)
+        for pi, (x, y) in enumerate(points)
+        if a * x + b * y + c == 0
+    }

@@ -134,6 +134,15 @@ class TestPrimes:
         # psi_12: composite, yet a strong probable prime to every base 2..37.
         assert _MR_LIMIT == 399165290221 * 798330580441 == 318665857834031151167461
 
+    def test_is_prime_refuses_the_witness_limit(self):
+        # _MR_LIMIT - 2 = 137 * 1619 * 111519523 * 12883006211; _MR_LIMIT - 20 is prime
+        assert is_prime(_MR_LIMIT - 2) is False
+        assert is_prime(_MR_LIMIT - 20) is True
+        with pytest.raises(ValueError, match="limit"):
+            is_prime(_MR_LIMIT)
+        with pytest.raises(ValueError, match="limit"):
+            is_prime(10**60)
+
     def test_next_prime_examples(self):
         assert next_prime(32) == 37
         assert next_prime(2) == 3

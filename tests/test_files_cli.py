@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -20,7 +21,14 @@ from girthforge.files import (
     render_planar,
     sniff_format,
 )
-from girthforge.geometry import ProjectionMap, line_from_params, project_generic, project_with_map
+from girthforge.geometry import (
+    PlanarArrangement,
+    ProjectionMap,
+    canonical_planar_line,
+    line_from_params,
+    project_generic,
+    project_with_map,
+)
 from girthforge.svg import _clip_line, export_svg
 from girthforge.truncation import TruncatedArrangement, WengerTruncationSpec, build_truncated
 
@@ -80,6 +88,41 @@ class TestArrangementFormat:
         assert sniff_format(render_arrangement(wenger64)) == "arrangement"
         with pytest.raises(ParseError):
             sniff_format("junk\n")
+
+
+@st.composite
+def small_arrangements(draw):
+    """Valid headers with distinct points, any line parameters and any incidence pairs."""
+    family, k = draw(st.sampled_from([("lu", 3), ("lu", 5), ("wenger", 2), ("wenger", 3)]))
+    rows = st.tuples(*[st.integers(-(10**20), 10**20)] * k)
+    points = tuple(draw(st.lists(rows, max_size=6, unique=True)))
+    line_params = tuple(draw(st.lists(rows, max_size=6)))
+    pairs = st.tuples(st.integers(0, len(points) - 1), st.integers(0, len(line_params) - 1))
+    edges = draw(st.lists(pairs, unique=True)) if points and line_params else []
+    n = draw(st.integers(1, 10**30))
+    return TruncatedArrangement(family, k, n, points, line_params, tuple(sorted(edges)))
+
+
+@given(small_arrangements())
+def test_arrangement_round_trip(arr):
+    assert parse_arrangement(render_arrangement(arr)) == arr
+
+
+@st.composite
+def small_planar_arrangements(draw):
+    """Distinct rational points, distinct canonical lines and any incidence pairs."""
+    rationals = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+    points = tuple(draw(st.lists(st.tuples(rationals, rationals), max_size=6, unique=True)))
+    triples = st.tuples(*[st.integers(-(10**9), 10**9)] * 3).filter(lambda t: t[:2] != (0, 0))
+    lines = tuple(dict.fromkeys(canonical_planar_line(*t) for t in draw(st.lists(triples, max_size=6))))
+    pairs = st.tuples(st.integers(0, len(points) - 1), st.integers(0, len(lines) - 1))
+    edges = draw(st.lists(pairs, unique=True)) if points and lines else []
+    return PlanarArrangement(points, lines, frozenset(edges))
+
+
+@given(small_planar_arrangements())
+def test_planar_round_trip(planar):
+    assert parse_planar(render_planar(planar)) == planar
 
 
 def small_arrangement_text(dim=2, family="wenger", n=1, points=1, lines=1, incidences=0):
@@ -250,6 +293,15 @@ class TestCLI:
         code = run(["verify", "--in", str(out)])
         assert code == 1
         assert "disagree" in capsys.readouterr().err
+
+    def test_verify_cycle_length_beyond_any_simple_cycle_is_immediate(self, tmp_path, capsys):
+        out = tmp_path / "w.arr"
+        run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(out)])
+        start = time.perf_counter()
+        code = run(["verify", "--in", str(out), "--no-cycle-length", "1000000"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert "ok: no cycle of length 1000000" in capsys.readouterr().out
 
     def test_verify_prints_cycle_witness(self, tmp_path, capsys):
         out = tmp_path / "tri.arr"

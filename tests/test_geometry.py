@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
+from helpers import scan_incidence_set_kd, scan_planar_incidences
 
 from girthforge.geometry import (
     AffineLineKD,
@@ -199,6 +200,29 @@ class TestDistinctness:
         assert ok
 
 
+small_rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def arrangements(draw):
+    """Small rational arrangements: several parallel lines per direction, and
+    points drawn on chosen lines (so hits occur) besides free points."""
+    dim = draw(st.integers(2, 4))
+    vectors = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    coordinates = st.tuples(*[small_rationals] * dim)
+    lines = [
+        AffineLineKD.through(base, direction)
+        for direction in draw(st.lists(vectors, min_size=1, max_size=4))
+        for base in draw(st.lists(coordinates, min_size=1, max_size=4))
+    ]
+    placed = draw(
+        st.lists(st.tuples(st.integers(0, len(lines) - 1), small_rationals), max_size=12)
+    )
+    points = [lines[lj].point_at(t) for lj, t in placed]
+    points += draw(st.lists(coordinates, max_size=6))
+    return points, lines
+
+
 class TestIncidences:
     def test_lu_realization_equivalence(self, lu64, lu64_lines):
         assert incidence_set_kd(lu64.points, lu64_lines) == lu64.edge_set
@@ -216,6 +240,11 @@ class TestIncidences:
     def test_dimension_mismatch(self, lu64_lines):
         with pytest.raises(ValueError):
             incidence_set_kd([(1, 2)], lu64_lines)
+
+    @given(arrangements())
+    def test_grouped_lookup_matches_pairwise_scan(self, arrangement):
+        points, lines = arrangement
+        assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
 
 
 class TestProjectionMap:
@@ -306,6 +335,32 @@ class TestProjection:
         with pytest.raises(ValueError, match="coincide"):
             project_generic(lu64.points, dup, seed=1)
 
+    def test_map_that_gains_an_incidence_fails_verification(self):
+        points = [(0, 0, 1)]
+        lines = [AffineLineKD.through((0, 0, 0), (1, 0, 0))]
+        pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
+        with pytest.raises(ProjectionError, match=r"\+1 / -0"):
+            project_with_map(points, lines, pmap)
+
+    @given(arrangements(), st.integers(0, 1000), st.sampled_from([2, 3, 1 << 16]))
+    def test_planar_check_matches_pairwise_scan(self, arrangement, seed, bound):
+        points, lines = (list(dict.fromkeys(items)) for items in arrangement)
+        pmap = sample_projection(lines[0].dim, seed, bound)
+        expected = scan_incidence_set_kd(points, lines)
+        try:
+            planar = project_with_map(points, lines, pmap, expected)
+        except ProjectionError as exc:
+            if not str(exc).startswith("incidences changed"):
+                return
+            flat = scan_planar_incidences(
+                [pmap.apply(p) for p in points], [planar_triple(line, pmap) for line in lines]
+            )
+            gained, lost = len(flat - expected), len(expected - flat)
+            assert str(exc) == f"incidences changed: +{gained} / -{lost}"
+        else:
+            assert planar.incidences == scan_planar_incidences(planar.points, planar.lines)
+            assert planar.incidences == expected
+
     def test_kernel_direction_fails_verification(self):
         # a map that kills the direction (0, 0, 1)
         points = [(0, 0, 0), (0, 0, 1)]
@@ -313,3 +368,9 @@ class TestProjection:
         pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ProjectionError):
             project_with_map(points, lines, pmap)
+
+
+def planar_triple(line, pmap):
+    """The canonical planar line through the images of two points of the line."""
+    (x0, y0), (x1, y1) = pmap.apply(line.point_at(0)), pmap.apply(line.point_at(1))
+    return canonical_planar_line(y1 - y0, x0 - x1, x1 * y0 - x0 * y1)

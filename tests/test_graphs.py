@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,17 @@ class TestCycleOfLength:
     def test_short_length_rejected(self):
         with pytest.raises(ValueError):
             has_cycle_of_length(hexagon(), 2)
+
+    def test_length_beyond_twice_the_smaller_side_is_none_at_once(self):
+        # 25 + 25 vertices: the search would enumerate simple paths for ever
+        g = build_wenger_graph(WengerParams(5, 2))
+        start = time.perf_counter()
+        assert has_cycle_of_length(g, 52) is None
+        assert has_cycle_of_length(g, 10**6) is None
+        assert time.perf_counter() - start < 1.0
+        k23 = BipartiteGraph(2, 3, [(i, j) for i in range(2) for j in range(3)])
+        assert has_cycle_of_length(k23, 4) is not None
+        assert has_cycle_of_length(k23, 6) is None
 
     def test_longer_even_cycles_in_big_even_cycle(self):
         # a single 12-cycle contains exactly one cycle: the whole thing
