@@ -9,9 +9,8 @@ written as ``num/den`` in lowest terms with a positive denominator, so
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .geometry import PlanarArrangement, _as_exact
+from .geometry import PlanarArrangement, _as_exact, canonical_planar_line
 from .truncation import TruncatedArrangement, TruncationSpec
 
 __all__ = [
@@ -177,7 +176,7 @@ def parse_planar(text: str) -> PlanarArrangement:
     lines = []
     for _ in range(n_lines):
         a, b, c = r.row(3)
-        if (a, b) == (0, 0) or gcd(a, gcd(b, c)) != 1 or (a if a else b) < 0:
+        if (a, b) == (0, 0) or canonical_planar_line(a, b, c) != (a, b, c):
             raise ParseError(f"line ({a}, {b}, {c}) is not in canonical form")
         lines.append((a, b, c))
     if len(set(lines)) != len(lines):

@@ -1,10 +1,12 @@
 """Exact lines in R^k, incidence tests, and verified projection to the plane.
 
-Lines are stored in a canonical base-point + direction form so that equality
-is hashing instead of geometry: the direction is primitive with a positive
-leading entry, and the base point is slid along the line until its pivot
-coordinate (the direction's first nonzero position) becomes zero.  All
-arithmetic is integer or rational; there is no epsilon anywhere.
+Lines are stored in a canonical direction + key form so that equality is
+hashing instead of geometry: the direction is primitive with a positive
+leading entry, and the key is the cross key of any point of the line against
+that direction (see _cross_key), which is the same for every point of the
+line.  The key decides identity, incidence and projection alike; for a line
+through an integer point it is all integers.  All arithmetic is integer or
+rational; there is no epsilon anywhere.
 
 The projection to the plane is a random integer linear map that is checked,
 not trusted: points must stay distinct, lines must stay distinct and
@@ -18,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .families import family_named, substitute
 
@@ -54,25 +56,29 @@ class AffineLineKD:
     """A line in R^k in canonical form.
 
     direction is a primitive integer vector (gcd 1) whose first nonzero
-    entry is positive; base is the unique point of the line whose pivot
-    coordinate is zero.  Two AffineLineKD values are equal exactly when they
-    describe the same line.
+    entry, at the pivot j, is positive; key is _cross_key(x, direction, j)
+    for any point x of the line, so key[j] == 0.  Two AffineLineKD values
+    are equal exactly when they describe the same line, and a point lies on
+    the line exactly when its cross key equals key.
     """
 
-    dim: int
-    base: tuple
     direction: tuple[int, ...]
+    key: tuple
 
     def __post_init__(self):
-        if len(self.base) != self.dim or len(self.direction) != self.dim:
-            raise ValueError("base and direction must have length dim")
+        if len(self.key) != len(self.direction):
+            raise ValueError("key and direction must have equal length")
         pivot = self.pivot
         if self.direction[pivot] < 0:
             raise ValueError("leading direction entry must be positive")
         if gcd(*self.direction) != 1:
             raise ValueError("direction must be primitive")
-        if self.base[pivot] != 0:
-            raise ValueError("base must have a zero pivot coordinate")
+        if self.key[pivot] != 0:
+            raise ValueError("key must have a zero pivot coordinate")
+
+    @property
+    def dim(self) -> int:
+        return len(self.direction)
 
     @property
     def pivot(self) -> int:
@@ -93,37 +99,27 @@ class AffineLineKD:
         pivot = next(idx for idx, d in enumerate(direction) if d)
         if direction[pivot] < 0:
             direction = tuple(-d for d in direction)
-        t = Fraction(point[pivot], direction[pivot])
-        if t:
-            point = tuple(_as_exact(x - t * d) for x, d in zip(point, direction))
-        else:
-            point = tuple(_as_exact(x) for x in point)
-        return cls(len(direction), point, direction)
+        return cls(direction, _cross_key(point, direction, pivot))
 
     def point_at(self, t):
-        """The point base + t * direction."""
-        return tuple(_as_exact(b + t * d) for b, d in zip(self.base, self.direction))
+        """The point key / d_j + t * direction; t = 0 gives the point whose
+        pivot coordinate j is zero."""
+        dj = self.direction[self.pivot]
+        return tuple(_as_exact(Fraction(c, dj) + t * d) for c, d in zip(self.key, self.direction))
 
 
 def point_on_line(point, line: AffineLineKD) -> bool:
-    """Exact membership test, decided by cross-multiplication (no division)."""
+    """Exact membership test: the point's cross key is the line's key."""
     if len(point) != line.dim:
         raise ValueError(f"point has dimension {len(point)}, line has {line.dim}")
-    base, direction = line.base, line.direction
-    j = line.pivot
-    dj = direction[j]
-    tj = point[j] - base[j]
-    for p, b, d in zip(point, base, direction):
-        if (p - b) * dj != tj * d:
-            return False
-    return True
+    return _cross_key(point, line.direction, line.pivot) == line.key
 
 
 def line_from_params(family: str, v, k: int) -> AffineLineKD:
     """The solution line of a family's equations for line parameters v.
 
     Parametrized by the family's free coordinate: substitution from v makes
-    every other coordinate affine in it, so base and direction entries are
+    every other coordinate affine in it, so key and direction entries are
     integers.
     """
     if len(v) != k:
@@ -154,21 +150,21 @@ def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
 
     Output-sensitive and exact: lines are grouped by direction, and a point
     lies on a line of direction d exactly when its cross key (see
-    _cross_key) equals the key of the line's base.  One hash probe per
-    (direction, point) pair costs O(D * |points| + |lines|) for D distinct
-    directions instead of a scan of every pair.
+    _cross_key) equals the line's key.  One hash probe per (direction,
+    point) pair costs O(D * |points| + |lines|) for D distinct directions
+    instead of a scan of every pair.
     """
     groups: dict[tuple[int, ...], tuple[int, dict[tuple, list[int]]]] = {}
     for lj, line in enumerate(lines):
-        pivot, bases = groups.setdefault(line.direction, (line.pivot, {}))
-        bases.setdefault(_cross_key(line.base, line.direction, pivot), []).append(lj)
+        pivot, keys = groups.setdefault(line.direction, (line.pivot, {}))
+        keys.setdefault(line.key, []).append(lj)
     out = set()
-    for direction, (pivot, bases) in groups.items():
+    for direction, (pivot, keys) in groups.items():
         dim = len(direction)
         for pi, p in enumerate(points):
             if len(p) != dim:
                 raise ValueError(f"point {pi} has dimension {len(p)}, line has {dim}")
-            for lj in bases.get(_cross_key(p, direction, pivot), ()):
+            for lj in keys.get(_cross_key(p, direction, pivot), ()):
                 out.add((pi, lj))
     return out
 
@@ -240,14 +236,12 @@ class PlanarArrangement:
 
 
 def canonical_planar_line(a, b, c) -> tuple[int, int, int]:
-    """Scale an exact (a, b, c) to the canonical integer representative."""
+    """Scale an exact (a, b, c) of ints or Fractions to the canonical integer
+    representative."""
     if a == 0 and b == 0:
         raise ValueError("(a, b) must not both be zero")
-    parts = [Fraction(x) for x in (a, b, c)]
-    mult = 1
-    for f in parts:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in parts]
+    mult = lcm(a.denominator, b.denominator, c.denominator)
+    ints = [int(x * mult) for x in (a, b, c)]
     g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = ints[0] if ints[0] else ints[1]
@@ -261,10 +255,11 @@ def _project_line(line: AffineLineKD, pmap: ProjectionMap) -> tuple[int, int, in
     dx, dy = pmap.apply(line.direction)
     if dx == 0 and dy == 0:
         return None
-    x0, y0 = pmap.apply(line.base)
-    a, b = dy, -dx
-    c = -(a * x0 + b * y0)
-    return canonical_planar_line(a, b, c)
+    # The line passes through key / d_j, whose image is (x, y) / d_j; the
+    # triple is scaled by d_j > 0 so an integer key gives an integer triple.
+    dj = line.direction[line.pivot]
+    x, y = pmap.apply(line.key)
+    return canonical_planar_line(dy * dj, -dx * dj, dx * y - dy * x)
 
 
 def _planar_incidences(points, lines) -> set[tuple[int, int]]:
@@ -288,14 +283,13 @@ def _planar_incidences(points, lines) -> set[tuple[int, int]]:
     return out
 
 
-def project_with_map(points, lines, pmap: ProjectionMap, expected=None) -> PlanarArrangement:
+def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArrangement:
     """Apply one projection map and verify it exactly.
 
     Checks, in order: projected points pairwise distinct, no line direction
     in the kernel, projected lines pairwise distinct, and the planar
-    incidence set equal to the k-dimensional one (``expected`` may supply
-    the latter to avoid recomputation; it must be the incidence set of the
-    inputs).  Raises ProjectionError on the first violation.
+    incidence set equal to ``expected``, the k-dimensional incidence set of
+    the inputs.  Raises ProjectionError on the first violation.
     """
     flat_points = [pmap.apply(p) for p in points]
     if len(set(flat_points)) != len(flat_points):
@@ -308,8 +302,6 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected=None) -> Plana
         flat_lines.append(triple)
     if len(set(flat_lines)) != len(flat_lines):
         raise ProjectionError("projected lines collide")
-    if expected is None:
-        expected = incidence_set_kd(points, lines)
     planar = _planar_incidences(flat_points, flat_lines)
     if planar != expected:
         gained = len(planar - expected)

@@ -211,30 +211,30 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     for s in range(n):
         if len(adj[s]) < 2:
             continue
+        # Depth-first over simple paths from s with an explicit stack, one
+        # neighbor iterator per path vertex but the last: path lengths reach
+        # the cycle length, far beyond the interpreter's recursion limit.
         path = [s]
-
-        def extend(u: int, remaining: int) -> tuple[int, ...] | None:
-            if remaining == 0:
-                if s in adj_sets[u] and path[1] < path[-1]:
-                    return tuple(path)
-                return None
-            for w in adj[u]:
-                if w > s and not on_path[w]:
-                    on_path[w] = True
-                    path.append(w)
-                    got = extend(w, remaining - 1)
-                    path.pop()
-                    on_path[w] = False
-                    if got is not None:
-                        return got
-            return None
-
         on_path[s] = True
-        witness = extend(s, length - 1)
-        on_path[s] = False
-        if witness is not None:
-            _validate_cycle(adj, witness, length)
-            return witness
+        pending = [iter(adj[s])]
+        while pending:
+            for w in pending[-1]:
+                if w > s and not on_path[w]:
+                    break
+            else:
+                pending.pop()
+                on_path[path.pop()] = False
+                continue
+            path.append(w)
+            if len(path) < length:
+                on_path[w] = True
+                pending.append(iter(adj[w]))
+            elif s in adj_sets[w] and path[1] < w:
+                witness = tuple(path)
+                _validate_cycle(adj, witness, length)
+                return witness
+            else:
+                path.pop()
     return None
 
 

@@ -78,7 +78,13 @@ WengerTruncationSpec = partial(TruncationSpec, "wenger")
 
 
 def lu_edge_free(u, v, k: int) -> bool:
-    """The layered equations over the plain integers (no modulus)."""
+    """The layered equations over the plain integers (no modulus).
+
+    It reads the same recipe, lu_equation_plan, that the family table turns
+    into the kernel's steps, so as a cross-check it covers the step encoding
+    and the substitution, not the recipe itself; the recipe is checked only
+    against the k=3/5/7 systems written out by hand in the tests.
+    """
     for t, (uses_v1, src) in enumerate(lu_equation_plan(k), start=1):
         rhs = v[0] * u[src] if uses_v1 else u[0] * v[src]
         if v[t] - u[t] != rhs:

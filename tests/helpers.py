@@ -59,7 +59,7 @@ def scan_incidence_set_kd(points, lines):
     """Oracle incidences in R^k: the exact membership test on every pair."""
     out = set()
     for lj, line in enumerate(lines):
-        base, direction = line.base, line.direction
+        base, direction = line.point_at(0), line.direction
         dim = line.dim
         j = line.pivot
         dj = direction[j]

@@ -25,6 +25,7 @@ from girthforge.geometry import (
     PlanarArrangement,
     ProjectionMap,
     canonical_planar_line,
+    incidence_set_kd,
     line_from_params,
     project_generic,
     project_with_map,
@@ -161,7 +162,10 @@ def test_header_outside_family_rules_rejected(tmp_path, header):
 class TestPlanarFormat:
     def test_round_trip(self, wenger64, wenger64_lines):
         planar = project_with_map(
-            wenger64.points, wenger64_lines, ProjectionMap(((1, 0), (0, 1)))
+            wenger64.points,
+            wenger64_lines,
+            ProjectionMap(((1, 0), (0, 1))),
+            incidence_set_kd(wenger64.points, wenger64_lines),
         )
         again = parse_planar(render_planar(planar))
         assert again == planar
@@ -178,12 +182,16 @@ class TestPlanarFormat:
 
     def test_sniff(self, wenger64, wenger64_lines):
         planar = project_with_map(
-            wenger64.points, wenger64_lines, ProjectionMap(((1, 0), (0, 1)))
+            wenger64.points,
+            wenger64_lines,
+            ProjectionMap(((1, 0), (0, 1))),
+            incidence_set_kd(wenger64.points, wenger64_lines),
         )
         assert sniff_format(render_planar(planar)) == "planar"
 
-    def test_noncanonical_line_rejected(self):
-        text = "GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n2 4 6\n"
+    @pytest.mark.parametrize("line", ["2 4 6", "0 0 1", "-1 2 3", "0 -1 2"])
+    def test_noncanonical_line_rejected(self, line):
+        text = f"GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n{line}\n"
         with pytest.raises(ParseError, match="canonical"):
             parse_planar(text)
 
@@ -519,7 +527,10 @@ def test_mutated_files_keep_the_exit_code_contract(text):
 class TestSVG:
     def test_reference_counts_and_determinism(self, wenger64, wenger64_lines):
         planar = project_with_map(
-            wenger64.points, wenger64_lines, ProjectionMap(((1, 0), (0, 1)))
+            wenger64.points,
+            wenger64_lines,
+            ProjectionMap(((1, 0), (0, 1))),
+            incidence_set_kd(wenger64.points, wenger64_lines),
         )
         body = export_svg(planar)
         assert body.count("<circle") == 325

@@ -44,12 +44,14 @@ def lu5_system_holds(v, x):
 class TestLineConstruction:
     def test_lu_k3_shape(self):
         line = line_from_params("lu", (1, 2, 2), 3)
-        assert line.base == (0, 2, 2)
+        assert line.point_at(0) == (0, 2, 2)
+        assert line.key == (0, 2, 2)
         assert line.direction == (1, -1, -2)
 
     def test_lu_zero_params_is_first_axis(self):
         line = line_from_params("lu", (0, 0, 0), 3)
-        assert line.base == (0, 0, 0)
+        assert line.point_at(0) == (0, 0, 0)
+        assert line.key == (0, 0, 0)
         assert line.direction == (1, 0, 0)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -84,7 +86,8 @@ class TestLineConstruction:
 
     def test_wenger_zero_params_is_last_axis(self):
         line = line_from_params("wenger", (0, 0, 0), 3)
-        assert line.base == (0, 0, 0)
+        assert line.point_at(0) == (0, 0, 0)
+        assert line.key == (0, 0, 0)
         assert line.direction == (0, 0, 1)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -110,7 +113,7 @@ class TestPointOnLine:
 
     def test_base_always_on_line(self):
         line = line_from_params("wenger", (5, 3), 2)
-        assert point_on_line(line.base, line)
+        assert point_on_line(line.point_at(0), line)
 
     def test_derived_example_false(self):
         line = line_from_params("lu", (1, 2, 2), 3)
@@ -134,7 +137,8 @@ class TestCanonicalForm:
 
     def test_base_pivot_is_zero(self):
         line = AffineLineKD.through((6, 5), (2, 4))
-        assert line.base[line.pivot] == 0
+        assert line.point_at(0)[line.pivot] == 0
+        assert line.key == (0, -7)
         assert point_on_line((6, 5), line)
 
     def test_same_line_same_form(self):
@@ -154,7 +158,7 @@ class TestCanonicalForm:
         if not any(direction):
             return
         line = AffineLineKD.through(base, direction)
-        again = AffineLineKD.through(line.base, line.direction)
+        again = AffineLineKD.through(line.point_at(0), line.direction)
         assert line == again
 
     @given(
@@ -168,6 +172,16 @@ class TestCanonicalForm:
         line = AffineLineKD.through(base, direction)
         other_point = tuple(b + shift * d for b, d in zip(base, direction))
         assert AffineLineKD.through(other_point, direction) == line
+
+
+@pytest.mark.parametrize("reference", ["lu64", "wenger64"])
+def test_reference_keys_and_planar_entries_are_ints(reference, request):
+    arr = request.getfixturevalue(reference)
+    lines = request.getfixturevalue(f"{reference}_lines")
+    planar, _ = project_generic(arr.points, lines, seed=1)
+    entries = [c for line in lines for c in line.key]
+    entries += [c for p in planar.points for c in p] + [c for t in planar.lines for c in t]
+    assert all(type(c) is int for c in entries)
 
 
 class TestDistinctness:
@@ -298,7 +312,10 @@ class TestCanonicalPlanarLine:
 class TestProjection:
     def test_identity_map_preserves_wenger_incidences(self, wenger64, wenger64_lines):
         planar = project_with_map(
-            wenger64.points, wenger64_lines, ProjectionMap(((1, 0), (0, 1)))
+            wenger64.points,
+            wenger64_lines,
+            ProjectionMap(((1, 0), (0, 1))),
+            incidence_set_kd(wenger64.points, wenger64_lines),
         )
         assert planar.incidences == wenger64.edge_set
         assert len(planar.points) == 325
@@ -340,7 +357,7 @@ class TestProjection:
         lines = [AffineLineKD.through((0, 0, 0), (1, 0, 0))]
         pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ProjectionError, match=r"\+1 / -0"):
-            project_with_map(points, lines, pmap)
+            project_with_map(points, lines, pmap, incidence_set_kd(points, lines))
 
     @given(arrangements(), st.integers(0, 1000), st.sampled_from([2, 3, 1 << 16]))
     def test_planar_check_matches_pairwise_scan(self, arrangement, seed, bound):
@@ -367,7 +384,7 @@ class TestProjection:
         lines = [line_from_params("wenger", (0, 0, 0), 3)]
         pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ProjectionError):
-            project_with_map(points, lines, pmap)
+            project_with_map(points, lines, pmap, incidence_set_kd(points, lines))
 
 
 def planar_triple(line, pmap):

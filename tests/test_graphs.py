@@ -132,6 +132,14 @@ class TestCycleOfLength:
         witness = has_cycle_of_length(g, 12)
         assert is_cycle(g, witness, 12)
 
+    def test_cycle_longer_than_the_recursion_limit(self):
+        # one 1200-cycle: every simple path of the search grows to 1200 vertices
+        edges = [(i, i) for i in range(600)] + [(i, (i + 1) % 600) for i in range(600)]
+        g = BipartiteGraph(600, 600, edges)
+        witness = has_cycle_of_length(g, 1200)
+        assert is_cycle(g, witness, 1200)
+        assert has_cycle_of_length(g, 1198) is None
+
 
 class TestGirthOracleAgreement:
     def test_random_graphs_small(self):
