@@ -1,9 +1,12 @@
 """Bipartite graphs and exact structural verifiers.
 
-Girth comes from breadth-first search rooted at every vertex with an early
-depth cutoff; fixed-length cycle detection is an exhaustive decision
-procedure over simple paths.  Every witness returned by either routine is
-machine-checked before it leaves this module.
+Girth comes from breadth-first search rooted at the vertices of the smaller
+side only, each root searching the graph without the smaller-indexed roots,
+with an early depth cutoff.  Fixed-length cycle detection is an exhaustive
+decision procedure over simple paths, pruned by exact BFS distances back to
+the start.  Both prunings drop only work that cannot lead to a cycle, so
+the answers are those of the unpruned searches; every witness returned by
+either routine is machine-checked before it leaves this module.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "girth",
     "has_cycle_of_length",
     "degree_stats",
-    "graphs_identical",
     "st_ratio",
     "theoretical_exponent",
     "girth_target",
@@ -131,20 +133,31 @@ def _validate_cycle(adj, cycle, expected_len=None) -> None:
 def girth(g: BipartiteGraph) -> GirthReport:
     """Length of the shortest cycle, with a witness; math.inf for forests.
 
-    BFS from every vertex; while processing a vertex at depth d only cycles
-    of length >= 2d can still be discovered from that root, so each search is
-    cut as soon as 2d reaches the best length found so far.  A candidate that
-    ties the true girth always closes into a simple cycle, which is why the
-    final witness can be reconstructed from parent links and then checked.
+    A cycle alternates sides, so it has a vertex on the smaller side
+    ``[lo, hi)`` (the left side ``[0, left_count)`` on a tie, else the right
+    side ``[left_count, n)``), and BFS roots there suffice.  The root s
+    searches the graph without the root-side vertices ``lo <= w < s``: every
+    cycle is then found from its smallest root-side vertex, in a subgraph
+    that still holds the whole cycle, and no cycle is searched twice.  The
+    bound is ``lo <= w``, not ``w < s``: when the right side is the smaller
+    one, every left vertex has a smaller global index than the root, and
+    cutting them off would leave every root isolated (girth inf).
+
+    While processing a vertex at depth d only cycles of length >= 2d can
+    still be discovered from that root, so each search is cut as soon as 2d
+    reaches the best length found so far.  A candidate that ties the true
+    girth always closes into a simple cycle, which is why the final witness
+    can be reconstructed from parent links and then checked.
     """
     adj = g.global_adjacency()
     n = len(adj)
+    lo, hi = (0, g.left_count) if g.left_count <= g.right_count else (g.left_count, n)
     best: int | float = math.inf
     witness: tuple[int, ...] | None = None
     seen = [-1] * n
     depth = [0] * n
     parent = [-1] * n
-    for s in range(n):
+    for s in range(lo, hi):
         if not adj[s]:
             continue
         seen[s] = s
@@ -158,6 +171,8 @@ def girth(g: BipartiteGraph) -> GirthReport:
                 break
             pu = parent[u]
             for w in adj[u]:
+                if lo <= w < s:
+                    continue
                 if seen[w] != s:
                     seen[w] = s
                     depth[w] = du + 1
@@ -190,12 +205,23 @@ def _close_cycle(u: int, w: int, parent) -> tuple[int, ...]:
 def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | None:
     """Decide exactly whether a simple cycle of this exact length exists.
 
-    Enumerates simple paths from each start vertex, restricted so that the
-    start is the smallest global index on the cycle and the start's smaller
-    neighbor comes first; each cycle is therefore generated at most once.
-    Returns a validated witness, or None.  Odd lengths are rejected since
-    bipartite graphs have none; a simple cycle alternates sides, so none is
-    longer than twice the smaller side and such lengths answer None at once.
+    Enumerates simple paths from each start vertex s, restricted so that s
+    is the smallest global index on the cycle (the path keeps to vertices
+    > s) and s's smaller neighbor comes first; each cycle is therefore
+    generated at most once.  Returns a validated witness, or None.  Odd
+    lengths are rejected since bipartite graphs have none; a simple cycle
+    alternates sides, so none is longer than twice the smaller side and such
+    lengths answer None at once.
+
+    Before the paths from s, a BFS over s and the vertices > s records the
+    distance back to s of every vertex within ``length // 2``.  The path
+    skips a neighbor w that BFS did not reach, or whose distance exceeds the
+    ``length - len(path)`` edges still needed to close the cycle once w is
+    on the path.  Both skips are exact: every vertex of a cycle of this
+    length through s lies within ``length // 2`` of s along the cycle, and
+    the rest of any closing path keeps to vertices > s, so it is no shorter
+    than the BFS distance.  The surviving paths are visited in the same
+    order, so the first witness is the one the unpruned search returns.
     """
     if length % 2 != 0:
         raise ValueError(f"cycle length must be even in a bipartite graph, got {length}")
@@ -204,13 +230,28 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     if length > 2 * min(g.left_count, g.right_count):
         return None
     adj = g.global_adjacency()
-    adj_sets = [frozenset(nbrs) for nbrs in adj]
     n = len(adj)
     on_path = [False] * n
+    # distance back to the current start s; `length` marks "not reached",
+    # which exceeds every edge count still left, so the DFS test on dist
+    # also keeps the path to vertices > s
+    dist = [length] * n
 
     for s in range(n):
         if len(adj[s]) < 2:
             continue
+        dist[s] = 0
+        reached = [s]
+        frontier = [s]
+        for d in range(1, length // 2 + 1):
+            ring = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w > s and dist[w] == length:
+                        dist[w] = d
+                        ring.append(w)
+            reached.extend(ring)
+            frontier = ring
         # Depth-first over simple paths from s with an explicit stack, one
         # neighbor iterator per path vertex but the last: path lengths reach
         # the cycle length, far beyond the interpreter's recursion limit.
@@ -218,23 +259,27 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
         on_path[s] = True
         pending = [iter(adj[s])]
         while pending:
+            steps_left = length - len(path)
             for w in pending[-1]:
-                if w > s and not on_path[w]:
+                if dist[w] <= steps_left and not on_path[w]:
                     break
             else:
                 pending.pop()
                 on_path[path.pop()] = False
                 continue
             path.append(w)
-            if len(path) < length:
+            if steps_left > 1:
                 on_path[w] = True
                 pending.append(iter(adj[w]))
-            elif s in adj_sets[w] and path[1] < w:
+            elif path[1] < w:
+                # one step left and dist[w] == 1: w closes the cycle at s
                 witness = tuple(path)
                 _validate_cycle(adj, witness, length)
                 return witness
             else:
                 path.pop()
+        for v in reached:
+            dist[v] = length
     return None
 
 
@@ -255,13 +300,6 @@ class DegreeSummary:
 def degree_stats(g: BipartiteGraph) -> tuple[DegreeSummary, DegreeSummary]:
     """Exact per-side degree statistics as (left summary, right summary)."""
     return DegreeSummary.of(g.left_adj), DegreeSummary.of(g.right_adj)
-
-
-def graphs_identical(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
-    """Index-for-index adjacency equality; side sizes must already match."""
-    if g1.left_count != g2.left_count or g1.right_count != g2.right_count:
-        raise ValueError("graphs have different side sizes")
-    return g1.left_adj == g2.left_adj
 
 
 def st_ratio(points: int, lines: int, incidences: int) -> Fraction:

@@ -1,12 +1,14 @@
 """Shared oracles for the tests.
 
-The graph oracles avoid the BFS path; the incidence oracles test every
-point/line pair, independent of the grouped lookups in girthforge.geometry.
+The graph oracles avoid the BFS path and the distance pruning of
+girthforge.graphs: the cycle oracle enumerates every simple path.  The
+incidence oracles test every point/line pair, independent of the grouped
+lookups in girthforge.geometry.
 """
 
 import math
 
-from girthforge.graphs import BipartiteGraph, has_cycle_of_length
+from girthforge.graphs import BipartiteGraph
 
 
 def is_cycle(graph, witness, length):
@@ -50,9 +52,54 @@ def enumeration_girth(graph):
         return math.inf
     bound = 2 * min(graph.left_count, graph.right_count)
     for length in range(4, bound + 1, 2):
-        if has_cycle_of_length(graph, length) is not None:
+        if scan_cycle_of_length(graph, length) is not None:
             return length
     raise AssertionError("union-find says cyclic but no cycle was enumerated")
+
+
+def scan_cycle_of_length(graph, length):
+    """Oracle cycle search: every simple path from every start, no pruning.
+
+    The same generation order as girthforge.graphs.has_cycle_of_length (the
+    start is the smallest index on the cycle, its smaller neighbor comes
+    first), so both return the same first witness tuple.
+    """
+    if length % 2 != 0:
+        raise ValueError(f"cycle length must be even in a bipartite graph, got {length}")
+    if length < 4:
+        raise ValueError(f"cycle length must be >= 4, got {length}")
+    if length > 2 * min(graph.left_count, graph.right_count):
+        return None
+    adj = graph.global_adjacency()
+    adj_sets = [frozenset(nbrs) for nbrs in adj]
+    n = len(adj)
+    on_path = [False] * n
+
+    for s in range(n):
+        if len(adj[s]) < 2:
+            continue
+        path = [s]
+        on_path[s] = True
+        pending = [iter(adj[s])]
+        while pending:
+            for w in pending[-1]:
+                if w > s and not on_path[w]:
+                    break
+            else:
+                pending.pop()
+                on_path[path.pop()] = False
+                continue
+            path.append(w)
+            if len(path) < length:
+                on_path[w] = True
+                pending.append(iter(adj[w]))
+            elif s in adj_sets[w] and path[1] < w:
+                witness = tuple(path)
+                assert is_cycle(graph, witness, length)
+                return witness
+            else:
+                path.pop()
+    return None
 
 
 def scan_incidence_set_kd(points, lines):

@@ -1,8 +1,9 @@
-"""Byte-identity gate: the two n=64 reference files and their seed-1 projections.
+"""Byte-identity gate: the two n=64 reference files, their seed-1 projections
+and the SVG figures exported from those projections.
 
 The digests were taken from the original implementation; any change to the
-boxes, the edge order, the line canonical form or the projection sampling
-shows up here as a changed digest.
+boxes, the edge order, the line canonical form, the projection sampling or
+the SVG clipping and number formatting shows up here as a changed digest.
 """
 
 import hashlib
@@ -15,10 +16,12 @@ GOLDEN = {
     ("lu", 3): (
         "639f11702ade7ecbb4cd32114b2f40cd57fe839b819cb8dda37733f3c0515657",
         "6ab1717bd156926e156287f036738bdd7309bb2f68d6918803816d7a16142ea2",
+        "11e331567514a913c2800ff0d78c24496125e7c2a4bb6b3252d522f30a215c08",
     ),
     ("wenger", 2): (
         "d241d9013f02ef2a7583a295d19700aea1631029c7eba0611b29510956ddaf31",
         "d809bd2e00e8d40139a4aac90511580c92790e830c156b1c535a27fefec1155e",
+        "93281564cf943c909e602d0199dfb7ca356232c214ed989e05c08bfd9053175c",
     ),
 }
 
@@ -29,7 +32,8 @@ def sha256(path):
 
 @pytest.mark.parametrize("family,k", GOLDEN)
 def test_reference_outputs_are_byte_identical(tmp_path, family, k):
-    arr, planar = tmp_path / "ref.arr", tmp_path / "ref.planar"
+    arr, planar, svg = tmp_path / "ref.arr", tmp_path / "ref.planar", tmp_path / "ref.svg"
     assert run(["construct", "--family", family, "--k", str(k), "--n", "64", "--out", str(arr)]) == 0
     assert run(["project", "--in", str(arr), "--out", str(planar), "--seed", "1"]) == 0
-    assert (sha256(arr), sha256(planar)) == GOLDEN[(family, k)]
+    assert run(["export", "--in", str(planar), "--out", str(svg), "--format", "svg"]) == 0
+    assert (sha256(arr), sha256(planar), sha256(svg)) == GOLDEN[(family, k)]

@@ -4,20 +4,21 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from girthforge.algebraic import LUParams, WengerParams, build_lu_graph, build_wenger_graph
-from helpers import enumeration_girth, is_cycle, random_bipartite
+from helpers import enumeration_girth, is_cycle, random_bipartite, scan_cycle_of_length
 
 from girthforge.graphs import (
     BipartiteGraph,
     degree_stats,
     girth,
     girth_target,
-    graphs_identical,
     has_cycle_of_length,
     st_ratio,
     theoretical_exponent,
 )
+from girthforge.truncation import WengerTruncationSpec, build_truncated
 
 
 def hexagon():
@@ -28,6 +29,30 @@ def hexagon():
 def path_graph():
     return BipartiteGraph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
 
+
+def transpose(g):
+    """The same graph with its sides swapped."""
+    return BipartiteGraph(g.right_count, g.left_count, [(j, i) for i, j in g.edges()])
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Sparse bipartite graphs, either side the larger, some vertices isolated."""
+    left_count, right_count = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    isolated_left = draw(st.sets(st.integers(0, left_count - 1), max_size=2))
+    isolated_right = draw(st.sets(st.integers(0, right_count - 1), max_size=2))
+    pairs = [
+        (i, j)
+        for i in range(left_count)
+        for j in range(right_count)
+        if i not in isolated_left and j not in isolated_right
+    ]
+    edges = draw(
+        st.lists(st.sampled_from(pairs), unique=True, max_size=int(1.5 * (left_count + right_count)))
+        if pairs
+        else st.just([])
+    )
+    return BipartiteGraph(left_count, right_count, edges)
 
 
 class TestBipartiteGraph:
@@ -87,6 +112,22 @@ class TestGirth:
     def test_empty_graph(self):
         assert girth(BipartiteGraph(0, 0, [])).girth == math.inf
 
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_graphs())
+    def test_girth_does_not_depend_on_which_side_is_left(self, g):
+        report = girth(g)
+        assert report.girth == girth(transpose(g)).girth == enumeration_girth(g)
+        if report.is_finite:
+            assert is_cycle(g, report.witness, report.girth)
+
+    def test_truncated_wenger_with_the_smaller_right_side(self):
+        # 822 points on the left, 408 lines on the right: roots are lines
+        g = build_truncated(WengerTruncationSpec(2, 200)).to_bipartite_graph()
+        assert (g.left_count, g.right_count) == (822, 408)
+        report = girth(g)
+        assert report.girth == 6
+        assert is_cycle(g, report.witness, 6)
+
 
 class TestCycleOfLength:
     def test_four_cycle_found(self):
@@ -112,10 +153,11 @@ class TestCycleOfLength:
             has_cycle_of_length(hexagon(), 2)
 
     def test_length_beyond_twice_the_smaller_side_is_none_at_once(self):
-        # 25 + 25 vertices: the search would enumerate simple paths for ever
+        # 32 + 32 vertices: no simple cycle is longer than 64
         g = build_wenger_graph(WengerParams(5, 2))
         start = time.perf_counter()
         assert has_cycle_of_length(g, 52) is None
+        assert has_cycle_of_length(g, 66) is None
         assert has_cycle_of_length(g, 10**6) is None
         assert time.perf_counter() - start < 1.0
         k23 = BipartiteGraph(2, 3, [(i, j) for i in range(2) for j in range(3)])
@@ -131,6 +173,21 @@ class TestCycleOfLength:
             assert has_cycle_of_length(g, length) is None
         witness = has_cycle_of_length(g, 12)
         assert is_cycle(g, witness, 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_graphs())
+    def test_same_witness_as_the_unpruned_scan(self, g):
+        for length in range(4, 2 * min(g.left_count, g.right_count) + 1, 2):
+            assert has_cycle_of_length(g, length) == scan_cycle_of_length(g, length)
+
+    def test_same_witness_as_the_unpruned_scan_on_field_graphs(self):
+        for g, lengths in (
+            (build_lu_graph(LUParams(3, 3)), (4, 6, 8, 10)),
+            (build_wenger_graph(WengerParams(2, 5)), (4, 6, 8)),
+            (build_wenger_graph(WengerParams(3, 5)), (4, 6, 8)),
+        ):
+            for length in lengths:
+                assert has_cycle_of_length(g, length) == scan_cycle_of_length(g, length)
 
     def test_cycle_longer_than_the_recursion_limit(self):
         # one 1200-cycle: every simple path of the search grows to 1200 vertices
@@ -184,16 +241,15 @@ class TestDegreeStats:
 class TestGraphsIdentical:
     def test_self(self):
         g = hexagon()
-        assert graphs_identical(g, g)
+        assert g == g
 
     def test_one_edge_removed(self):
         g = hexagon()
         h = BipartiteGraph(3, 3, g.edges()[:-1])
-        assert not graphs_identical(g, h)
+        assert g != h
 
-    def test_size_mismatch_is_an_error(self):
-        with pytest.raises(ValueError):
-            graphs_identical(hexagon(), BipartiteGraph(2, 3, []))
+    def test_size_mismatch_is_unequal(self):
+        assert hexagon() != BipartiteGraph(2, 3, [])
 
 
 class TestDiagnostics:
