@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--M", dest="bound", type=int, default=1 << 16,
                    help="projection coefficients are sampled below this bound")
-    p.add_argument("--retries", type=int, default=8)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("export", help="emit an SVG figure or a plain edge list")
@@ -187,9 +186,7 @@ def _cmd_verify(args) -> int:
 def _cmd_project(args) -> int:
     arr = _load_arrangement(args.infile)
     lines = _lines_of(arr)
-    planar, pmap = project_generic(
-        arr.points, lines, seed=args.seed, bound=args.bound, max_retries=args.retries
-    )
+    planar, pmap = project_generic(arr.points, lines, seed=args.seed, bound=args.bound)
     args.out.write_text(render_planar(planar))
     print(f"seed {pmap.seed} bound {pmap.bound}")
     print(f"rows {' '.join(map(str, pmap.rows[0]))} | {' '.join(map(str, pmap.rows[1]))}")

@@ -30,7 +30,6 @@ __all__ = [
     "family_named",
     "lu_label",
     "lu_labels",
-    "lu_equation_plan",
     "lu_point_range",
     "lu_line_range",
     "wenger_point_range",
@@ -69,12 +68,10 @@ class CoordLabel:
         else:
             raise ValueError(f"unknown coordinate kind {self.kind!r}")
 
-    def __str__(self) -> str:
-        if self.kind == "first":
-            return "c1"
-        if self.kind == "pair":
-            return f"c{self.i},{self.j}"
-        return f"c'{self.i},{self.i}"
+    @property
+    def weight(self) -> int:
+        """Box exponent in units of the exponent step: 1 for the first coordinate, else i + j."""
+        return 1 if self.kind == "first" else self.i + self.j
 
 
 _FIRST = CoordLabel("first")
@@ -111,39 +108,6 @@ def lu_labels(k: int) -> tuple[CoordLabel, ...]:
     return tuple(lu_label(pos, k) for pos in range(1, k + 1))
 
 
-@lru_cache(maxsize=None)
-def lu_equation_plan(k: int) -> tuple[tuple[bool, int], ...]:
-    """Right-hand-side recipe of the k-1 defining equations, one per position.
-
-    Entry t-2 describes the equation constraining position t (t = 2..k):
-    the constrained coordinate of v minus the same coordinate of u equals
-    either ``v[0] * u[src]`` (flag True) or ``u[0] * v[src]`` (flag False),
-    where src is an earlier 0-based position.  Derived entirely from
-    :func:`lu_label`, so no position is ever hard-coded.
-    """
-    labels = lu_labels(k)
-    pos_of = {label: idx for idx, label in enumerate(labels)}
-    plan = []
-    for t in range(1, k):
-        label = labels[t]
-        if label.kind == "pair":
-            a, b = label.i, label.j
-            if a == b:
-                src = 0 if a == 1 else pos_of[CoordLabel("pair", a - 1, a)]
-                plan.append((True, src))
-            elif b == a + 1:
-                plan.append((False, pos_of[CoordLabel("pair", a, a)]))
-            else:  # a == b + 1, reads the primed diagonal of layer b
-                key = CoordLabel("pair", 1, 1) if b == 1 else CoordLabel("primed", b, b)
-                plan.append((True, pos_of[key]))
-        else:  # primed layer i reads v at pair (i, i-1)
-            plan.append((False, pos_of[CoordLabel("pair", label.i, label.i - 1)]))
-    for t, (_, src) in enumerate(plan, start=1):
-        if src >= t:
-            raise AssertionError("equation must only read earlier positions")
-    return tuple(plan)
-
-
 def _lu_step(k: int) -> Fraction:
     return Fraction(4, k * k + 6 * k - 3)
 
@@ -153,33 +117,25 @@ def _wenger_step(k: int) -> Fraction:
 
 
 def lu_point_range(label: CoordLabel, k: int, n: int) -> tuple[int, int]:
-    """Closed coordinate range [0, hi] of a layered point coordinate.
-
-    The first coordinate is bounded by n**step; a pair or primed coordinate
-    with indices (i, j) by n**((i+j) * step).
-    """
-    step = _lu_step(k)
-    if label.kind == "first":
-        return 0, floor_pow(n, step, 1)
-    return 0, floor_pow(n, (label.i + label.j) * step, 1)
+    """Closed coordinate range [0, hi] of a layered point coordinate: hi = n**(weight * step)."""
+    return 0, floor_pow(n, label.weight * _lu_step(k), 1)
 
 
 def lu_line_range(label: CoordLabel, k: int, n: int) -> tuple[int, int]:
     """Closed coordinate range [0, hi] of a layered line-parameter coordinate.
 
-    Scales are chosen so that forward substitution from any in-box point
-    lands inside the box for every choice of the free first coordinate:
-    2 for the first coordinate, 3 for pairs (i,i) and (i+1,i), 4 for pairs
-    (i,i+1) and for primed coordinates.
+    hi = scale * n**(weight * step).  Scales are chosen so that forward
+    substitution from any in-box point lands inside the box for every choice
+    of the free first coordinate: 2 for the first coordinate, 4 for primed
+    coordinates and pairs (i,i+1), 3 for pairs (i,i) and (i+1,i).
     """
-    step = _lu_step(k)
     if label.kind == "first":
-        return 0, floor_pow(n, step, 2)
-    if label.kind == "primed":
-        return 0, floor_pow(n, 2 * label.i * step, 4)
-    a, b = label.i, label.j
-    scale = 4 if b == a + 1 else 3
-    return 0, floor_pow(n, (a + b) * step, scale)
+        scale = 2
+    elif label.kind == "primed" or label.j == label.i + 1:
+        scale = 4
+    else:
+        scale = 3
+    return 0, floor_pow(n, label.weight * _lu_step(k), scale)
 
 
 def wenger_point_range(i: int, k: int, n: int) -> tuple[int, int]:
@@ -218,10 +174,31 @@ Plan = tuple[int, tuple[tuple[int, int, int], ...]]
 
 @lru_cache(maxsize=None)
 def _lu_plan(k: int) -> Plan:
-    steps = lu_equation_plan(k)
-    return 0, tuple(
-        (t, 0, src) if uses_v1 else (t, src, 0) for t, (uses_v1, src) in enumerate(steps, start=1)
-    )
+    """The layered equations read off the coordinate labels.
+
+    In the paper's notation, with l for the line vertex v and p for the
+    point u, the coordinate at each label other than the first satisfies one
+    of four kinds of equation; p_{0,1} stands for p_1 and p'_11 for p_11.
+    """
+    labels = lu_labels(k)
+    pos = {(lab.kind, lab.i, lab.j): t for t, lab in enumerate(labels)}
+    pos["pair", 0, 1] = pos["first", 0, 0]
+    pos["primed", 1, 1] = pos["pair", 1, 1]
+    steps = []
+    for t, lab in enumerate(labels[1:], start=1):
+        i, j = lab.i, lab.j
+        if lab.kind == "primed":  # l'_ii - p'_ii = l_{i,i-1} * p_1
+            a, b = pos["pair", i, i - 1], 0
+        elif j == i + 1:  # l_{i,i+1} - p_{i,i+1} = l_ii * p_1
+            a, b = pos["pair", i, i], 0
+        elif i == j + 1:  # l_{j+1,j} - p_{j+1,j} = l_1 * p'_jj
+            a, b = 0, pos["primed", j, j]
+        else:  # l_ii - p_ii = l_1 * p_{i-1,i}
+            a, b = 0, pos["pair", i - 1, i]
+        if a >= t or b >= t:
+            raise AssertionError("equation must only read earlier positions")
+        steps.append((t, a, b))
+    return 0, tuple(steps)
 
 
 @lru_cache(maxsize=None)

@@ -87,7 +87,7 @@ class _Reader:
             raise ParseError(f"line {self.at}: bad field in {line!r}") from exc
 
 
-def render_arrangement(arr: TruncatedArrangement, include_incidences: bool = True) -> str:
+def render_arrangement(arr: TruncatedArrangement) -> str:
     out = [
         ARRANGEMENT_HEADER,
         f"dim {arr.k}",
@@ -98,9 +98,8 @@ def render_arrangement(arr: TruncatedArrangement, include_incidences: bool = Tru
     ]
     out.extend(" ".join(map(str, p)) for p in arr.points)
     out.extend(" ".join(map(str, v)) for v in arr.line_params)
-    if include_incidences:
-        out.append(f"incidences {len(arr.edges)}")
-        out.extend(f"{pi} {lj}" for pi, lj in arr.edges)
+    out.append(f"incidences {len(arr.edges)}")
+    out.extend(f"{pi} {lj}" for pi, lj in arr.edges)
     return "\n".join(out) + "\n"
 
 
@@ -147,14 +146,13 @@ def _frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def render_planar(pa: PlanarArrangement, include_incidences: bool = True) -> str:
+def render_planar(pa: PlanarArrangement) -> str:
     out = [PLANAR_HEADER, f"points {len(pa.points)}"]
     out.extend(f"{_frac_str(x)} {_frac_str(y)}" for x, y in pa.points)
     out.append(f"lines {len(pa.lines)}")
     out.extend(f"{a} {b} {c}" for a, b, c in pa.lines)
-    if include_incidences:
-        out.append(f"incidences {len(pa.incidences)}")
-        out.extend(f"{pi} {lj}" for pi, lj in sorted(pa.incidences))
+    out.append(f"incidences {len(pa.incidences)}")
+    out.extend(f"{pi} {lj}" for pi, lj in sorted(pa.incidences))
     return "\n".join(out) + "\n"
 
 

@@ -16,13 +16,12 @@ instance is small enough, which covers every desk-scale run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import product
 
 from .algebraic import BudgetExceededError, FieldParams, field_edge
 from .exactmath import _MR_LIMIT, is_prime, next_prime, prime_in_window
-from .families import family_named, lu_equation_plan, substitute
+from .families import family_named, substitute
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -59,11 +58,6 @@ class TruncationSpec:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
-    @property
-    def exponent_step(self) -> Fraction:
-        """The family's exponent unit at k; coordinate bounds are multiples of it."""
-        return family_named(self.family).exponent_step(self.k)
-
     def point_ranges(self) -> list[tuple[int, int]]:
         """Closed [lo, hi] range of each point coordinate."""
         return family_named(self.family).point_ranges(self.k, self.n)
@@ -78,15 +72,19 @@ WengerTruncationSpec = partial(TruncationSpec, "wenger")
 
 
 def lu_edge_free(u, v, k: int) -> bool:
-    """The layered equations over the plain integers (no modulus).
+    """The layered equations over the plain integers (no modulus), by position.
 
-    It reads the same recipe, lu_equation_plan, that the family table turns
-    into the kernel's steps, so as a cross-check it covers the step encoding
-    and the substitution, not the recipe itself; the recipe is checked only
-    against the k=3/5/7 systems written out by hand in the tests.
+    Written out on its own, apart from the coordinate labels and the plan it
+    cross-checks.  From position 1 on, the coordinates come in blocks of
+    four.  The last two of each block hold v[t] - u[t] = v[0] * u[t-2]; the
+    first two hold v[t] - u[t] = u[0] * v[t-2], except that positions 1 and
+    2 read v[0] and v[1].
     """
-    for t, (uses_v1, src) in enumerate(lu_equation_plan(k), start=1):
-        rhs = v[0] * u[src] if uses_v1 else u[0] * v[src]
+    for t in range(1, k):
+        if (t - 1) % 4 >= 2:
+            rhs = v[0] * u[t - 2]
+        else:
+            rhs = u[0] * v[t - 2 if t > 2 else t - 1]
         if v[t] - u[t] != rhs:
             return False
     return True
@@ -177,10 +175,18 @@ def build_truncated(
     evaluating the written-out equations on every pair and the two must
     agree.
 
-    Raises BudgetExceededError when either box exceeds box_budget, and
+    Raises BudgetExceededError when either box exceeds box_budget (checked
+    against the lower bound 2**k before any range is evaluated), and
     ValueError when a line box is empty (impossible for n >= 1, kept as a
     guard).
     """
+    # Every point coordinate range holds 0 and 1, so the point box holds at
+    # least 2**k tuples; refuse before evaluating any range.  Comparing bit
+    # lengths tests 2**k > box_budget without building 2**k for a huge k.
+    if spec.k >= box_budget.bit_length():
+        raise BudgetExceededError(
+            f"the point box holds at least 2**{spec.k} tuples, beyond the budget of {box_budget}"
+        )
     point_ranges = spec.point_ranges()
     line_ranges = spec.line_ranges()
     n_points = _box_size(point_ranges)

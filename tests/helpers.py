@@ -1,6 +1,8 @@
 """Shared oracles for the tests.
 
-The graph oracles avoid the BFS path and the distance pruning of
+The layered systems write the D(k, q) equations out by hand in the paper's
+notation, independent of the coordinate labels and of the plan.  The graph
+oracles avoid the BFS path and the distance pruning of
 girthforge.graphs: the cycle oracle enumerates every simple path.  The
 incidence oracles test every point/line pair, independent of the grouped
 lookups in girthforge.geometry.
@@ -131,3 +133,56 @@ def scan_planar_incidences(points, lines):
         for pi, (x, y) in enumerate(points)
         if a * x + b * y + c == 0
     }
+
+
+def lu3_residues(u, v):
+    """D(3, q) by hand: one residue l - p - rhs per equation, p = u the point, l = v the line.
+
+    The (1,1) equation reads p_01, which is p_1.  The pair is an edge
+    exactly when every residue vanishes, over the integers for a truncation
+    or mod q in the field graph.
+    """
+    p1, p11, p12 = u[:3]
+    l1, l11, l12 = v[:3]
+    return [
+        l11 - p11 - l1 * p1,
+        l12 - p12 - l11 * p1,
+    ]
+
+
+def lu5_residues(u, v):
+    """k = 5 adds p_21 and p_22; the (2,1) equation reads p'_11, which is p_11."""
+    p1, p11, p12, p21, p22 = u[:5]
+    l1, l11, l12, l21, l22 = v[:5]
+    return lu3_residues(u, v) + [
+        l21 - p21 - l1 * p11,
+        l22 - p22 - l1 * p12,
+    ]
+
+
+def lu7_residues(u, v):
+    """k = 7 adds p'_22 and p_23."""
+    p1, p11, p12, p21, p22, pp22, p23 = u[:7]
+    l1, l11, l12, l21, l22, lp22, l23 = v[:7]
+    return lu5_residues(u, v) + [
+        lp22 - pp22 - l21 * p1,
+        l23 - p23 - l22 * p1,
+    ]
+
+
+def lu9_residues(u, v):
+    """k = 9 adds p_32 and p_33."""
+    p1, p11, p12, p21, p22, pp22, p23, p32, p33 = u[:9]
+    l1, l11, l12, l21, l22, lp22, l23, l32, l33 = v[:9]
+    return lu7_residues(u, v) + [
+        l32 - p32 - l1 * pp22,
+        l33 - p33 - l1 * p23,
+    ]
+
+
+LU_BY_HAND = {3: lu3_residues, 5: lu5_residues, 7: lu7_residues, 9: lu9_residues}
+
+
+def bumped(w, t, d):
+    """The tuple w with coordinate t moved by d."""
+    return w[:t] + (w[t] + d,) + w[t + 1 :]

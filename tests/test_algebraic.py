@@ -12,8 +12,10 @@ from girthforge.algebraic import (
     field_edge,
     field_neighbors,
 )
-from girthforge.families import CoordLabel, family_named, lu_equation_plan, lu_label, lu_labels
+from girthforge.families import CoordLabel, family_named, lu_label, lu_labels, substitute
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
+from girthforge.truncation import lu_edge_free
+from helpers import LU_BY_HAND, bumped
 
 
 class TestLabels:
@@ -59,22 +61,65 @@ class TestLabels:
         with pytest.raises(ValueError):
             CoordLabel("diagonal", 2, 2)
 
-    def test_plan_reads_only_earlier_positions(self):
-        for k in (3, 5, 7, 9, 11, 13):
-            for t, (_, src) in enumerate(lu_equation_plan(k), start=1):
-                assert 0 <= src < t
+    def test_weight(self):
+        assert CoordLabel("first").weight == 1
+        assert CoordLabel("pair", 2, 1).weight == 3
+        assert CoordLabel("primed", 3, 3).weight == 6
 
 
 @pytest.mark.parametrize("name,ks", [("lu", (3, 5, 7, 9, 11, 13)), ("wenger", (2, 3, 5))])
 def test_plan_steps_read_only_solved_coordinates(name, ks):
-    """From either side, each step reads only the free or an earlier-solved coordinate."""
+    """From either side, each step reads only the free or an earlier-solved coordinate.
+
+    The layered plan solves the positions in storage order, so each of its
+    equations reads only earlier positions.
+    """
     for k in ks:
         free, steps = family_named(name).plan(k)
+        if name == "lu":
+            assert [t for t, _, _ in steps] == list(range(1, k))
         solved = {free}
         for t, a, b in steps:
             assert a in solved and b in solved and t not in solved
             solved.add(t)
         assert solved == set(range(k))
+
+
+def test_lu_plan_steps_pinned():
+    """(t, a, b) means v[t] - u[t] = v[a] * u[b]; each k extends the previous plan."""
+    steps = {
+        3: ((1, 0, 0), (2, 1, 0)),
+        5: ((3, 0, 1), (4, 0, 2)),
+        7: ((5, 3, 0), (6, 4, 0)),
+        9: ((7, 0, 5), (8, 0, 6)),
+    }
+    expected = ()
+    for k in (3, 5, 7, 9):
+        expected += steps[k]
+        assert family_named("lu").plan(k) == (0, expected)
+
+
+def check_lu_against_hand_system(k, q=7):
+    """field_edge mod q and lu_edge_free over the integers, against the system by hand.
+
+    Random pairs are almost never edges, so each point is also paired with
+    its integer partners from the plan, which must satisfy the system, with
+    its field neighbors, and with those partners bumped in one coordinate.
+    """
+    by_hand, params = LU_BY_HAND[k], LUParams(k, q)
+    rng = random.Random(k)
+    for _ in range(60):
+        u = tuple(rng.randrange(q) for _ in range(k))
+        const, slope = substitute(family_named("lu").plan(k), u, from_point=True)
+        partners = [tuple(c + s * x for c, s in zip(const, slope)) for x in range(q)]
+        for v in partners:
+            assert not any(by_hand(u, v))
+        bumps = [bumped(v, t, 1) for v in partners for t in range(k)]
+        randoms = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(5)]
+        for v in partners + field_neighbors(u, params) + bumps + randoms:
+            residues = by_hand(u, v)
+            assert field_edge(u, v, params) == all(r % q == 0 for r in residues)
+            assert lu_edge_free(u, v, k) == (not any(residues))
 
 
 class TestLUEdges:
@@ -91,19 +136,11 @@ class TestLUEdges:
         assert not field_edge((1, 1, 0), (1, 2, 3), LUParams(3, 5))
 
     def test_k5_plan_matches_handwritten_equations(self):
-        # the four equations written out coordinate by coordinate
-        params = LUParams(5, 7)
-        rng = random.Random(1)
-        for _ in range(500):
-            u = tuple(rng.randrange(7) for _ in range(5))
-            v = tuple(rng.randrange(7) for _ in range(5))
-            by_hand = (
-                (v[1] - u[1] - v[0] * u[0]) % 7 == 0
-                and (v[2] - u[2] - v[1] * u[0]) % 7 == 0
-                and (v[3] - u[3] - v[0] * u[1]) % 7 == 0
-                and (v[4] - u[4] - v[0] * u[2]) % 7 == 0
-            )
-            assert field_edge(u, v, params) == by_hand
+        check_lu_against_hand_system(5)
+
+    @pytest.mark.parametrize("k", [7, 9])
+    def test_layer_2_and_3_plans_match_handwritten_equations(self, k):
+        check_lu_against_hand_system(k)
 
     def test_mismatched_length_rejected(self):
         with pytest.raises(ValueError):

@@ -42,7 +42,8 @@ class TestArrangementFormat:
         assert parse_arrangement(render_arrangement(wenger64)) == wenger64
 
     def test_round_trip_without_incidences(self, wenger64):
-        text = render_arrangement(wenger64, include_incidences=False)
+        full = render_arrangement(wenger64)
+        text = full[: full.index("\nincidences ") + 1]
         parsed = parse_arrangement(text)
         assert parsed.points == wenger64.points
         assert parsed.line_params == wenger64.line_params
@@ -462,17 +463,30 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_module_entry_point_keeps_the_exit_code(self, tmp_path):
-        src = str(Path(girthforge.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "girthforge.cli", "stats", "--in", str(tmp_path / "none.arr")],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_module(["stats", "--in", str(tmp_path / "none.arr")], timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_huge_k_is_refused_before_any_range(self, tmp_path):
+        # Each of the 2k ranges would take an n**(a/b) root with b = k*k + 6k - 3.
+        argv = ["construct", "--family", "lu", "--k", "2001", "--n", "1",
+                "--out", str(tmp_path / "a.arr")]
+        proc = run_module(argv, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "budget" in proc.stderr
+
+
+def run_module(argv, timeout):
+    """``python -m girthforge.cli argv`` in a child process, with this checkout's sources."""
+    src = str(Path(girthforge.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "girthforge.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 @cache

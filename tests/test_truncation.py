@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from girthforge.families import (
     lu_labels,
     lu_line_range,
     lu_point_range,
+    substitute,
     wenger_line_range,
     wenger_point_range,
 )
@@ -28,6 +30,7 @@ from girthforge.truncation import (
     verify_subgraph_embedding,
     wenger_edge_free,
 )
+from helpers import bumped, lu3_residues, lu7_residues
 
 LU64 = LUTruncationSpec(3, 64)
 W64 = WengerTruncationSpec(2, 64)
@@ -35,7 +38,7 @@ W64 = WengerTruncationSpec(2, 64)
 
 def lu3_edge_oracle(u, v):
     """The two k=3 equations written out by hand, independent of the plan engine."""
-    return v[1] - u[1] == v[0] * u[0] and v[2] - u[2] == v[1] * u[0]
+    return not any(lu3_residues(u, v))
 
 
 def wenger2_edge_oracle(u, v):
@@ -54,8 +57,7 @@ class TestRanges:
         assert lu_line_range(CoordLabel("pair", 1, 2), 3, 64) == (0, 32)
 
     def test_lu_line_scales_by_label_kind(self):
-        spec = LUTruncationSpec(11, 4096)
-        step = spec.exponent_step
+        step = family_named("lu").exponent_step(11)
         assert lu_line_range(CoordLabel("primed", 2, 2), 11, 4096) == (
             0,
             floor_pow(4096, 4 * step, 4),
@@ -106,8 +108,8 @@ class TestRanges:
             WengerTruncationSpec(4, 64)
 
     def test_exponent_steps(self):
-        assert LU64.exponent_step == Fraction(1, 6)
-        assert W64.exponent_step == Fraction(1, 3)
+        assert family_named("lu").exponent_step(3) == Fraction(1, 6)
+        assert family_named("wenger").exponent_step(2) == Fraction(1, 3)
 
 
 class TestBuildLU:
@@ -206,7 +208,7 @@ class TestBuildWenger:
     def test_line_degree_bound_across_sizes(self, k, n):
         spec = WengerTruncationSpec(k, n)
         arr = build_truncated(spec)
-        bound = floor_pow(n, spec.exponent_step, 1)
+        bound = floor_pow(n, family_named("wenger").exponent_step(k), 1)
         degrees = Counter(lj for _, lj in arr.edges)
         assert all(degrees[lj] >= bound for lj in range(len(arr.line_params)))
 
@@ -218,14 +220,7 @@ class TestBuildWenger:
 
 def lu7_edge_oracle(u, v):
     """All six k=7 equations by hand; exercises the layer-2 primed block."""
-    return (
-        v[1] - u[1] == v[0] * u[0]
-        and v[2] - u[2] == v[1] * u[0]
-        and v[3] - u[3] == v[0] * u[1]
-        and v[4] - u[4] == v[0] * u[2]
-        and v[5] - u[5] == u[0] * v[3]
-        and v[6] - u[6] == u[0] * v[4]
-    )
+    return not any(lu7_residues(u, v))
 
 
 @pytest.mark.parametrize(
@@ -279,6 +274,30 @@ class TestBudget:
     def test_box_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             build_truncated(LU64, box_budget=500)
+
+    @pytest.mark.parametrize(
+        "spec,budget",
+        [
+            (LUTruncationSpec(2001, 1), 10**6),
+            (LUTruncationSpec(10**12 + 1, 1), 10**6),
+            (WengerTruncationSpec(5, 1), 2**5 - 1),
+            (LUTruncationSpec(5, 1), 2**5 - 1),
+        ],
+    )
+    def test_point_box_lower_bound_is_refused_before_any_range(self, spec, budget, monkeypatch):
+        # Every point coordinate range holds 0 and 1: at least 2**k points.
+        def no_ranges(self):
+            raise AssertionError("a range was evaluated")
+
+        monkeypatch.setattr(type(spec), "point_ranges", no_ranges)
+        monkeypatch.setattr(type(spec), "line_ranges", no_ranges)
+        with pytest.raises(BudgetExceededError, match=r"2\*\*"):
+            build_truncated(spec, box_budget=budget)
+
+    def test_lower_bound_equal_to_the_budget_passes(self):
+        # lu k=5, n=1 has exactly 2**5 points, so only its 960 lines exceed 32.
+        with pytest.raises(BudgetExceededError, match="box sizes 32 x 960"):
+            build_truncated(LUTruncationSpec(5, 1), box_budget=2**5)
 
 
 class TestEmbedding:
@@ -342,6 +361,29 @@ class TestFreePredicates:
         for u in product(range(3), repeat=3):
             for v in product(range(3), repeat=3):
                 assert lu_edge_free(u, v, 3) == lu3_edge_oracle(u, v)
+
+    @pytest.mark.parametrize("k", range(3, 42, 2))
+    def test_lu_free_accepts_partners_and_rejects_every_bump(self, k):
+        """Partners from the plan, solved from either side, pass; a one-coordinate bump fails.
+
+        The fixed vertex starts with a nonzero coordinate and the free
+        coordinate is nonzero, so a bump at position 0 breaks the first
+        equation too.
+        """
+        plan = family_named("lu").plan(k)
+        rng = random.Random(k)
+        for _ in range(4):
+            fixed = (rng.randint(1, 5),) + tuple(rng.randint(0, 5) for _ in range(k - 1))
+            for from_point in (True, False):
+                const, slope = substitute(plan, fixed, from_point)
+                x = rng.randint(1, 5)
+                partner = tuple(c + s * x for c, s in zip(const, slope))
+                u, v = (fixed, partner) if from_point else (partner, fixed)
+                assert lu_edge_free(u, v, k)
+                for t in range(k):
+                    for d in (-1, 1):
+                        assert not lu_edge_free(bumped(u, t, d), v, k), (k, t, d)
+                        assert not lu_edge_free(u, bumped(v, t, d), k), (k, t, d)
 
     def test_integer_equality_implies_congruence(self, lu64):
         for pi, lj in list(lu64.edges)[::50]:
