@@ -61,6 +61,16 @@ class TestLabels:
         with pytest.raises(ValueError):
             CoordLabel("diagonal", 2, 2)
 
+    def test_plan_reads_only_earlier_positions(self):
+        # the layered plan solves the positions in storage order, and each
+        # equation v[t] - u[t] = v[a] * u[b] reads only earlier positions
+        for k in (3, 5, 7, 9, 11, 13):
+            free, steps = family_named("lu").plan(k)
+            assert free == 0
+            assert [t for t, _, _ in steps] == list(range(1, k))
+            for t, a, b in steps:
+                assert 0 <= a < t and 0 <= b < t
+
     def test_weight(self):
         assert CoordLabel("first").weight == 1
         assert CoordLabel("pair", 2, 1).weight == 3
@@ -69,15 +79,9 @@ class TestLabels:
 
 @pytest.mark.parametrize("name,ks", [("lu", (3, 5, 7, 9, 11, 13)), ("wenger", (2, 3, 5))])
 def test_plan_steps_read_only_solved_coordinates(name, ks):
-    """From either side, each step reads only the free or an earlier-solved coordinate.
-
-    The layered plan solves the positions in storage order, so each of its
-    equations reads only earlier positions.
-    """
+    """From either side, each step reads only the free or an earlier-solved coordinate."""
     for k in ks:
         free, steps = family_named(name).plan(k)
-        if name == "lu":
-            assert [t for t, _, _ in steps] == list(range(1, k))
         solved = {free}
         for t, a, b in steps:
             assert a in solved and b in solved and t not in solved
