@@ -175,8 +175,7 @@ def _cmd_verify(args) -> int:
             )
         print(f"ok: every line carries >= {args.min_line_degree} points")
     if args.subgraph_prime is not None:
-        mode = "minimal" if args.subgraph_prime == "minimal" else "paper_window"
-        q = embedding_prime(arr.spec, mode)
+        q = embedding_prime(arr, args.subgraph_prime)
         if not verify_subgraph_embedding(arr, q):
             raise CheckFailure(f"arrangement does not embed mod the prime {q}")
         print(f"ok: embeds into the field graph mod {q} ({args.subgraph_prime} mode)")

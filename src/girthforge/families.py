@@ -1,13 +1,15 @@
 """The two graph families as data: one table entry per family.
 
-A family is fixed by its rule for the dimension k, its integer coordinate
-boxes, its exponent step, the window its paper-scale prime is taken from,
-and its defining equations.  The equations are a plan: one free coordinate
-and an ordered tuple of steps ``(t, a, b)``, each meaning
-``v[t] - u[t] = v[a] * u[b]`` for a point u and a line vertex v.  In plan
-order every step reads only the free coordinate or a coordinate solved by an
-earlier step, from whichever side is held fixed, so :func:`substitute` gives
-the whole other side as an affine function of the free coordinate.
+A family is fixed by its rule for the dimension k, its exponent step, its
+integer coordinate boxes, the window its paper-scale prime is taken from,
+and its defining equations.  Every box end and window end is ``s * n**e``,
+floored (ceiled at a lower end), so a family states only exponents and
+scales and :class:`Family` evaluates them by one rule.  The equations are a
+plan: one free coordinate and an ordered tuple of steps ``(t, a, b)``, each
+meaning ``v[t] - u[t] = v[a] * u[b]`` for a point u and a line vertex v.  In
+plan order every step reads only the free coordinate or a coordinate solved
+by an earlier step, from whichever side is held fixed, so :func:`substitute`
+gives the whole other side as an affine function of the free coordinate.
 
 The layered family ``D(q, k)`` uses a block-structured coordinate labeling
 (:func:`lu_label`) and its plan is derived from the labels; the positional
@@ -30,10 +32,6 @@ __all__ = [
     "family_named",
     "lu_label",
     "lu_labels",
-    "lu_point_range",
-    "lu_line_range",
-    "wenger_point_range",
-    "wenger_line_range",
     "substitute",
     "plan_holds_mod",
 ]
@@ -116,56 +114,41 @@ def _wenger_step(k: int) -> Fraction:
     return Fraction(2, k * (k + 1))
 
 
-def lu_point_range(label: CoordLabel, k: int, n: int) -> tuple[int, int]:
-    """Closed coordinate range [0, hi] of a layered point coordinate: hi = n**(weight * step)."""
-    return 0, floor_pow(n, label.weight * _lu_step(k), 1)
+# One coordinate's bounds: (weight, point scale, line low scale, line high scale).
+Bound = tuple[int, int, int, int]
 
 
-def lu_line_range(label: CoordLabel, k: int, n: int) -> tuple[int, int]:
-    """Closed coordinate range [0, hi] of a layered line-parameter coordinate.
+def _lu_box(k: int) -> tuple[Bound, ...]:
+    """Points in [0, n**e] and lines in [0, scale * n**e], e = weight * step.
 
-    hi = scale * n**(weight * step).  Scales are chosen so that forward
-    substitution from any in-box point lands inside the box for every choice
-    of the free first coordinate: 2 for the first coordinate, 4 for primed
-    coordinates and pairs (i,i+1), 3 for pairs (i,i) and (i+1,i).
+    The line scale, 2 for the first coordinate, 4 for primed coordinates and
+    pairs (i,i+1), 3 for pairs (i,i) and (i+1,i), lets forward substitution
+    from any in-box point land in the box for every free first coordinate.
     """
-    if label.kind == "first":
-        scale = 2
-    elif label.kind == "primed" or label.j == label.i + 1:
-        scale = 4
-    else:
-        scale = 3
-    return 0, floor_pow(n, label.weight * _lu_step(k), scale)
+    box = []
+    for lab in lu_labels(k):
+        if lab.kind == "first":
+            scale = 2
+        elif lab.kind == "primed" or lab.j == lab.i + 1:
+            scale = 4
+        else:
+            scale = 3
+        box.append((lab.weight, 1, 0, scale))
+    return tuple(box)
 
 
-def wenger_point_range(i: int, k: int, n: int) -> tuple[int, int]:
-    """Closed range [0, hi] of positional point coordinate i (0-based).
+def _wenger_box(k: int) -> tuple[Bound, ...]:
+    """Coordinate i (0-based) has exponent (k - i) * step and scale s = 4**(k-i-1).
 
-    hi = 2**(2(k-i-1)) * n**((k-i) * step), which degenerates to n**step for
-    the last coordinate.
+    Points lie in [0, s n**e], lines in [s/2 n**e, s n**e]; the last line
+    coordinate instead lies in [n**step, 2 n**step].
     """
-    if not 0 <= i <= k - 1:
-        raise ValueError(f"coordinate index {i} out of range 0..{k - 1}")
-    return 0, floor_pow(n, (k - i) * _wenger_step(k), 2 ** (2 * (k - i - 1)))
-
-
-def wenger_line_range(i: int, k: int, n: int) -> tuple[int, int]:
-    """Closed range [lo, hi] of positional line-parameter coordinate i (0-based).
-
-    The lower end is the exact ceiling of half the upper bound (of n**step
-    for the last coordinate); the upper end matches the point box except for
-    the last coordinate, where it doubles.
-    """
-    if not 0 <= i <= k - 1:
-        raise ValueError(f"coordinate index {i} out of range 0..{k - 1}")
-    step = _wenger_step(k)
-    if i == k - 1:
-        return ceil_pow(n, step, 1), floor_pow(n, step, 2)
-    exponent = (k - i) * step
-    return (
-        ceil_pow(n, exponent, 2 ** (2 * (k - i - 1) - 1)),
-        floor_pow(n, exponent, 2 ** (2 * (k - i - 1))),
-    )
+    box = []
+    for i in range(k):
+        s = 4 ** (k - i - 1)
+        line = s if i < k - 1 else 2
+        box.append((k - i, s, line // 2, line))
+    return tuple(box)
 
 
 # (free position, steps (t, a, b) meaning v[t] - u[t] = v[a] * u[b])
@@ -215,11 +198,10 @@ class Family:
     k_ok: Callable[[int], bool]
     # Coordinate box exponents are multiples of this unit.
     exponent_step: Callable[[int], Fraction]
-    # (k, n) -> closed [lo, hi] range of each coordinate position.
-    point_ranges: Callable[[int, int], list[tuple[int, int]]]
-    line_ranges: Callable[[int, int], list[tuple[int, int]]]
-    # (k, n) -> exact ends of the open window the paper takes its prime from.
-    prime_window: Callable[[int, int], tuple[int, int]]
+    # k -> one Bound per coordinate position, evaluated by ranges().
+    box: Callable[[int], tuple[Bound, ...]]
+    # k -> (e, s): the paper takes its prime from the open window (s n**e, 2 s n**e).
+    window: Callable[[int], tuple[Fraction, int]]
     # k -> the equations as a Plan, cached per k.
     plan: Callable[[int], Plan]
 
@@ -233,6 +215,26 @@ class Family:
         self.check_k(k)
         return 1 + self.exponent_step(k)
 
+    def ranges(self, k: int, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Closed [lo, hi] ranges of every point coordinate and every line coordinate.
+
+        With e = weight * step, a point coordinate lies in [0, point * n**e]
+        and a line coordinate in [low * n**e, high * n**e] (0 below when low
+        is 0), upper ends floored and lower ends ceiled.
+        """
+        step = self.exponent_step(k)
+        points, lines = [], []
+        for weight, point, low, high in self.box(k):
+            e = weight * step
+            points.append((0, floor_pow(n, e, point)))
+            lines.append((ceil_pow(n, e, low) if low else 0, floor_pow(n, e, high)))
+        return points, lines
+
+    def prime_window(self, k: int, n: int) -> tuple[int, int]:
+        """Exact ends of the open window (s n**e, 2 s n**e) the paper takes its prime from."""
+        e, s = self.window(k)
+        return floor_pow(n, e, s), ceil_pow(n, e, 2 * s)
+
 
 FAMILIES = {
     fam.name: fam
@@ -242,12 +244,8 @@ FAMILIES = {
             k_rule="odd k >= 3",
             k_ok=lambda k: k >= 3 and k % 2 == 1,
             exponent_step=_lu_step,
-            point_ranges=lambda k, n: [lu_point_range(lab, k, n) for lab in lu_labels(k)],
-            line_ranges=lambda k, n: [lu_line_range(lab, k, n) for lab in lu_labels(k)],
-            prime_window=lambda k, n: (
-                floor_pow(n, Fraction(8, k), 4),
-                ceil_pow(n, Fraction(8, k), 8),
-            ),
+            box=_lu_box,
+            window=lambda k: (Fraction(8, k), 4),
             plan=_lu_plan,
         ),
         Family(
@@ -255,12 +253,8 @@ FAMILIES = {
             k_rule="k in {2, 3, 5}",
             k_ok=lambda k: k in (2, 3, 5),
             exponent_step=_wenger_step,
-            point_ranges=lambda k, n: [wenger_point_range(i, k, n) for i in range(k)],
-            line_ranges=lambda k, n: [wenger_line_range(i, k, n) for i in range(k)],
-            prime_window=lambda k, n: (
-                floor_pow(n, Fraction(2, k), 2 ** (2 * k)),
-                ceil_pow(n, Fraction(2, k), 2 ** (2 * k + 1)),
-            ),
+            box=_wenger_box,
+            window=lambda k: (Fraction(2, k), 4**k),
             plan=_wenger_plan,
         ),
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 from .algebraic import BudgetExceededError, FieldParams, field_edge
 from .exactmath import _MR_LIMIT, is_prime, next_prime, prime_in_window
@@ -32,7 +32,6 @@ __all__ = [
     "lu_edge_free",
     "wenger_edge_free",
     "build_truncated",
-    "max_coordinate",
     "embedding_prime",
     "verify_subgraph_embedding",
     "DEFAULT_BOX_BUDGET",
@@ -58,13 +57,9 @@ class TruncationSpec:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
-    def point_ranges(self) -> list[tuple[int, int]]:
-        """Closed [lo, hi] range of each point coordinate."""
-        return family_named(self.family).point_ranges(self.k, self.n)
-
-    def line_ranges(self) -> list[tuple[int, int]]:
-        """Closed [lo, hi] range of each line-parameter coordinate."""
-        return family_named(self.family).line_ranges(self.k, self.n)
+    def ranges(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Closed [lo, hi] range of each point coordinate and of each line-parameter coordinate."""
+        return family_named(self.family).ranges(self.k, self.n)
 
 
 LUTruncationSpec = partial(TruncationSpec, "lu")
@@ -115,10 +110,6 @@ class TruncatedArrangement:
 
     def __post_init__(self):
         object.__setattr__(self, "_edge_set", frozenset(self.edges))
-
-    @property
-    def spec(self) -> TruncationSpec:
-        return TruncationSpec(self.family, self.k, self.n)
 
     @property
     def edge_set(self) -> frozenset:
@@ -187,8 +178,7 @@ def build_truncated(
         raise BudgetExceededError(
             f"the point box holds at least 2**{spec.k} tuples, beyond the budget of {box_budget}"
         )
-    point_ranges = spec.point_ranges()
-    line_ranges = spec.line_ranges()
+    point_ranges, line_ranges = spec.ranges()
     n_points = _box_size(point_ranges)
     n_lines = _box_size(line_ranges)
     if n_points > box_budget or n_lines > box_budget:
@@ -226,25 +216,22 @@ def build_truncated(
     return TruncatedArrangement(spec.family, spec.k, spec.n, points, line_params, edges)
 
 
-def max_coordinate(spec: TruncationSpec) -> int:
-    """Largest coordinate value occurring anywhere in the two boxes."""
-    return max(hi for _, hi in spec.point_ranges() + spec.line_ranges())
+def embedding_prime(arr: TruncatedArrangement, mode: str = "minimal") -> int:
+    """A prime modulus under which the arrangement is a legal residue structure.
 
-
-def embedding_prime(spec: TruncationSpec, mode: str = "minimal") -> int:
-    """A prime modulus under which the truncation is a legal residue structure.
-
-    'minimal' returns the smallest prime exceeding every coordinate, which
-    is all the subgraph property needs at desk scale.  'paper_window'
-    searches the family's much larger window, (4 n**(8/k), 8 n**(8/k)) for
-    the layered family and (2**(2k) n**(2/k), 2**(2k+1) n**(2/k)) for the
-    positional one, with both ends evaluated exactly.  A window reaching
-    past the exact range of the primality test is a ValueError.
+    'minimal' returns the smallest prime exceeding every coordinate of arr
+    (2 when it has none), which is all the subgraph property needs at desk
+    scale; no box range is evaluated.  'paper' searches the family's much
+    larger window, (4 n**(8/k), 8 n**(8/k)) for the layered family and
+    (2**(2k) n**(2/k), 2**(2k+1) n**(2/k)) for the positional one, with both
+    ends evaluated exactly.  A prime or window reaching past the exact range
+    of the primality test is a ValueError.
     """
     if mode == "minimal":
-        return next_prime(max(1, max_coordinate(spec)))
-    if mode == "paper_window":
-        lo, hi = family_named(spec.family).prime_window(spec.k, spec.n)
+        largest = max(map(max, chain(arr.points, arr.line_params)), default=1)
+        return next_prime(max(1, largest))
+    if mode == "paper":
+        lo, hi = family_named(arr.family).prime_window(arr.k, arr.n)
         if hi >= _MR_LIMIT:
             raise ValueError(
                 f"the window ({lo}, {hi}) reaches past the exact primality limit {_MR_LIMIT}"
@@ -253,7 +240,7 @@ def embedding_prime(spec: TruncationSpec, mode: str = "minimal") -> int:
         if p is None:
             raise ValueError(f"no prime in the window ({lo}, {hi})")
         return p
-    raise ValueError(f"unknown mode {mode!r}; use 'minimal' or 'paper_window'")
+    raise ValueError(f"unknown mode {mode!r}; use 'minimal' or 'paper'")
 
 
 def verify_subgraph_embedding(arr: TruncatedArrangement, q: int) -> bool:

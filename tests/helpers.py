@@ -5,11 +5,14 @@ notation, independent of the coordinate labels and of the plan.  The graph
 oracles avoid the BFS path and the distance pruning of
 girthforge.graphs: the cycle oracle enumerates every simple path.  The
 incidence oracles test every point/line pair, independent of the grouped
-lookups in girthforge.geometry.
+lookups in girthforge.geometry.  The box and window formulas are written out
+by position, independent of the family table in girthforge.families.
 """
 
 import math
+from fractions import Fraction
 
+from girthforge.exactmath import ceil_pow, floor_pow
 from girthforge.graphs import BipartiteGraph
 
 
@@ -186,3 +189,51 @@ LU_BY_HAND = {3: lu3_residues, 5: lu5_residues, 7: lu7_residues, 9: lu9_residues
 def bumped(w, t, d):
     """The tuple w with coordinate t moved by d."""
     return w[:t] + (w[t] + d,) + w[t + 1 :]
+
+
+def lu_boxes_by_position(k, n):
+    """The layered point and line boxes, closed ranges [lo, hi] by position.
+
+    The unit exponent is 4/(k^2 + 6k - 3).  Position 0 has weight 1, point
+    scale 1 and line scale 2.  From position 1 on the coordinates come in
+    blocks of four, (1,1) (1,2) (2,1) (2,2) and then primed(b+1) (b+1,b+2)
+    (b+2,b+1) (b+2,b+2) for block b >= 1; the weight is i + j and the line
+    scale is 4 for primed and (i, i+1), 3 for the rest.
+    """
+    step = Fraction(4, k * k + 6 * k - 3)
+    weights, scales = [1], [2]
+    for t in range(1, k):
+        block, o = divmod(t - 1, 4)
+        weights.append(2 * block + 2 + (0, 1, 1, 2)[o])
+        scales.append((4 if block else 3, 4, 3, 3)[o])
+    points = [(0, floor_pow(n, w * step)) for w in weights]
+    lines = [(0, floor_pow(n, w * step, s)) for w, s in zip(weights, scales)]
+    return points, lines
+
+
+def wenger_boxes_by_position(k, n):
+    """The positional point and line boxes: coordinate i has exponent (k - i) * 2/(k(k+1)).
+
+    Points: [0, 2^(2(k-i-1)) n^e].  Lines: [2^(2(k-i-1)-1) n^e, 2^(2(k-i-1)) n^e],
+    except [n^e, 2 n^e] for the last coordinate; lower ends ceiled.
+    """
+    step = Fraction(2, k * (k + 1))
+    points, lines = [], []
+    for i in range(k):
+        e, s = (k - i) * step, 2 ** (2 * (k - i - 1))
+        points.append((0, floor_pow(n, e, s)))
+        if i < k - 1:
+            lines.append((ceil_pow(n, e, s // 2), floor_pow(n, e, s)))
+        else:
+            lines.append((ceil_pow(n, e), floor_pow(n, e, 2)))
+    return points, lines
+
+
+def paper_window_by_hand(family, k, n):
+    """Ends of the open prime window, lower end floored and upper end ceiled.
+
+    Layered: (4 n^(8/k), 8 n^(8/k)).  Positional: (4^k n^(2/k), 2 4^k n^(2/k)).
+    """
+    if family == "lu":
+        return floor_pow(n, Fraction(8, k), 4), ceil_pow(n, Fraction(8, k), 8)
+    return floor_pow(n, Fraction(2, k), 2 ** (2 * k)), ceil_pow(n, Fraction(2, k), 2 ** (2 * k + 1))

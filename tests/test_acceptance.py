@@ -114,7 +114,7 @@ def test_criterion_4_truncated_layered_instance():
         assert 5 >= bound
         report = girth(arr.to_bipartite_graph())
         assert report.girth >= 8
-        assert embedding_prime(spec, "minimal") == 37
+        assert embedding_prime(arr, "minimal") == 37
         assert verify_subgraph_embedding(arr, 37)
         elapsed = c.elapsed
         assert elapsed < 5.0

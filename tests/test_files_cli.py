@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import girthforge
 from girthforge.cli import run
+from girthforge.exactmath import _MR_LIMIT
 from girthforge.files import (
     ParseError,
     parse_arrangement,
@@ -451,8 +452,10 @@ class TestCLI:
             "duplicate": small_arrangement_text(points=2),
             # the lu k=3 paper window starts near 4e32, beyond exact Miller-Rabin
             "huge": small_arrangement_text(dim=3, family="lu", n=10**12, points=0, lines=0),
-            # ...and at n = 10**60 the box coordinates themselves pass it
-            "huger": small_arrangement_text(dim=3, family="lu", n=10**60, points=0, lines=0),
+            # ...and a coordinate at psi_12 puts the minimal prime past it too
+            "huger": small_arrangement_text(dim=3, family="lu", points=1, lines=0).replace(
+                "0 0 0\n", f"0 0 {_MR_LIMIT}\n"
+            ),
         }
         paths = {"arr": arr, "out": tmp_path / "w.planar", "missing": tmp_path / "no" / "dir"}
         for name, text in bad_files.items():
@@ -474,6 +477,15 @@ class TestCLI:
         proc = run_module(argv, timeout=10)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
+
+    def test_minimal_prime_of_a_huge_header_reads_no_range(self, tmp_path):
+        # The layered box ranges at k=2001 each take a root of degree about 4e6;
+        # the minimal prime reads the file's coordinates instead, and it has none.
+        path = tmp_path / "a.arr"
+        path.write_text(small_arrangement_text(dim=2001, family="lu", n=1, points=0, lines=0))
+        proc = run_module(["verify", "--in", str(path), "--subgraph-prime", "minimal"], timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert "mod 2 " in proc.stdout
 
 
 def run_module(argv, timeout):

@@ -7,16 +7,7 @@ import pytest
 
 from girthforge.algebraic import BudgetExceededError
 from girthforge.exactmath import floor_pow, next_prime
-from girthforge.families import (
-    CoordLabel,
-    family_named,
-    lu_labels,
-    lu_line_range,
-    lu_point_range,
-    substitute,
-    wenger_line_range,
-    wenger_point_range,
-)
+from girthforge.families import CoordLabel, family_named, lu_labels, substitute
 from girthforge.graphs import degree_stats, girth
 from girthforge.truncation import (
     LUTruncationSpec,
@@ -25,12 +16,19 @@ from girthforge.truncation import (
     _walk,
     build_truncated,
     embedding_prime,
+    TruncationSpec,
     lu_edge_free,
-    max_coordinate,
     verify_subgraph_embedding,
     wenger_edge_free,
 )
-from helpers import bumped, lu3_residues, lu7_residues
+from helpers import (
+    bumped,
+    lu3_residues,
+    lu7_residues,
+    lu_boxes_by_position,
+    paper_window_by_hand,
+    wenger_boxes_by_position,
+)
 
 LU64 = LUTruncationSpec(3, 64)
 W64 = WengerTruncationSpec(2, 64)
@@ -45,59 +43,63 @@ def wenger2_edge_oracle(u, v):
     return v[0] == u[0] + u[1] * v[1]
 
 
+SWEEP_N = list(range(1, 70)) + [100, 400, 1000, 4096, 10**6, 10**12, 3**40 + 1]
+BOXES_BY_HAND = {"lu": lu_boxes_by_position, "wenger": wenger_boxes_by_position}
+
+
 class TestRanges:
     def test_lu_point_ranges_at_64(self):
-        assert lu_point_range(CoordLabel("first"), 3, 64) == (0, 2)
-        assert lu_point_range(CoordLabel("pair", 1, 1), 3, 64) == (0, 4)
-        assert lu_point_range(CoordLabel("pair", 1, 2), 3, 64) == (0, 8)
+        points, _ = LU64.ranges()
+        assert points == [(0, 2), (0, 4), (0, 8)]
 
     def test_lu_line_ranges_at_64(self):
-        assert lu_line_range(CoordLabel("first"), 3, 64) == (0, 4)
-        assert lu_line_range(CoordLabel("pair", 1, 1), 3, 64) == (0, 12)
-        assert lu_line_range(CoordLabel("pair", 1, 2), 3, 64) == (0, 32)
+        _, lines = LU64.ranges()
+        assert lines == [(0, 4), (0, 12), (0, 32)]
 
     def test_lu_line_scales_by_label_kind(self):
         step = family_named("lu").exponent_step(11)
-        assert lu_line_range(CoordLabel("primed", 2, 2), 11, 4096) == (
-            0,
-            floor_pow(4096, 4 * step, 4),
-        )
-        assert lu_line_range(CoordLabel("pair", 2, 3), 11, 4096) == (
-            0,
-            floor_pow(4096, 5 * step, 4),
-        )
-        assert lu_line_range(CoordLabel("pair", 3, 2), 11, 4096) == (
-            0,
-            floor_pow(4096, 5 * step, 3),
-        )
-        assert lu_line_range(CoordLabel("pair", 2, 2), 11, 4096) == (
-            0,
-            floor_pow(4096, 4 * step, 3),
-        )
+        labels = lu_labels(11)
+        _, lines = LUTruncationSpec(11, 4096).ranges()
+        assert labels[5] == CoordLabel("primed", 2, 2)
+        assert lines[5] == (0, floor_pow(4096, 4 * step, 4))
+        assert labels[6] == CoordLabel("pair", 2, 3)
+        assert lines[6] == (0, floor_pow(4096, 5 * step, 4))
+        assert labels[7] == CoordLabel("pair", 3, 2)
+        assert lines[7] == (0, floor_pow(4096, 5 * step, 3))
+        assert labels[4] == CoordLabel("pair", 2, 2)
+        assert lines[4] == (0, floor_pow(4096, 4 * step, 3))
 
     def test_wenger_point_ranges_at_64(self):
-        assert wenger_point_range(0, 2, 64) == (0, 64)
-        assert wenger_point_range(1, 2, 64) == (0, 4)
+        points, _ = W64.ranges()
+        assert points == [(0, 64), (0, 4)]
 
     def test_wenger_point_range_at_1(self):
-        assert wenger_point_range(1, 2, 1) == (0, 1)
+        points, _ = WengerTruncationSpec(2, 1).ranges()
+        assert points[1] == (0, 1)
 
     def test_wenger_line_ranges_at_64(self):
-        assert wenger_line_range(0, 2, 64) == (32, 64)
-        assert wenger_line_range(1, 2, 64) == (4, 8)
+        _, lines = W64.ranges()
+        assert lines == [(32, 64), (4, 8)]
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            wenger_point_range(2, 2, 64)
-        with pytest.raises(ValueError):
-            wenger_line_range(-1, 2, 64)
+    def test_one_range_per_coordinate(self):
+        for spec in (LU64, LUTruncationSpec(11, 5), W64, WengerTruncationSpec(5, 1)):
+            points, lines = spec.ranges()
+            assert len(points) == len(lines) == spec.k, spec
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_wenger_ranges_never_empty(self, k):
         for n in list(range(1, 60)) + [127, 128, 1000]:
-            for i in range(k):
-                lo, hi = wenger_line_range(i, k, n)
+            _, lines = WengerTruncationSpec(k, n).ranges()
+            for i, (lo, hi) in enumerate(lines):
                 assert lo <= hi, (k, n, i)
+
+    @pytest.mark.parametrize(
+        "family,k", [("lu", k) for k in range(3, 40, 2)] + [("wenger", k) for k in (2, 3, 5)]
+    )
+    def test_table_matches_the_formulas_by_position(self, family, k):
+        for n in SWEEP_N:
+            assert TruncationSpec(family, k, n).ranges() == BOXES_BY_HAND[family](k, n), n
+            assert family_named(family).prime_window(k, n) == paper_window_by_hand(family, k, n), n
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -128,12 +130,11 @@ class TestBuildLU:
         assert oracle == lu64.edge_set
 
     def test_box_membership(self, lu64):
-        point_his = [lu_point_range(lab, 3, 64)[1] for lab in lu_labels(3)]
-        line_his = [lu_line_range(lab, 3, 64)[1] for lab in lu_labels(3)]
+        point_ranges, line_ranges = LU64.ranges()
         for u in lu64.points:
-            assert all(0 <= c <= hi for c, hi in zip(u, point_his))
+            assert all(lo <= c <= hi for c, (lo, hi) in zip(u, point_ranges))
         for v in lu64.line_params:
-            assert all(0 <= c <= hi for c, hi in zip(v, line_his))
+            assert all(lo <= c <= hi for c, (lo, hi) in zip(v, line_ranges))
 
     def test_no_duplicate_tuples(self, lu64):
         assert len(set(lu64.points)) == len(lu64.points)
@@ -195,13 +196,12 @@ class TestBuildWenger:
         assert right.minimum >= bound
 
     def test_box_membership(self, wenger64):
+        point_ranges, line_ranges = W64.ranges()
         for u in wenger64.points:
-            for i, c in enumerate(u):
-                lo, hi = wenger_point_range(i, 2, 64)
+            for c, (lo, hi) in zip(u, point_ranges):
                 assert lo <= c <= hi
         for v in wenger64.line_params:
-            for i, c in enumerate(v):
-                lo, hi = wenger_line_range(i, 2, 64)
+            for c, (lo, hi) in zip(v, line_ranges):
                 assert lo <= c <= hi
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 9), (3, 8), (3, 27)])
@@ -232,9 +232,10 @@ def test_walk_from_either_side_finds_the_oracle_edges(spec, oracle):
     """build_truncated walks from one side only; the other side must agree too."""
     arr = build_truncated(spec, cross_check_limit=0)
     plan = family_named(spec.family).plan(spec.k)
-    from_points = set(_walk(plan, arr.points, arr.line_params, spec.line_ranges(), True))
+    point_ranges, line_ranges = spec.ranges()
+    from_points = set(_walk(plan, arr.points, arr.line_params, line_ranges, True))
     from_lines = {
-        (pi, lj) for lj, pi in _walk(plan, arr.line_params, arr.points, spec.point_ranges(), False)
+        (pi, lj) for lj, pi in _walk(plan, arr.line_params, arr.points, point_ranges, False)
     }
     expected = {
         (pi, lj)
@@ -250,10 +251,11 @@ class TestHigherK:
         spec = LUTruncationSpec(5, 1024)
         arr = build_truncated(spec)
         assert len(arr.points) == 1350
-        v1_hi = lu_line_range(CoordLabel("first"), 5, 1024)[1]
+        _, line_ranges = spec.ranges()
+        v1_hi = line_ranges[0][1]
         degrees = Counter(pi for pi, _ in arr.edges)
         assert all(degrees[pi] == v1_hi + 1 for pi in range(len(arr.points)))
-        assert verify_subgraph_embedding(arr, embedding_prime(spec, "minimal"))
+        assert verify_subgraph_embedding(arr, embedding_prime(arr, "minimal"))
 
     def test_k7_exhaustive_oracle(self):
         arr = build_truncated(LUTruncationSpec(7, 1))
@@ -267,7 +269,7 @@ class TestHigherK:
         assert oracle == arr.edge_set
         degrees = Counter(pi for pi, _ in arr.edges)
         assert all(degrees[pi] == 3 for pi in range(len(arr.points)))
-        assert verify_subgraph_embedding(arr, embedding_prime(arr.spec, "minimal"))
+        assert verify_subgraph_embedding(arr, embedding_prime(arr, "minimal"))
 
 
 class TestBudget:
@@ -289,8 +291,7 @@ class TestBudget:
         def no_ranges(self):
             raise AssertionError("a range was evaluated")
 
-        monkeypatch.setattr(type(spec), "point_ranges", no_ranges)
-        monkeypatch.setattr(type(spec), "line_ranges", no_ranges)
+        monkeypatch.setattr(type(spec), "ranges", no_ranges)
         with pytest.raises(BudgetExceededError, match=r"2\*\*"):
             build_truncated(spec, box_budget=budget)
 
@@ -302,23 +303,23 @@ class TestBudget:
 
 class TestEmbedding:
     def test_minimal_prime_lu(self, lu64):
-        assert max_coordinate(LU64) == 32
-        assert embedding_prime(LU64, "minimal") == 37
+        assert max(hi for side in LU64.ranges() for _, hi in side) == 32
+        assert embedding_prime(lu64, "minimal") == 37
         assert verify_subgraph_embedding(lu64, 37)
 
     def test_too_small_prime_fails_range_check(self, lu64):
         assert not verify_subgraph_embedding(lu64, 31)
 
     def test_minimal_prime_wenger(self, wenger64):
-        assert embedding_prime(W64, "minimal") == 67
+        assert embedding_prime(wenger64, "minimal") == 67
         assert verify_subgraph_embedding(wenger64, 67)
 
-    def test_paper_window_lu(self):
+    def test_paper_window_lu(self, lu64):
         # window is (4 * 64**(8/3), 8 * 64**(8/3)) = (2**18, 2**19)
-        assert embedding_prime(LU64, "paper_window") == 262147
+        assert embedding_prime(lu64, "paper") == 262147
 
-    def test_paper_window_wenger(self):
-        p = embedding_prime(W64, "paper_window")
+    def test_paper_window_wenger(self, wenger64):
+        p = embedding_prime(wenger64, "paper")
         # window (2**4 * 64, 2**5 * 64) = (1024, 2048)
         assert 1024 < p < 2048
         assert p == next_prime(1024)
@@ -326,7 +327,7 @@ class TestEmbedding:
     def test_paper_window_beyond_exact_primality_rejected(self):
         # (4 n**(8/3), 8 n**(8/3)) at n = 10**12 starts near 4e32.
         with pytest.raises(ValueError, match="window"):
-            embedding_prime(LUTruncationSpec(3, 10**12), "paper_window")
+            embedding_prime(TruncatedArrangement("lu", 3, 10**12, (), (), ()), "paper")
 
     def test_nonprime_modulus_rejected(self, lu64):
         with pytest.raises(ValueError):
@@ -336,9 +337,16 @@ class TestEmbedding:
         empty = TruncatedArrangement("lu", 3, 1, (), (), ())
         assert verify_subgraph_embedding(empty, 5)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            embedding_prime(LU64, "exact")
+    def test_minimal_prime_reads_only_the_coordinates(self):
+        # no range is evaluated, so a huge k with no rows costs nothing
+        assert embedding_prime(TruncatedArrangement("lu", 2001, 1, (), (), ()), "minimal") == 2
+        one_point = TruncatedArrangement("lu", 3, 10**60, ((0, 5, 1),), (), ())
+        assert embedding_prime(one_point, "minimal") == 7
+
+    def test_unknown_mode_rejected(self, lu64):
+        for mode in ("exact", "paper_window"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                embedding_prime(lu64, mode)
 
     @pytest.mark.parametrize(
         "spec",
@@ -353,7 +361,9 @@ class TestEmbedding:
     )
     def test_minimal_prime_always_embeds(self, spec):
         arr = build_truncated(spec)
-        assert verify_subgraph_embedding(arr, embedding_prime(spec, "minimal"))
+        q = embedding_prime(arr, "minimal")
+        assert q == next_prime(max(hi for side in spec.ranges() for _, hi in side))
+        assert verify_subgraph_embedding(arr, q)
 
 
 class TestFreePredicates:
