@@ -81,12 +81,12 @@ def _tuple_index(vertex, base: int) -> int:
     return idx
 
 
-def _build_graph(params: FieldParams, budget: int) -> BipartiteGraph:
+def _build_graph(params: FieldParams) -> BipartiteGraph:
     k, q = params.k, params.q
     size = q**k
-    if size > budget:
+    if size > DEFAULT_VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"{size} vertices per side exceeds the budget of {budget}"
+            f"{size} vertices per side exceeds the budget of {DEFAULT_VERTEX_BUDGET}"
         )
     edges = []
     for pi, u in enumerate(product(range(q), repeat=k)):
@@ -95,11 +95,11 @@ def _build_graph(params: FieldParams, budget: int) -> BipartiteGraph:
     return BipartiteGraph(size, size, edges)
 
 
-def build_lu_graph(params: FieldParams, budget: int = DEFAULT_VERTEX_BUDGET) -> BipartiteGraph:
+def build_lu_graph(params: FieldParams) -> BipartiteGraph:
     """The full layered graph on 2 * q**k vertices; index order is lexicographic."""
-    return _build_graph(params, budget)
+    return _build_graph(params)
 
 
-def build_wenger_graph(params: FieldParams, budget: int = DEFAULT_VERTEX_BUDGET) -> BipartiteGraph:
+def build_wenger_graph(params: FieldParams) -> BipartiteGraph:
     """The full positional graph on 2 * p**k vertices; index order is lexicographic."""
-    return _build_graph(params, budget)
+    return _build_graph(params)

@@ -117,8 +117,8 @@ def is_prime(m: int) -> bool:
 def next_prime(x: int) -> int:
     """Smallest prime strictly greater than x (x >= 1).
 
-    Raises ValueError when the scan reaches _MR_LIMIT, where is_prime has no
-    exact answer.
+    Raises ValueError, through is_prime, when the scan reaches _MR_LIMIT,
+    where is_prime has no exact answer.
     """
     if x < 1:
         raise ValueError(f"expected x >= 1, got {x}")
@@ -127,11 +127,9 @@ def next_prime(x: int) -> int:
         return 2
     if c % 2 == 0:
         c += 1
-    while c < _MR_LIMIT:
-        if is_prime(c):
-            return c
+    while not is_prime(c):
         c += 2
-    raise ValueError(f"no prime above {x} below the exact primality limit {_MR_LIMIT}")
+    return c
 
 
 def prime_in_window(lo: int, hi: int) -> int | None:

@@ -1,7 +1,8 @@
 """Flat text formats for arrangements: diffable, auditable, round-trip exact.
 
 Two formats share the same shape: a versioned header, counted sections of
-whitespace-separated rows, and an optional incidence section.  Rationals are
+whitespace-separated rows, and last a required incidence section, after which
+nothing may follow.  Blank lines are skipped.  Rationals are
 written as ``num/den`` in lowest terms with a positive denominator, so
 ``parse(render(x)) == x`` holds field for field.
 """
@@ -35,25 +36,16 @@ class ParseError(ValueError):
 
 class _Reader:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        # The non-blank lines, stripped, with their physical line numbers; last first.
+        self.lines = [(at, s) for at, line in enumerate(text.splitlines(), 1) if (s := line.strip())]
+        self.lines.reverse()
         self.at = 0
 
     def next_line(self) -> str:
-        while self.at < len(self.lines):
-            line = self.lines[self.at].strip()
-            self.at += 1
-            if line:
-                return line
-        raise ParseError("unexpected end of file")
-
-    def peek(self) -> str | None:
-        at = self.at
-        while at < len(self.lines):
-            line = self.lines[at].strip()
-            if line:
-                return line
-            at += 1
-        return None
+        if not self.lines:
+            raise ParseError("unexpected end of file")
+        self.at, line = self.lines.pop()
+        return line
 
     def keyword(self, key: str) -> str:
         line = self.next_line()
@@ -125,8 +117,6 @@ def parse_arrangement(text: str) -> TruncatedArrangement:
 
 
 def _parse_incidences(r: _Reader, n_points: int, n_lines: int) -> tuple:
-    if r.peek() is None:
-        return ()
     count = r.count_field("incidences")
     edges = []
     for _ in range(count):
@@ -136,8 +126,9 @@ def _parse_incidences(r: _Reader, n_points: int, n_lines: int) -> tuple:
         edges.append((pi, lj))
     if len(set(edges)) != len(edges):
         raise ParseError("duplicate incidence pair")
-    if r.peek() is not None:
-        raise ParseError(f"trailing content: {r.peek()!r}")
+    if r.lines:
+        at, line = r.lines[-1]
+        raise ParseError(f"line {at}: trailing content: {line!r}")
     return tuple(sorted(edges))
 
 

@@ -39,6 +39,9 @@ __all__ = [
     "project_generic",
 ]
 
+# Seeded maps project_generic tries before it asks for a larger coefficient bound.
+_PROJECTION_RETRIES = 8
+
 
 class ProjectionError(RuntimeError):
     """A sampled projection failed verification, or retries ran out."""
@@ -321,17 +324,14 @@ def project_generic(
     lines,
     seed: int = 1,
     bound: int = 1 << 16,
-    max_retries: int = 8,
 ) -> tuple[PlanarArrangement, ProjectionMap]:
     """Project to the plane with seeded random maps until verification passes.
 
     Preconditions are enforced: the input points must be pairwise distinct
     and the lines pairwise distinct.  Each failed attempt advances the seed
-    by one; when max_retries maps all fail, the coefficient bound is too
-    small for the instance and a ProjectionError says so.
+    by one; when _PROJECTION_RETRIES maps all fail, the coefficient bound is
+    too small for the instance and a ProjectionError says so.
     """
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     points = [tuple(p) for p in points]
     if len(set(points)) != len(points):
         raise ValueError("input points must be pairwise distinct")
@@ -343,13 +343,13 @@ def project_generic(
     dim = lines[0].dim
     expected = incidence_set_kd(points, lines)
     last_error = "no attempt made"
-    for attempt in range(max_retries):
+    for attempt in range(_PROJECTION_RETRIES):
         pmap = sample_projection(dim, seed + attempt, bound)
         try:
             return project_with_map(points, lines, pmap, expected), pmap
         except ProjectionError as exc:
             last_error = str(exc)
     raise ProjectionError(
-        f"no verified projection in {max_retries} attempts from seed {seed} "
+        f"no verified projection in {_PROJECTION_RETRIES} attempts from seed {seed} "
         f"(last failure: {last_error}); raise the coefficient bound"
     )

@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import int_nth_root
+from .exactmath import ceil_pow
 from .families import family_named
 
 __all__ = [
@@ -315,11 +315,7 @@ def st_ratio(points: int, lines: int, incidences: int) -> Fraction:
         raise ValueError("point and line counts must be >= 1")
     if incidences < 0:
         raise ValueError("incidence count must be >= 0")
-    square = points * points * lines * lines
-    root = int_nth_root(square, 3)
-    if root**3 != square:
-        root += 1
-    return Fraction(incidences, root + points + lines)
+    return Fraction(incidences, ceil_pow(points * lines, Fraction(2, 3)) + points + lines)
 
 
 def theoretical_exponent(family: str, k: int) -> Fraction:

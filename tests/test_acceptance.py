@@ -152,9 +152,7 @@ def test_criterion_6_realization_equivalence(lu64, lu64_lines, wenger64, wenger6
 
 def test_criterion_7_projection_soundness(lu64, lu64_lines):
     with criterion(7) as c:
-        planar, pmap = project_generic(
-            lu64.points, lu64_lines, seed=1, bound=1 << 16, max_retries=8
-        )
+        planar, pmap = project_generic(lu64.points, lu64_lines, seed=1, bound=1 << 16)
         assert len(set(planar.points)) == 135
         assert len(set(planar.lines)) == 2145
         assert len(planar.incidences) == 675

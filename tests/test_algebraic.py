@@ -291,7 +291,8 @@ class TestBuildGraphs:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            build_lu_graph(LUParams(3, 5), budget=100)
+            # 47**3 = 103,823 vertices per side, refused before anything is built
+            build_lu_graph(LUParams(3, 47))
 
 
 # Excluded: (5, 5) on both sides; exact girth / cycle search from every root

@@ -42,13 +42,22 @@ class TestArrangementFormat:
     def test_round_trip_wenger(self, wenger64):
         assert parse_arrangement(render_arrangement(wenger64)) == wenger64
 
-    def test_round_trip_without_incidences(self, wenger64):
-        full = render_arrangement(wenger64)
-        text = full[: full.index("\nincidences ") + 1]
-        parsed = parse_arrangement(text)
-        assert parsed.points == wenger64.points
-        assert parsed.line_params == wenger64.line_params
-        assert parsed.edges == ()
+    def test_file_without_incidences_rejected(self, wenger64, wenger64_lines):
+        planar = project_with_map(
+            wenger64.points, wenger64_lines, ProjectionMap(((1, 0), (0, 1))), wenger64.edge_set
+        )
+        for parse, full in [
+            (parse_arrangement, render_arrangement(wenger64)),
+            (parse_planar, render_planar(planar)),
+        ]:
+            with pytest.raises(ParseError, match="end of file"):
+                parse(full[: full.index("\nincidences ") + 1])
+
+    def test_trailing_content_rejected_at_its_line(self):
+        # blank lines still count toward the physical line number
+        text = small_arrangement_text() + "\n\n0 0\n"
+        with pytest.raises(ParseError, match="line 12: trailing content"):
+            parse_arrangement(text)
 
     def test_header_shape(self, wenger64):
         lines = render_arrangement(wenger64).splitlines()
@@ -432,17 +441,30 @@ class TestCLI:
             ["verify", "--in", "{duplicate}"],
             ["verify", "--in", "{huge}", "--subgraph-prime", "paper"],
             ["verify", "--in", "{huger}", "--subgraph-prime", "minimal"],
+            ["stats", "--in", "{cut_arr}"],
+            ["export", "--in", "{cut_arr}", "--out", "{out}", "--format", "edges"],
+            ["stats", "--in", "{cut_planar}"],
+            ["export", "--in", "{cut_planar}", "--out", "{out}", "--format", "svg"],
         ],
         ids=[
             "stats-bad-header", "project-M1", "project-M-5", "project-retries0",
             "arr-coordinate-token", "arr-incidence-token", "planar-zero-denominator",
             "planar-line-token", "construct-unwritable-out", "arr-duplicate-point",
             "paper-window-beyond-exact-primality", "minimal-prime-beyond-exact-primality",
+            "stats-arr-without-incidences", "export-edges-arr-without-incidences",
+            "stats-planar-without-incidences", "export-svg-planar-without-incidences",
         ],
     )
     def test_bad_input_or_flag_is_usage_error(self, tmp_path, capsys, argv):
         arr = tmp_path / "w.arr"
+        planar = tmp_path / "full.planar"
         run(["construct", "--family", "wenger", "--k", "2", "--n", "4", "--out", str(arr)])
+        run(["project", "--in", str(arr), "--out", str(planar), "--seed", "1"])
+        # each file cut right before its incidence section
+        cut_arr, cut_planar = (
+            text[: text.index("\nincidences ") + 1]
+            for text in (arr.read_text(), planar.read_text())
+        )
         bad_files = {
             "bad": "GIRTHFORGE-ARR 9\n",
             "coordinate": small_arrangement_text().replace("0 0\n", "0 x\n", 1),
@@ -456,6 +478,8 @@ class TestCLI:
             "huger": small_arrangement_text(dim=3, family="lu", points=1, lines=0).replace(
                 "0 0 0\n", f"0 0 {_MR_LIMIT}\n"
             ),
+            "cut_arr": cut_arr,
+            "cut_planar": cut_planar,
         }
         paths = {"arr": arr, "out": tmp_path / "w.planar", "missing": tmp_path / "no" / "dir"}
         for name, text in bad_files.items():

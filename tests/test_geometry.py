@@ -338,7 +338,7 @@ class TestProjection:
 
     def test_tiny_bound_exhausts_retries(self, lu64, lu64_lines):
         with pytest.raises(ProjectionError, match="raise the coefficient bound"):
-            project_generic(lu64.points, lu64_lines, seed=1, bound=2, max_retries=4)
+            project_generic(lu64.points, lu64_lines, seed=1, bound=2)
 
     def test_duplicate_points_rejected(self, lu64_lines):
         with pytest.raises(ValueError, match="distinct"):

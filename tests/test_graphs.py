@@ -256,6 +256,10 @@ class TestDiagnostics:
     def test_st_ratio_unit_case(self):
         assert st_ratio(1, 1, 1) == Fraction(1, 3)
 
+    def test_st_ratio_exact_cube_is_not_bumped(self):
+        # (2*4)**(2/3) = 4 exactly, so the denominator is 4 + 2 + 4, not 11
+        assert st_ratio(2, 4, 1) == Fraction(1, 10)
+
     def test_st_ratio_zero_incidences(self):
         assert st_ratio(10, 10, 0) == 0
 
