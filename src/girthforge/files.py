@@ -148,9 +148,16 @@ def render_planar(pa: PlanarArrangement) -> str:
 
 
 def _rational(token: str):
-    """A planar coordinate: ``num/den`` or an integer, never decimal or exponent notation."""
+    """A planar coordinate: ``num/den`` or an integer, never decimal or exponent notation.
+
+    The token must be its own canonical rendering: ASCII digits with no
+    ``+`` or ``_``, and a pair in lowest terms with a positive denominator.
+    """
     num, slash, den = token.partition("/")
-    return _as_exact(Fraction(int(num), int(den) if slash else 1))
+    x = Fraction(int(num), int(den) if slash else 1)
+    if token != (f"{x.numerator}/{x.denominator}" if slash else str(x.numerator)):
+        raise ValueError(f"not a canonical rational: {token!r}")
+    return _as_exact(x)
 
 
 def parse_planar(text: str) -> PlanarArrangement:

@@ -8,6 +8,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+from helpers import fraction_export_svg, fraction_viewport
 from hypothesis import given, settings, strategies as st
 
 import girthforge
@@ -233,10 +234,18 @@ class TestPlanarFormat:
             "GIRTHFORGE-PLANAR 1\npoints 0\nlines 1\n1 0 x\n",
             "GIRTHFORGE-PLANAR 1\npoints 0\nlines 1\n1 0\n",
             "GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n1 0 0\nincidences 1\n0 z\n",
+            # coordinates the writer never emits: each must equal its own canonical rendering
+            "GIRTHFORGE-PLANAR 1\npoints 1\n2/4 0/1\nlines 0\nincidences 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 1\n1/-2 0/1\nlines 0\nincidences 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 1\n0/5 0/1\nlines 0\nincidences 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 1\n1_0 0/1\nlines 0\nincidences 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 1\n+3 0/1\nlines 0\nincidences 0\n",
+            "GIRTHFORGE-PLANAR 1\npoints 1\n\u0663 0/1\nlines 0\nincidences 0\n",
         ],
         ids=[
             "zero-denominator", "point-token", "exponent-notation", "line-token", "line-short",
-            "incidence-token",
+            "incidence-token", "unreduced", "negative-denominator", "unreduced-zero",
+            "underscore", "plus-sign", "non-ascii-digit",
         ],
     )
     def test_bad_row_rejected(self, text):
@@ -574,6 +583,62 @@ def test_mutated_files_keep_the_exit_code_contract(text):
             assert run(argv) in (0, 1, 2)
 
 
+@st.composite
+def svg_arrangements(draw):
+    """1 to 6 points (ints and Fractions up to about 1e30/1e25, sometimes collinear)
+    and integer lines that stress the clipping: random, axis-parallel, through a
+    point or a viewport corner, touching one corner only, and far outside."""
+    big = st.integers(-(10**30), 10**30)
+    coord = st.one_of(
+        st.integers(-20, 20),
+        big,
+        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+        st.builds(Fraction, big, st.integers(1, 10**25)),
+    )
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6, unique=True))
+    else:
+        # collinear: base + t * direction, with an axis-parallel direction allowed
+        base = draw(st.tuples(coord, coord))
+        direction = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        ts = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=6, unique=True))
+        points = [(base[0] + t * direction[0], base[1] + t * direction[1]) for t in ts]
+    (xlo, xhi), (ylo, yhi) = fraction_viewport(points)
+    corners = [(xlo, ylo), (xlo, yhi), (xhi, ylo), (xhi, yhi)]
+    far = (xhi + (xhi - xlo) * 7, yhi + (yhi - ylo) * 3)
+    small = st.integers(-4, 4)
+    normals = st.one_of(
+        st.sampled_from([(1, 0), (0, 1)]),
+        st.tuples(small, small),
+        st.tuples(big, big),
+    ).filter(any)
+
+    def through(anchor, normal):
+        a, b = normal
+        return (a, b, -(a * anchor[0] + b * anchor[1]))
+
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "through", "corner", "touch", "far"]))
+        if kind == "random":
+            triple = draw(st.tuples(big, big, big).filter(lambda t: t[:2] != (0, 0)))
+        elif kind == "through":
+            triple = through(draw(st.sampled_from(points)), draw(normals))
+        elif kind == "corner":
+            triple = through(draw(st.sampled_from(corners)), draw(normals))
+        elif kind == "touch":
+            # normals of one sign touch the lower-left and upper-right corners
+            # only, normals of opposite signs the other two
+            corner = draw(st.sampled_from(range(4)))
+            a, b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+            triple = through(corners[corner], (a, b) if corner in (0, 3) else (a, -b))
+        else:
+            triple = through(far, draw(normals))
+        sign = draw(st.sampled_from([1, -1]))
+        lines.append(tuple(sign * v for v in canonical_planar_line(*triple)))
+    return PlanarArrangement(tuple(points), tuple(lines), frozenset())
+
+
 class TestSVG:
     def test_reference_counts_and_determinism(self, wenger64, wenger64_lines):
         planar = project_with_map(
@@ -589,25 +654,33 @@ class TestSVG:
         assert export_svg(planar) == body
 
     def test_single_incident_pair_clips_through_point(self):
-        from girthforge.geometry import PlanarArrangement
-
         # vertical line x = 2 through the point (2, 5)
         pa = PlanarArrangement(((2, 5),), ((1, 0, -2),), frozenset({(0, 0)}))
         body = export_svg(pa)
         assert body.count("<circle") == 1
         assert body.count("<line") == 1
-        (x1, y1), (x2, y2) = _clip_line(
-            1, 0, -2, (Fraction(0), Fraction(4)), (Fraction(0), Fraction(10))
-        )
+        # the viewport is [1, 3] x [4, 6]: the segment runs from the bottom to the top edge
+        assert '<line x1="400.000" y1="560.000" x2="400.000" y2="40.000" ' in body
+        # on the unit grid [0, 4] x [0, 10] the endpoints are over m = |A| = 1
+        (u1, v1), (u2, v2), m = _clip_line(1, 0, -2, 0, 4, 0, 10)
+        assert m == 1
         # both endpoints on the line, point between them
-        assert x1 == x2 == 2
-        assert y1 <= 5 <= y2
+        assert u1 == u2 == 2
+        assert v1 <= 5 <= v2
 
     def test_empty_arrangement_rejected(self):
-        from girthforge.geometry import PlanarArrangement
-
         with pytest.raises(ValueError):
             export_svg(PlanarArrangement((), (), frozenset()))
 
     def test_far_line_is_skipped(self):
-        assert _clip_line(1, 0, -100, (Fraction(0), Fraction(4)), (Fraction(0), Fraction(4))) is None
+        assert _clip_line(1, 0, -100, 0, 4, 0, 4) is None
+        # x = 100 misses the viewport [-1, 5] x [-1, 5] of these points
+        pa = PlanarArrangement(((0, 0), (4, 4)), ((1, 0, -100),), frozenset())
+        body = export_svg(pa)
+        assert body.count("<line") == 0
+        assert "lines=1" in body
+
+    @settings(max_examples=300, deadline=None)
+    @given(svg_arrangements())
+    def test_matches_fraction_renderer(self, planar):
+        assert export_svg(planar) == fraction_export_svg(planar)
