@@ -4,11 +4,14 @@ Two formats share the same shape: a versioned header, counted sections of
 whitespace-separated rows, and last a required incidence section, after which
 nothing may follow.  Blank lines are skipped.  Rationals are
 written as ``num/den`` in lowest terms with a positive denominator, so
-``parse(render(x)) == x`` holds field for field.
+``parse(render(x)) == x`` holds field for field.  Every number is read only
+in the form the writer emits: an integer is ASCII digits with no leading
+zero, no ``+``, no ``_`` and no ``-0``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .geometry import PlanarArrangement, _as_exact, canonical_planar_line
@@ -34,12 +37,23 @@ class ParseError(ValueError):
     pass
 
 
+# A '0' that starts a token of two or more digits.  The first token of a
+# text is never a number: it is the header.
+_LEADING_ZERO = re.compile(r"\s0[0-9]")
+
+
 class _Reader:
     def __init__(self, text: str):
         # The non-blank lines, stripped, with their physical line numbers; last first.
         self.lines = [(at, s) for at, line in enumerate(text.splitlines(), 1) if (s := line.strip())]
         self.lines.reverse()
         self.at = 0
+        # int() also reads '+1', '1_0', '-0', '01' and non-ASCII digits.  A text
+        # with none of them can be read by int() alone; any other text has each
+        # integer field of row() compared with its canonical rendering.
+        self.plain = text.isascii() and not (
+            "+" in text or "_" in text or "-0" in text or _LEADING_ZERO.search(text)
+        )
 
     def next_line(self) -> str:
         if not self.lines:
@@ -57,9 +71,12 @@ class _Reader:
     def int_field(self, key: str) -> int:
         value = self.keyword(key)
         try:
-            return int(value)
+            x = int(value)
         except ValueError as exc:
             raise ParseError(f"bad integer for {key!r}: {value!r}") from exc
+        if str(x) != value:
+            raise ParseError(f"bad integer for {key!r}: {value!r}")
+        return x
 
     def count_field(self, key: str) -> int:
         value = self.int_field(key)
@@ -67,14 +84,20 @@ class _Reader:
             raise ParseError(f"negative count for {key!r}: {value}")
         return value
 
-    def row(self, width: int, convert=int) -> tuple:
-        """The next line as exactly width fields, each passed through convert."""
+    def row(self, width: int, convert=None) -> tuple:
+        """The next line as exactly width fields: canonical integers, or each
+        passed through convert."""
         line = self.next_line()
         parts = line.split()
         if len(parts) != width:
             raise ParseError(f"line {self.at}: expected {width} fields, got {len(parts)}")
         try:
-            return tuple(map(convert, parts))
+            if convert is not None:
+                return tuple(map(convert, parts))
+            values = tuple(map(int, parts))
+            if not self.plain and list(map(str, values)) != parts:
+                raise ValueError("not a canonical integer")
+            return values
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"line {self.at}: bad field in {line!r}") from exc
 

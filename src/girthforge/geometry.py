@@ -20,7 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add
 
 from .families import family_named, substitute
 
@@ -151,25 +153,106 @@ def _cross_key(x, direction, pivot) -> tuple:
 def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
     """All (point index, line index) pairs with the point on the line.
 
-    Output-sensitive and exact: lines are grouped by direction, and a point
-    lies on a line of direction d exactly when its cross key (see
-    _cross_key) equals the line's key.  One hash probe per (direction,
-    point) pair costs O(D * |points| + |lines|) for D distinct directions
-    instead of a scan of every pair.
+    Output-sensitive and exact.  The lines are grouped by direction d, and
+    each group takes the cheaper of two exact methods (see _incidence_plan):
+
+    - probe: a point lies on a line of direction d exactly when its cross
+      key (see _cross_key) equals the line's key, so one hash lookup per
+      point finds every line of the group through it;
+    - walk: when d_i = +-1 for some i and every point and key is integer,
+      each line is walked over the points' extent [lo_i, hi_i] in
+      coordinate i, one lookup of a candidate point per step.
+
+    The walk is exact.  Take any integer point x on the line.  Then
+    b = x - x_i * d_i * d is the line's integer point with b_i = 0.  It is
+    b_m = (key_m + b_j * d_m) / d_j with b_j = -key_i * d_i, where j is the
+    pivot, so when one of these divisions is not exact the line has no
+    integer point.  Every integer point of the line is b + t * d_i * d with
+    t = x_i, so walking t over [lo_i, hi_i] finds each of them exactly once.
+    Points are looked up by value, and a point that occurs twice keeps both
+    indices.
+    """
+    out = set()
+    at = None
+    for direction, pivot, keys, walk in _incidence_plan(points, lines):
+        if walk is None:
+            for pi, p in enumerate(points):
+                for lj in keys.get(_cross_key(p, direction, pivot), ()):
+                    out.add((pi, lj))
+            continue
+        if at is None:
+            at = {}
+            for pi, p in enumerate(points):
+                at.setdefault(tuple(p), []).append(pi)
+        axis, lo, hi = walk
+        di = direction[axis]
+        # b + t * step has coordinate axis equal to t, since b_axis = 0.
+        steps = [tuple(t * di * d for d in direction) for t in range(lo, hi + 1)]
+        for key, on_line in keys.items():
+            # On the pivot axis d_j = 1 and b_j = -key_j = 0, so b is the key.
+            base = key if axis == pivot else _integer_base(key, direction, axis, pivot)
+            if base is None:
+                continue
+            for step in steps:
+                hit = at.get(tuple(map(add, base, step)))
+                if hit:
+                    for pi in hit:
+                        for lj in on_line:
+                            out.add((pi, lj))
+    return out
+
+
+def _incidence_plan(points, lines):
+    """Yield (direction, pivot, keys, walk) per direction group of the lines.
+
+    keys maps each line key of the group to its line indices.  walk is
+    (i, lo_i, hi_i) when the group's lines are cheaper to walk along
+    coordinate i over the points' extent [lo_i, hi_i] than to probe with
+    every point, and None when the points are probed.  Walking costs
+    |keys| * (hi_i - lo_i + 1) lookups over the best i with d_i = +-1, and
+    probing costs one lookup per point; the costs are compared as integers,
+    so a huge extent only makes the walk expensive.  A point or key with a
+    coordinate that is not an int rules the walk out.  Raises ValueError
+    for a point whose dimension differs from a line's.
     """
     groups: dict[tuple[int, ...], tuple[int, dict[tuple, list[int]]]] = {}
     for lj, line in enumerate(lines):
-        pivot, keys = groups.setdefault(line.direction, (line.pivot, {}))
-        keys.setdefault(line.key, []).append(lj)
-    out = set()
+        group = groups.get(line.direction)
+        if group is None:
+            group = groups[line.direction] = (line.pivot, {})
+        group[1].setdefault(line.key, []).append(lj)
+    dims = {len(p) for p in points}
+    integral = bool(points) and {int}.issuperset(map(type, chain.from_iterable(points)))
+    spans = [(min(col), max(col)) for col in zip(*points)] if integral else None
     for direction, (pivot, keys) in groups.items():
         dim = len(direction)
-        for pi, p in enumerate(points):
-            if len(p) != dim:
-                raise ValueError(f"point {pi} has dimension {len(p)}, line has {dim}")
-            for lj in keys.get(_cross_key(p, direction, pivot), ()):
-                out.add((pi, lj))
-    return out
+        if dims - {dim}:
+            pi = next(pi for pi, p in enumerate(points) if len(p) != dim)
+            raise ValueError(f"point {pi} has dimension {len(points[pi])}, line has {dim}")
+        walk = None
+        if spans is not None:
+            unit = [i for i, d in enumerate(direction) if d in (1, -1)]
+            extent, axis = min(((spans[i][1] - spans[i][0] + 1, i) for i in unit), default=(0, None))
+            if (
+                axis is not None
+                and len(keys) * extent < len(points)
+                and {int}.issuperset(map(type, chain.from_iterable(keys)))
+            ):
+                walk = (axis, *spans[axis])
+        yield direction, pivot, keys, walk
+
+
+def _integer_base(key, direction, axis, pivot):
+    """The integer point b with b_axis = 0 on the line (direction, key), or
+    None when the line has no integer point; direction[axis] is +-1."""
+    bj, dj = -key[axis] * direction[axis], direction[pivot]
+    base = []
+    for c, d in zip(key, direction):
+        q, r = divmod(c + bj * d, dj)
+        if r:
+            return None
+        base.append(q)
+    return tuple(base)
 
 
 @dataclass(frozen=True)

@@ -194,3 +194,26 @@ def test_criterion_9_sanity_diagnostics(lu64, wenger64):
             f"ratios {float(r_lu):.3f} / {float(r_w):.3f}, "
             f"200 graphs 0 mismatches, {c.elapsed:.2f}s"
         )
+
+
+def _layered_girth_over_f3(num, k, expected):
+    """D(3, k) is 3-regular on 3^k vertices a side, with girth exactly expected >= k + 5."""
+    with criterion(num) as c:
+        g = build_lu_graph(LUParams(k, 3))
+        assert g.left_count == g.right_count == 3**k
+        left, right = degree_stats(g)
+        assert left.minimum == left.maximum == right.minimum == right.maximum == 3
+        report = girth(g)
+        assert report.girth == expected >= girth_target(k)
+        assert is_cycle(g, report.witness, report.girth)
+        elapsed = c.elapsed
+        assert elapsed < 30.0
+        c.detail = f"girth {report.girth} >= {girth_target(k)}, {elapsed:.2f}s"
+
+
+def test_criterion_10_layered_graph_k7_q3():
+    _layered_girth_over_f3(10, 7, 12)
+
+
+def test_criterion_11_layered_graph_k9_q3():
+    _layered_girth_over_f3(11, 9, 18)

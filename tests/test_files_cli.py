@@ -171,6 +171,71 @@ def test_header_outside_family_rules_rejected(tmp_path, header):
     assert run(["verify", "--in", str(path), "--subgraph-prime", "minimal"]) == 2
 
 
+def _with_line(text: str, at: int, row: str) -> str:
+    lines = text.splitlines()
+    lines[at] = row
+    return "\n".join(lines) + "\n"
+
+
+def noncanonical_spellings(value: int) -> list[str]:
+    """Tokens int() reads as value that the writer never emits."""
+    return [f"+{value}", f"0{value}", f"0_{value}", chr(0x660 + value)] + (["-0"] if value == 0 else [])
+
+
+def assert_each_spelling_rejected(tmp_path, parse, text, at, row, value):
+    path = tmp_path / "bad"
+    for token in noncanonical_spellings(value):
+        bad = _with_line(text, at, row.format(token))
+        with pytest.raises(ParseError, match="bad (integer|field)"):
+            parse(bad)
+        path.write_text(bad)
+        assert run(["stats", "--in", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "at, row, value",
+    [
+        (1, "dim {}", 2),
+        (3, "n {}", 1),
+        (4, "points {}", 1),
+        (5, "lines {}", 1),
+        (8, "incidences {}", 1),
+        (6, "{} 0", 0),
+        (7, "0 {}", 0),
+        (9, "{} 0", 0),
+        (9, "0 {}", 0),
+    ],
+    ids=[
+        "dim", "n", "points", "lines", "incidences",
+        "point-row", "line-row", "incidence-point", "incidence-line",
+    ],
+)
+def test_noncanonical_arrangement_integer_rejected(tmp_path, at, row, value):
+    text = small_arrangement_text(incidences=1) + "0 0\n"
+    assert parse_arrangement(text).edges == ((0, 0),)
+    assert _with_line(text, at, row.format(value)) == text
+    assert_each_spelling_rejected(tmp_path, parse_arrangement, text, at, row, value)
+
+
+@pytest.mark.parametrize(
+    "at, row, value",
+    [
+        (1, "points {}", 1),
+        (3, "lines {}", 1),
+        (4, "{} 0 0", 1),
+        (4, "1 0 {}", 0),
+        (5, "incidences {}", 1),
+        (6, "0 {}", 0),
+    ],
+    ids=["points", "lines", "line-a", "line-c", "incidences", "incidence-row"],
+)
+def test_noncanonical_planar_integer_rejected(tmp_path, at, row, value):
+    text = "GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n1 0 0\nincidences 1\n0 0\n"
+    assert parse_planar(text).incidences == {(0, 0)}
+    assert _with_line(text, at, row.format(value)) == text
+    assert_each_spelling_rejected(tmp_path, parse_planar, text, at, row, value)
+
+
 class TestPlanarFormat:
     def test_round_trip(self, wenger64, wenger64_lines):
         planar = project_with_map(

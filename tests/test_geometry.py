@@ -8,6 +8,7 @@ from helpers import scan_incidence_set_kd, scan_planar_incidences
 
 from girthforge.geometry import (
     AffineLineKD,
+    _incidence_plan,
     ProjectionError,
     ProjectionMap,
     canonical_planar_line,
@@ -258,6 +259,110 @@ class TestIncidences:
     def test_grouped_lookup_matches_pairwise_scan(self, arrangement):
         points, lines = arrangement
         assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
+
+
+def walks(points, lines):
+    """Per direction, the walk the incidence pass takes, or None where it probes."""
+    return {direction: walk for direction, _, _, walk in _incidence_plan(points, lines)}
+
+
+@st.composite
+def integer_arrangements(draw, entries, points_size):
+    """Integer points in [-2, 2]^dim, up to 3 directions drawn from entries, and
+    up to 3 lines per direction: some through a drawn point, some given by an
+    arbitrary integer key, which may name a line without integer points."""
+    dim = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), **points_size))
+    vectors = st.tuples(*[st.sampled_from(entries)] * dim).filter(lambda v: gcd(*v) == 1)
+    lines = []
+    origin = (0,) * dim
+    vectors = draw(st.lists(vectors, min_size=1, max_size=3))
+    directions = {AffineLineKD.through(origin, v).direction for v in vectors}
+    for direction in sorted(directions):
+        pivot = next(idx for idx, d in enumerate(direction) if d)
+        for through in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+            if through and points:
+                lines.append(AffineLineKD.through(draw(st.sampled_from(points)), direction))
+            else:
+                key = draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim))
+                key[pivot] = 0
+                lines.append(AffineLineKD(direction, tuple(key)))
+    return points, lines
+
+
+class TestWalkOrProbe:
+    """incidence_set_kd against the pairwise oracle on each method it can choose."""
+
+    # At least 16 points and at most 3 keys over an extent of at most 5: every
+    # direction with a +-1 entry is cheaper to walk.
+    @given(integer_arrangements([-3, -1, 0, 1, 2], {"min_size": 16, "max_size": 30}))
+    def test_walked_directions_match_pairwise_scan(self, arrangement):
+        points, lines = arrangement
+        for direction, walk in walks(points, lines).items():
+            assert (walk is not None) == any(d in (1, -1) for d in direction)
+        assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
+
+    # No entry is +-1, so no direction can be walked.
+    @given(integer_arrangements([-3, -2, 0, 2, 3], {"max_size": 30}))
+    def test_probed_directions_match_pairwise_scan(self, arrangement):
+        points, lines = arrangement
+        assert set(walks(points, lines).values()) <= {None}
+        assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
+
+    def test_walk_off_the_pivot_divides_the_key(self):
+        # Direction (2, 1, 0) is walked along coordinate 1, not its pivot 0, so
+        # the base point is key / 2 where that is exact; key (0, 0, 1) has none.
+        points = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+        lines = [AffineLineKD((2, 1, 0), key) for key in [(0, 0, 2), (0, 1, 0), (0, 0, 1)]]
+        assert walks(points, lines) == {(2, 1, 0): (1, 0, 2)}
+        found = incidence_set_kd(points, lines)
+        assert found == scan_incidence_set_kd(points, lines)
+        on_line = {lj: {points[pi] for pi, l in found if l == lj} for lj in range(3)}
+        assert on_line == {0: {(0, 0, 1), (2, 1, 1)}, 1: {(1, 1, 0)}, 2: set()}
+
+    def test_walk_keeps_every_index_of_a_duplicate_point(self):
+        points = [(0, 0), (1, 1), (0, 0), (2, 1)] * 2
+        lines = [AffineLineKD.through((0, 0), (1, 1)), AffineLineKD.through((2, 1), (0, 1))]
+        assert all(walk is not None for walk in walks(points, lines).values())
+        found = incidence_set_kd(points, lines)
+        assert found == scan_incidence_set_kd(points, lines)
+        assert found == {(0, 0), (1, 0), (2, 0), (4, 0), (5, 0), (6, 0), (3, 1), (7, 1)}
+
+    def test_non_integer_point_on_a_walkable_line(self):
+        points = [(x, y) for x in range(4) for y in range(4)] + [(Fraction(1, 2), Fraction(1, 2))]
+        lines = [AffineLineKD.through((0, 0), (1, 1))]
+        assert walks(points, lines) == {(1, 1): None}
+        found = incidence_set_kd(points, lines)
+        assert found == scan_incidence_set_kd(points, lines)
+        assert (16, 0) in found
+
+    def test_non_integer_key_is_probed(self):
+        points = [(x, y) for x in range(4) for y in range(4)]
+        half = AffineLineKD.through((Fraction(1, 2), 0), (0, 1))
+        lines = [half, AffineLineKD.through((1, 0), (0, 1)), AffineLineKD.through((0, 0), (1, 1))]
+        assert half.key == (Fraction(1, 2), 0)
+        assert walks(points, lines) == {(0, 1): None, (1, 1): (0, 0, 3)}
+        assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
+
+    def test_huge_coordinate_is_probed_at_once(self):
+        points = [(x, y) for x in range(4) for y in range(4)] + [(10**30, 10**30)]
+        lines = [AffineLineKD.through((0, 0), (1, 1)), AffineLineKD.through((0, 1), (1, 1))]
+        assert walks(points, lines) == {(1, 1): None}
+        assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
+        assert (16, 0) in incidence_set_kd(points, lines)
+
+    @pytest.mark.parametrize("count", [2, 16], ids=["probed", "walked"])
+    def test_point_of_wrong_dimension_rejected(self, count):
+        points = [(x, x % 2) for x in range(count)]
+        lines = [AffineLineKD.through((0, 0), (0, 1))]
+        assert (walks(points, lines)[(0, 1)] is None) == (count == 2)
+        with pytest.raises(ValueError, match="point 1 has dimension 3"):
+            incidence_set_kd([points[0], (1, 0, 0)] + points[1:], lines)
+
+    def test_reference_instances_walk_every_direction(self, lu64, lu64_lines, wenger64, wenger64_lines):
+        for arr, lines in [(lu64, lu64_lines), (wenger64, wenger64_lines)]:
+            plan = walks(arr.points, lines)
+            assert plan and None not in plan.values()
 
 
 class TestProjectionMap:
