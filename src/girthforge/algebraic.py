@@ -14,7 +14,7 @@ from functools import partial
 from itertools import product
 
 from .exactmath import is_prime
-from .families import family_named, plan_holds_mod, substitute
+from .families import box_rank, family_named, plan_holds_mod, substitute
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -74,13 +74,6 @@ def field_neighbors(u, params: FieldParams) -> list[tuple[int, ...]]:
     return [tuple((c + s * x) % q for c, s in zip(const, slope)) for x in range(q)]
 
 
-def _tuple_index(vertex, base: int) -> int:
-    idx = 0
-    for c in vertex:
-        idx = idx * base + c
-    return idx
-
-
 def _build_graph(params: FieldParams) -> BipartiteGraph:
     k, q = params.k, params.q
     size = q**k
@@ -88,10 +81,11 @@ def _build_graph(params: FieldParams) -> BipartiteGraph:
         raise BudgetExceededError(
             f"{size} vertices per side exceeds the budget of {DEFAULT_VERTEX_BUDGET}"
         )
+    ranges = [(0, q - 1)] * k
     edges = []
     for pi, u in enumerate(product(range(q), repeat=k)):
         for v in field_neighbors(u, params):
-            edges.append((pi, _tuple_index(v, q)))
+            edges.append((pi, box_rank(v, ranges)))
     return BipartiteGraph(size, size, edges)
 
 

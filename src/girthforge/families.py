@@ -34,6 +34,7 @@ __all__ = [
     "lu_labels",
     "substitute",
     "plan_holds_mod",
+    "box_rank",
 ]
 
 
@@ -294,3 +295,18 @@ def substitute(plan: Plan, fixed, from_point: bool) -> tuple[list[int], list[int
 def plan_holds_mod(plan: Plan, u, v, q: int) -> bool:
     """Whether every equation of the plan holds mod q for point u and line vertex v."""
     return all((v[t] - u[t] - v[a] * u[b]) % q == 0 for t, a, b in plan[1])
+
+
+def box_rank(vertex, ranges) -> int | None:
+    """Index of vertex in the box of closed ranges [(lo, hi), ...], or None outside it.
+
+    The box is enumerated lexicographically, the order of itertools.product,
+    so the index is the mixed-radix number with digit c - lo in base
+    hi - lo + 1 at each coordinate.
+    """
+    rank = 0
+    for c, (lo, hi) in zip(vertex, ranges):
+        if not lo <= c <= hi:
+            return None
+        rank = rank * (hi - lo + 1) + c - lo
+    return rank

@@ -276,9 +276,7 @@ class ProjectionMap:
 
     def apply(self, vector) -> tuple:
         r1, r2 = self.rows
-        x = sum(a * c for a, c in zip(r1, vector))
-        y = sum(a * c for a, c in zip(r2, vector))
-        return _as_exact(x), _as_exact(y)
+        return sum(a * c for a, c in zip(r1, vector)), sum(a * c for a, c in zip(r2, vector))
 
 
 def _rows_independent(r1, r2) -> bool:

@@ -28,7 +28,6 @@ __all__ = [
     "degree_stats",
     "st_ratio",
     "theoretical_exponent",
-    "girth_target",
 ]
 
 
@@ -114,10 +113,6 @@ class GirthReport:
 
     girth: int | float
     witness: tuple[int, ...] | None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.witness is not None
 
 
 def _validate_cycle(adj, cycle, expected_len=None) -> None:
@@ -325,9 +320,3 @@ def theoretical_exponent(family: str, k: int) -> Fraction:
     1 + 2/(k(k+1)) for k in {2, 3, 5}.
     """
     return family_named(family).exponent(k)
-
-
-def girth_target(k: int) -> int:
-    """Guaranteed girth lower bound k + 5 for the layered construction, odd k >= 3."""
-    family_named("lu").check_k(k)
-    return k + 5

@@ -15,13 +15,13 @@ instance is small enough, which covers every desk-scale run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain, product
 
-from .algebraic import BudgetExceededError, FieldParams, field_edge
+from .algebraic import BudgetExceededError
 from .exactmath import _MR_LIMIT, is_prime, next_prime, prime_in_window
-from .families import family_named, substitute
+from .families import box_rank, family_named, plan_holds_mod, substitute
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -106,14 +106,10 @@ class TruncatedArrangement:
     points: tuple[tuple[int, ...], ...]
     line_params: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    _edge_set: frozenset = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
-
-    @property
+    @cached_property
     def edge_set(self) -> frozenset:
-        return self._edge_set
+        return frozenset(self.edges)
 
     def to_bipartite_graph(self) -> BipartiteGraph:
         """The incidence graph: points on the left, line parameters on the right."""
@@ -127,23 +123,21 @@ def _box_size(ranges) -> int:
     return size
 
 
-def _walk(plan, fixed, partners, partner_ranges, from_point: bool) -> list[tuple[int, int]]:
+def _walk(plan, fixed, partner_ranges, from_point: bool) -> list[tuple[int, int]]:
     """(fixed index, partner index) of every partner that lands inside its box.
 
     Each fixed vertex (a point when from_point, else a line vertex) is
     substituted once, then its partners are read off for every value of the
-    free coordinate in the partner box.
+    free coordinate in the partner box and ranked in that box by box_rank.
     """
-    free = plan[0]
-    free_lo, free_hi = partner_ranges[free]
-    index = {w: j for j, w in enumerate(partners)}
+    free_lo, free_hi = partner_ranges[plan[0]]
     edges = []
     for i, w in enumerate(fixed):
         const, slope = substitute(plan, w, from_point)
         for x in range(free_lo, free_hi + 1):
-            partner = tuple(c + s * x for c, s in zip(const, slope))
-            if all(lo <= c <= hi for c, (lo, hi) in zip(partner, partner_ranges)):
-                edges.append((i, index[partner]))
+            j = box_rank([c + s * x for c, s in zip(const, slope)], partner_ranges)
+            if j is not None:
+                edges.append((i, j))
     return edges
 
 
@@ -194,9 +188,9 @@ def build_truncated(
     plan = family_named(spec.family).plan(spec.k)
     (p_lo, p_hi), (l_lo, l_hi) = point_ranges[plan[0]], line_ranges[plan[0]]
     if n_points * (l_hi - l_lo + 1) <= n_lines * (p_hi - p_lo + 1):
-        edges = _walk(plan, points, line_params, line_ranges, from_point=True)
+        edges = _walk(plan, points, line_ranges, from_point=True)
     else:
-        edges = [(pi, lj) for lj, pi in _walk(plan, line_params, points, point_ranges, from_point=False)]
+        edges = [(pi, lj) for lj, pi in _walk(plan, line_params, point_ranges, from_point=False)]
     edges = tuple(sorted(edges))
 
     if n_points * n_lines <= cross_check_limit:
@@ -257,5 +251,5 @@ def verify_subgraph_embedding(arr: TruncatedArrangement, q: int) -> bool:
         for c in tup:
             if not 0 <= c < q:
                 return False
-    params = FieldParams(arr.family, arr.k, q)
-    return all(field_edge(arr.points[pi], arr.line_params[lj], params) for pi, lj in arr.edges)
+    plan = family_named(arr.family).plan(arr.k)
+    return all(plan_holds_mod(plan, arr.points[pi], arr.line_params[lj], q) for pi, lj in arr.edges)

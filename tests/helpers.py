@@ -65,6 +65,13 @@ def enumeration_girth(graph):
     raise AssertionError("union-find says cyclic but no cycle was enumerated")
 
 
+def girth_target(k):
+    """The layered graphs' guaranteed girth k + 5, stated for odd k >= 3 only."""
+    if k < 3 or k % 2 == 0:
+        raise ValueError(f"the layered girth bound needs odd k >= 3, got k={k}")
+    return k + 5
+
+
 def scan_cycle_of_length(graph, length):
     """Oracle cycle search: every simple path from every start, no pruning.
 

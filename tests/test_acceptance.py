@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from helpers import enumeration_girth, is_cycle, random_bipartite
+from helpers import enumeration_girth, girth_target, is_cycle, random_bipartite
 
 from girthforge.algebraic import LUParams, WengerParams, build_lu_graph, build_wenger_graph
 from girthforge.exactmath import floor_pow
@@ -20,7 +20,6 @@ from girthforge.geometry import certify_lines_distinct, incidence_set_kd, projec
 from girthforge.graphs import (
     degree_stats,
     girth,
-    girth_target,
     has_cycle_of_length,
     st_ratio,
     theoretical_exponent,

@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from girthforge.algebraic import BudgetExceededError
 from girthforge.exactmath import floor_pow, next_prime
-from girthforge.families import CoordLabel, family_named, lu_labels, substitute
+from girthforge.families import CoordLabel, box_rank, family_named, lu_labels, substitute
 from girthforge.graphs import degree_stats, girth
 from girthforge.truncation import (
     LUTruncationSpec,
@@ -233,10 +234,8 @@ def test_walk_from_either_side_finds_the_oracle_edges(spec, oracle):
     arr = build_truncated(spec, cross_check_limit=0)
     plan = family_named(spec.family).plan(spec.k)
     point_ranges, line_ranges = spec.ranges()
-    from_points = set(_walk(plan, arr.points, arr.line_params, line_ranges, True))
-    from_lines = {
-        (pi, lj) for lj, pi in _walk(plan, arr.line_params, arr.points, point_ranges, False)
-    }
+    from_points = set(_walk(plan, arr.points, line_ranges, True))
+    from_lines = {(pi, lj) for lj, pi in _walk(plan, arr.line_params, point_ranges, False)}
     expected = {
         (pi, lj)
         for pi, u in enumerate(arr.points)
@@ -244,6 +243,23 @@ def test_walk_from_either_side_finds_the_oracle_edges(spec, oracle):
         if oracle(u, v)
     }
     assert from_points == from_lines == expected
+
+
+small_boxes = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(lambda r: (r[0], r[0] + r[1])),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(small_boxes)
+def test_box_rank_is_the_product_order_and_refuses_one_step_outside(ranges):
+    box = list(product(*(range(lo, hi + 1) for lo, hi in ranges)))
+    for t in box:
+        assert box_rank(t, ranges) == box.index(t)
+        for i, (lo, hi) in enumerate(ranges):
+            for outside in (lo - 1, hi + 1):
+                assert box_rank(t[:i] + (outside,) + t[i + 1 :], ranges) is None
 
 
 class TestHigherK:
@@ -332,6 +348,13 @@ class TestEmbedding:
     def test_nonprime_modulus_rejected(self, lu64):
         with pytest.raises(ValueError):
             verify_subgraph_embedding(lu64, 33)
+
+    def test_edge_failing_the_equations_mod_q_does_not_embed(self):
+        # In range mod 5, but (0,0,0)-(0,0,1) breaks v[2] - u[2] = v[1] * u[0].
+        points, lines = ((0, 0, 0),), ((0, 0, 0), (0, 0, 1))
+        assert verify_subgraph_embedding(TruncatedArrangement("lu", 3, 1, points, lines, ((0, 0),)), 5)
+        bad = TruncatedArrangement("lu", 3, 1, points, lines, ((0, 0), (0, 1)))
+        assert not verify_subgraph_embedding(bad, 5)
 
     def test_empty_arrangement_embeds(self):
         empty = TruncatedArrangement("lu", 3, 1, (), (), ())
