@@ -27,7 +27,7 @@ from .geometry import (
     ProjectionError,
     certify_lines_distinct,
     incidence_set_kd,
-    line_from_params,
+    lines_from_params,
     project_generic,
 )
 from .graphs import degree_stats, girth, has_cycle_of_length, st_ratio, theoretical_exponent
@@ -110,10 +110,12 @@ def _load_arrangement(path: Path):
 
 
 def _lines_of(arr):
-    return [line_from_params(arr.family, v, arr.k) for v in arr.line_params]
+    return lines_from_params(arr.family, arr.line_params, arr.k)
 
 
 def _cmd_construct(args) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise UsageError("budget must be >= 1")
     spec = TruncationSpec(args.family, args.k, args.n)
     kwargs = {}
     if args.budget is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .families import family_named, substitute
 
@@ -32,6 +32,7 @@ __all__ = [
     "PlanarArrangement",
     "ProjectionError",
     "line_from_params",
+    "lines_from_params",
     "point_on_line",
     "certify_lines_distinct",
     "canonical_planar_line",
@@ -97,13 +98,7 @@ class AffineLineKD:
         """Canonicalize the line through an exact point with an integer direction."""
         if len(point) != len(direction):
             raise ValueError("point and direction must have equal length")
-        if not any(direction):
-            raise ValueError("direction must be nonzero")
-        g = gcd(*direction)
-        direction = tuple(d // g for d in direction)
-        pivot = next(idx for idx, d in enumerate(direction) if d)
-        if direction[pivot] < 0:
-            direction = tuple(-d for d in direction)
+        direction, pivot = _canonical_direction(direction)
         return cls(direction, _cross_key(point, direction, pivot))
 
     def point_at(self, t):
@@ -120,17 +115,45 @@ def point_on_line(point, line: AffineLineKD) -> bool:
     return _cross_key(point, line.direction, line.pivot) == line.key
 
 
+def _canonical_direction(direction) -> tuple[tuple[int, ...], int]:
+    """The primitive multiple of a nonzero integer direction whose first
+    nonzero entry is positive, and the index of that entry (the pivot)."""
+    if not any(direction):
+        raise ValueError("direction must be nonzero")
+    pivot = next(idx for idx, d in enumerate(direction) if d)
+    g = gcd(*direction)
+    if direction[pivot] < 0:
+        g = -g
+    return tuple(d // g for d in direction), pivot
+
+
 def line_from_params(family: str, v, k: int) -> AffineLineKD:
-    """The solution line of a family's equations for line parameters v.
+    """The solution line of a family's equations for line parameters v."""
+    return lines_from_params(family, [v], k)[0]
+
+
+def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
+    """The solution lines of a family's equations, one per parameter tuple.
 
     Parametrized by the family's free coordinate: substitution from v makes
     every other coordinate affine in it, so key and direction entries are
-    integers.
+    integers.  The plan is looked up once, and each distinct slope is
+    canonicalized once, since a box of line parameters yields few directions.
     """
-    if len(v) != k:
-        raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
-    const, slope = substitute(family_named(family).plan(k), v, from_point=False)
-    return AffineLineKD.through(tuple(const), tuple(slope))
+    plan = family_named(family).plan(k)
+    directions: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    lines = []
+    for v in params:
+        if len(v) != k:
+            raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
+        const, slope = substitute(plan, v, from_point=False)
+        slope = tuple(slope)
+        canonical = directions.get(slope)
+        if canonical is None:
+            canonical = directions[slope] = _canonical_direction(slope)
+        direction, pivot = canonical
+        lines.append(AffineLineKD(direction, _cross_key(const, direction, pivot)))
+    return lines
 
 
 def certify_lines_distinct(lines) -> tuple[bool, tuple[int, int] | None]:
@@ -276,7 +299,7 @@ class ProjectionMap:
 
     def apply(self, vector) -> tuple:
         r1, r2 = self.rows
-        return sum(a * c for a, c in zip(r1, vector)), sum(a * c for a, c in zip(r2, vector))
+        return sum(map(mul, r1, vector)), sum(map(mul, r2, vector))
 
 
 def _rows_independent(r1, r2) -> bool:
@@ -334,18 +357,6 @@ def canonical_planar_line(a, b, c) -> tuple[int, int, int]:
     return tuple(ints)
 
 
-def _project_line(line: AffineLineKD, pmap: ProjectionMap) -> tuple[int, int, int] | None:
-    """Planar canonical triple of a projected line, or None when it degenerates."""
-    dx, dy = pmap.apply(line.direction)
-    if dx == 0 and dy == 0:
-        return None
-    # The line passes through key / d_j, whose image is (x, y) / d_j; the
-    # triple is scaled by d_j > 0 so an integer key gives an integer triple.
-    dj = line.direction[line.pivot]
-    x, y = pmap.apply(line.key)
-    return canonical_planar_line(dy * dj, -dx * dj, dx * y - dy * x)
-
-
 def _planar_incidences(points, lines) -> set[tuple[int, int]]:
     """Planar (point, line) incidences, found per slope class.
 
@@ -363,11 +374,13 @@ def _planar_incidences(points, lines) -> set[tuple[int, int]]:
     classes: dict[tuple[int, int], dict[int | Fraction, int]] = {}
     for lj, (a, b, c) in enumerate(lines):
         g = gcd(a, b)
-        classes.setdefault((a // g, b // g), {})[_as_exact(Fraction(-c, g))] = lj
+        value, rem = divmod(-c, g)
+        classes.setdefault((a // g, b // g), {})[Fraction(-c, g) if rem else value] = lj
     out = set()
     for (a, b), by_value in classes.items():
+        get = by_value.get
         for pi, (x, y) in enumerate(points):
-            lj = by_value.get(a * x + b * y)
+            lj = get(a * x + b * y)
             if lj is not None:
                 out.add((pi, lj))
     return out
@@ -379,17 +392,47 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArra
     Checks, in order: projected points pairwise distinct, no line direction
     in the kernel, projected lines pairwise distinct, and the planar
     incidence set equal to ``expected``, the k-dimensional incidence set of
-    the inputs.  Raises ProjectionError on the first violation.
+    the inputs.  Raises ProjectionError on the first violation, and
+    ValueError before projecting anything when a point or line has a
+    dimension other than the map's.
+
+    A line through key / d_j with direction d maps to the planar line
+    a*x + b*y + c = 0 with (a, b) = (dy * d_j, -dx * d_j), where (dx, dy) is
+    the image of d, and c = dx * y - dy * x for the image (x, y) of the key;
+    the scale d_j > 0 makes an integer key give an integer triple.  (a, b),
+    its sign and g0 = gcd(a, b) depend only on d and are computed once per
+    direction.  With c = n / m in lowest terms the canonical triple is
+    (a * m, b * m, n) / gcd(g0 * m, n), and gcd(g0 * m, n) = gcd(g0, n)
+    because m and n are coprime.
     """
+    other = ({len(p) for p in points} | {len(line.direction) for line in lines}) - {pmap.dim}
+    if other:
+        raise ValueError(
+            f"the map has dimension {pmap.dim}, the arrangement has dimension {min(other)}"
+        )
     flat_points = [pmap.apply(p) for p in points]
     if len(set(flat_points)) != len(flat_points):
         raise ProjectionError("projected points collide")
+    images: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
     flat_lines = []
     for idx, line in enumerate(lines):
-        triple = _project_line(line, pmap)
-        if triple is None:
-            raise ProjectionError(f"line {idx} degenerates under the map")
-        flat_lines.append(triple)
+        image = images.get(line.direction)
+        if image is None:
+            dx, dy = pmap.apply(line.direction)
+            if dx == 0 and dy == 0:
+                raise ProjectionError(f"line {idx} degenerates under the map")
+            # Canonical sign: the first nonzero of (a, b) = (dy, -dx) * d_j > 0.
+            if (dy or -dx) < 0:
+                dx, dy = -dx, -dy
+            dj = line.direction[line.pivot]
+            a, b = dy * dj, -dx * dj
+            image = images[line.direction] = (dx, dy, a, b, gcd(a, b))
+        dx, dy, a, b, g0 = image
+        x, y = pmap.apply(line.key)
+        c = dx * y - dy * x
+        m, n = c.denominator, c.numerator
+        g = gcd(g0, n)
+        flat_lines.append((a * m // g, b * m // g, n // g))
     if len(set(flat_lines)) != len(flat_lines):
         raise ProjectionError("projected lines collide")
     planar = _planar_incidences(flat_points, flat_lines)

@@ -496,6 +496,17 @@ class TestCLI:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_construct_budget_below_one_is_a_usage_error(self, tmp_path, capsys, budget):
+        out = tmp_path / "x.arr"
+        code = run(
+            ["construct", "--family", "lu", "--k", "3", "--n", "64",
+             "--out", str(out), "--budget", budget]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: budget must be >= 1\n"
+        assert not out.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["verify", "--in", str(tmp_path / "none.arr")]) == 2
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from helpers import scan_incidence_set_kd, scan_planar_incidences
 
+from girthforge.families import family_named, substitute
 from girthforge.geometry import (
     AffineLineKD,
     _incidence_plan,
@@ -15,6 +16,7 @@ from girthforge.geometry import (
     certify_lines_distinct,
     incidence_set_kd,
     line_from_params,
+    lines_from_params,
     point_on_line,
     project_generic,
     project_with_map,
@@ -104,6 +106,38 @@ class TestLineConstruction:
             line_from_params("lu", (1, 2), 3)
         with pytest.raises(ValueError):
             line_from_params("wenger", (1, 2, 3), 2)
+
+
+@st.composite
+def param_batches(draw):
+    """A family, a k it accepts, and up to 30 line parameter tuples, with
+    repeats, so several tuples share a slope."""
+    family, k = draw(st.sampled_from([("lu", 3), ("lu", 5), ("wenger", 2), ("wenger", 3), ("wenger", 5)]))
+    entries = st.integers(-4, 4) | st.integers(-10**6, 10**6)
+    pool = draw(st.lists(st.tuples(*[entries] * k), min_size=1, max_size=10))
+    return family, k, draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+class TestLinesFromParams:
+    @given(param_batches())
+    def test_batch_matches_one_line_at_a_time(self, batch):
+        family, k, params = batch
+        lines = lines_from_params(family, params, k)
+        assert lines == [line_from_params(family, v, k) for v in params]
+        plan = family_named(family).plan(k)
+        for v, line in zip(params, lines):
+            const, slope = substitute(plan, v, from_point=False)
+            for x in range(-2, 3):
+                assert point_on_line([c + x * s for c, s in zip(const, slope)], line)
+            lead = next(d for d in line.direction if d)
+            assert lead > 0 and gcd(*line.direction) == 1
+
+    def test_empty_batch(self):
+        assert lines_from_params("wenger", [], 2) == []
+
+    def test_wrong_length_in_a_batch_rejected(self):
+        with pytest.raises(ValueError, match="length 2, expected 3"):
+            lines_from_params("lu", [(1, 2, 2), (0, 0, 0), (1, 2)], 3)
 
 
 class TestPointOnLine:
@@ -480,6 +514,23 @@ class TestProjection:
             assert planar.incidences == scan_planar_incidences(planar.points, planar.lines)
             assert planar.incidences == expected
 
+    @pytest.mark.parametrize(
+        "reference,rows",
+        [("wenger64", ((1, 0, 0), (0, 1, 0))), ("lu64", ((1, 0), (0, 1)))],
+    )
+    def test_map_of_another_dimension_is_refused(self, reference, rows, request, monkeypatch):
+        arr = request.getfixturevalue(reference)
+        lines = request.getfixturevalue(f"{reference}_lines")
+        pmap = ProjectionMap(rows)
+
+        def no_apply(self, vector):
+            raise AssertionError("a point was projected")
+
+        monkeypatch.setattr(ProjectionMap, "apply", no_apply)
+        dims = rf"dimension {len(rows[0])}\b.*dimension {lines[0].dim}\b"
+        with pytest.raises(ValueError, match=dims):
+            project_with_map(arr.points, lines, pmap, arr.edge_set)
+
     def test_kernel_direction_fails_verification(self):
         # a map that kills the direction (0, 0, 1)
         points = [(0, 0, 0), (0, 0, 1)]
@@ -487,6 +538,49 @@ class TestProjection:
         pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ProjectionError):
             project_with_map(points, lines, pmap, incidence_set_kd(points, lines))
+
+
+class TestPerDirectionProjection:
+    """project_with_map against the two-point oracle planar_triple."""
+
+    @pytest.mark.parametrize("reference", ["lu64", "wenger64"])
+    def test_reference_lines_match_two_point_oracle(self, reference, request):
+        arr = request.getfixturevalue(reference)
+        lines = request.getfixturevalue(f"{reference}_lines")
+        pmap = sample_projection(lines[0].dim, 7)
+        planar = project_with_map(arr.points, lines, pmap, arr.edge_set)
+        assert list(planar.lines) == [planar_triple(line, pmap) for line in lines]
+
+    def test_fraction_key_matches_two_point_oracle(self):
+        half = AffineLineKD.through((Fraction(1, 2), 0), (0, 1))
+        third = AffineLineKD.through((Fraction(1, 3), Fraction(2, 3)), (2, -4))
+        # (5, 2) maps to (17, 0): a = 0 and b < 0 until the sign is turned.
+        flat = AffineLineKD.through((0, Fraction(1, 3)), (5, 2))
+        lines = [half, third, flat, AffineLineKD.through((1, 0), (0, 1)), AffineLineKD.through((0, 0), (1, 1))]
+        assert half.key == (Fraction(1, 2), 0)
+        pmap = ProjectionMap(((3, 1), (-2, 5)))
+        planar = project_with_map([], lines, pmap, set())
+        assert list(planar.lines) == [planar_triple(line, pmap) for line in lines]
+
+    @given(arrangements(), st.integers(0, 1000))
+    def test_lines_match_two_point_oracle(self, arrangement, seed):
+        _, lines = arrangement
+        lines = list(dict.fromkeys(lines))
+        pmap = sample_projection(lines[0].dim, seed)
+        try:
+            planar = project_with_map([], lines, pmap, set())
+        except ProjectionError:
+            return
+        assert list(planar.lines) == [planar_triple(line, pmap) for line in lines]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_degenerate_direction_names_its_first_line(self, first):
+        # The map kills (0, 0, 1); lines `first` and `first + 1` have that direction.
+        killed = [AffineLineKD.through((0, 0, 0), (0, 0, 1)), AffineLineKD.through((1, 0, 0), (0, 0, 1))]
+        lines = [AffineLineKD.through((0, 0, 0), (1, 0, 0))][:first] + killed
+        pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
+        with pytest.raises(ProjectionError, match=f"^line {first} degenerates under the map$"):
+            project_with_map([], lines, pmap, set())
 
 
 def planar_triple(line, pmap):
