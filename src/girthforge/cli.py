@@ -130,6 +130,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    length = args.no_cycle_length
+    if length is not None and length % 2:
+        raise UsageError(f"cycle length must be even in a bipartite graph, got {length}")
+    if length is not None and length < 4:
+        raise UsageError(f"cycle length must be >= 4, got {length}")
     arr = _load_arrangement(args.infile)
     lines = _lines_of(arr)
 
@@ -185,6 +190,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    if args.bound < 2:
+        raise UsageError("coefficient bound must be >= 2")
     arr = _load_arrangement(args.infile)
     lines = _lines_of(arr)
     planar, pmap = project_generic(arr.points, lines, seed=args.seed, bound=args.bound)

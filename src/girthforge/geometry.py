@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from .families import family_named, substitute
 
@@ -57,8 +58,7 @@ def _as_exact(x):
     return x
 
 
-@dataclass(frozen=True)
-class AffineLineKD:
+class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), ("key", tuple)])):
     """A line in R^k in canonical form.
 
     direction is a primitive integer vector (gcd 1) whose first nonzero
@@ -66,21 +66,19 @@ class AffineLineKD:
     for any point x of the line, so key[j] == 0.  Two AffineLineKD values
     are equal exactly when they describe the same line, and a point lies on
     the line exactly when its cross key equals key.
+
+    The value is the tuple (direction, key), so hashing and equality are
+    the tuple's own.  The constructor checks the whole form;
+    lines_from_params checks each direction once for a batch.
     """
 
-    direction: tuple[int, ...]
-    key: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.key) != len(self.direction):
+    def __new__(cls, direction, key):
+        if len(key) != len(direction):
             raise ValueError("key and direction must have equal length")
-        pivot = self.pivot
-        if self.direction[pivot] < 0:
-            raise ValueError("leading direction entry must be positive")
-        if gcd(*self.direction) != 1:
-            raise ValueError("direction must be primitive")
-        if self.key[pivot] != 0:
-            raise ValueError("key must have a zero pivot coordinate")
+        _check_pivot_key(key, _check_direction(direction))
+        return tuple.__new__(cls, (direction, key))
 
     @property
     def dim(self) -> int:
@@ -88,10 +86,7 @@ class AffineLineKD:
 
     @property
     def pivot(self) -> int:
-        for idx, d in enumerate(self.direction):
-            if d:
-                return idx
-        raise ValueError("direction must be nonzero")
+        return _pivot(self.direction)
 
     @classmethod
     def through(cls, point, direction) -> "AffineLineKD":
@@ -115,12 +110,34 @@ def point_on_line(point, line: AffineLineKD) -> bool:
     return _cross_key(point, line.direction, line.pivot) == line.key
 
 
+def _pivot(direction) -> int:
+    """The index of the first nonzero entry of a direction."""
+    for idx, d in enumerate(direction):
+        if d:
+            return idx
+    raise ValueError("direction must be nonzero")
+
+
+def _check_direction(direction) -> int:
+    """The pivot of a canonical direction; ValueError unless the direction
+    is nonzero and primitive with a positive pivot entry."""
+    pivot = _pivot(direction)
+    if direction[pivot] < 0:
+        raise ValueError("leading direction entry must be positive")
+    if gcd(*direction) != 1:
+        raise ValueError("direction must be primitive")
+    return pivot
+
+
+def _check_pivot_key(key, pivot) -> None:
+    if key[pivot] != 0:
+        raise ValueError("key must have a zero pivot coordinate")
+
+
 def _canonical_direction(direction) -> tuple[tuple[int, ...], int]:
     """The primitive multiple of a nonzero integer direction whose first
     nonzero entry is positive, and the index of that entry (the pivot)."""
-    if not any(direction):
-        raise ValueError("direction must be nonzero")
-    pivot = next(idx for idx, d in enumerate(direction) if d)
+    pivot = _pivot(direction)
     g = gcd(*direction)
     if direction[pivot] < 0:
         g = -g
@@ -138,10 +155,20 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
     Parametrized by the family's free coordinate: substitution from v makes
     every other coordinate affine in it, so key and direction entries are
     integers.  The plan is looked up once, and each distinct slope is
-    canonicalized once, since a box of line parameters yields few directions.
+    canonicalized and its direction checked once, since a box of line
+    parameters yields few directions; each line checks only its parameter
+    length and its zero pivot key.
+
+    When the pivot is the free coordinate f, the key is const itself:
+    substitution leaves const[f] = 0 and slope[f] = 1, so the slope is
+    already primitive with a positive pivot entry, d = slope, d_f = 1, and
+    the cross key const_i * d_f - const_f * d_i is const_i.  Every lu line
+    has its pivot at f = 0.
     """
     plan = family_named(family).plan(k)
+    free = plan[0]
     directions: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    new_line = tuple.__new__
     lines = []
     for v in params:
         if len(v) != k:
@@ -150,20 +177,25 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
         slope = tuple(slope)
         canonical = directions.get(slope)
         if canonical is None:
-            canonical = directions[slope] = _canonical_direction(slope)
+            direction, _ = _canonical_direction(slope)
+            canonical = directions[slope] = (direction, _check_direction(direction))
         direction, pivot = canonical
-        lines.append(AffineLineKD(direction, _cross_key(const, direction, pivot)))
+        key = tuple(const) if pivot == free else _cross_key(const, direction, pivot)
+        _check_pivot_key(key, pivot)
+        lines.append(new_line(AffineLineKD, (direction, key)))
     return lines
 
 
 def certify_lines_distinct(lines) -> tuple[bool, tuple[int, int] | None]:
     """All-distinct check over canonical forms; reports the first collision."""
+    if len(set(lines)) == len(lines):
+        return True, None
     seen: dict[AffineLineKD, int] = {}
     for idx, line in enumerate(lines):
         if line in seen:
             return False, (seen[line], idx)
         seen[line] = idx
-    return True, None
+    raise AssertionError("a collision was counted but not found")
 
 
 def _cross_key(x, direction, pivot) -> tuple:
@@ -239,11 +271,11 @@ def _incidence_plan(points, lines):
     for a point whose dimension differs from a line's.
     """
     groups: dict[tuple[int, ...], tuple[int, dict[tuple, list[int]]]] = {}
-    for lj, line in enumerate(lines):
-        group = groups.get(line.direction)
+    for lj, (direction, key) in enumerate(lines):
+        group = groups.get(direction)
         if group is None:
-            group = groups[line.direction] = (line.pivot, {})
-        group[1].setdefault(line.key, []).append(lj)
+            group = groups[direction] = (_pivot(direction), {})
+        group[1].setdefault(key, []).append(lj)
     dims = {len(p) for p in points}
     integral = bool(points) and {int}.issuperset(map(type, chain.from_iterable(points)))
     spans = [(min(col), max(col)) for col in zip(*points)] if integral else None
@@ -401,9 +433,11 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArra
     the image of d, and c = dx * y - dy * x for the image (x, y) of the key;
     the scale d_j > 0 makes an integer key give an integer triple.  (a, b),
     its sign and g0 = gcd(a, b) depend only on d and are computed once per
-    direction.  With c = n / m in lowest terms the canonical triple is
-    (a * m, b * m, n) / gcd(g0 * m, n), and gcd(g0 * m, n) = gcd(g0, n)
-    because m and n are coprime.
+    direction, and so is the covector w = dx * r2 - dy * r1 of the map's
+    rows r1, r2, taken after the sign turn: c = w . key is one exact dot
+    product per line, for int and Fraction keys alike.  With c = n / m in
+    lowest terms the canonical triple is (a * m, b * m, n) / gcd(g0 * m, n),
+    and gcd(g0 * m, n) = gcd(g0, n) because m and n are coprime.
     """
     other = ({len(p) for p in points} | {len(line.direction) for line in lines}) - {pmap.dim}
     if other:
@@ -413,23 +447,24 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArra
     flat_points = [pmap.apply(p) for p in points]
     if len(set(flat_points)) != len(flat_points):
         raise ProjectionError("projected points collide")
-    images: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
+    r1, r2 = pmap.rows
+    images: dict[tuple[int, ...], tuple[tuple[int, ...], int, int, int]] = {}
     flat_lines = []
-    for idx, line in enumerate(lines):
-        image = images.get(line.direction)
+    for idx, (direction, key) in enumerate(lines):
+        image = images.get(direction)
         if image is None:
-            dx, dy = pmap.apply(line.direction)
+            dx, dy = pmap.apply(direction)
             if dx == 0 and dy == 0:
                 raise ProjectionError(f"line {idx} degenerates under the map")
             # Canonical sign: the first nonzero of (a, b) = (dy, -dx) * d_j > 0.
             if (dy or -dx) < 0:
                 dx, dy = -dx, -dy
-            dj = line.direction[line.pivot]
+            dj = direction[_pivot(direction)]
             a, b = dy * dj, -dx * dj
-            image = images[line.direction] = (dx, dy, a, b, gcd(a, b))
-        dx, dy, a, b, g0 = image
-        x, y = pmap.apply(line.key)
-        c = dx * y - dy * x
+            w = tuple(dx * q - dy * p for p, q in zip(r1, r2))
+            image = images[direction] = (w, a, b, gcd(a, b))
+        w, a, b, g0 = image
+        c = sum(map(mul, w, key))
         m, n = c.denominator, c.numerator
         g = gcd(g0, n)
         flat_lines.append((a * m // g, b * m // g, n // g))

@@ -507,6 +507,29 @@ class TestCLI:
         assert capsys.readouterr().err == "error: budget must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("present", [True, False], ids=["input-present", "input-missing"])
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--no-cycle-length", "3"], "cycle length must be even in a bipartite graph, got 3"),
+            (["verify", "--no-cycle-length", "2"], "cycle length must be >= 4, got 2"),
+            (["project", "--out", "{out}", "--M", "1"], "coefficient bound must be >= 2"),
+            (["project", "--out", "{out}", "--M", "-5"], "coefficient bound must be >= 2"),
+        ],
+        ids=["verify-odd-cycle", "verify-short-cycle", "project-M1", "project-M-5"],
+    )
+    def test_bad_flag_value_is_refused_before_the_file_is_read(
+        self, tmp_path, capsys, argv, message, present
+    ):
+        arr, out = tmp_path / "w.arr", tmp_path / "out.planar"
+        if present:
+            run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(arr)])
+        capsys.readouterr()
+        code = run([argv[0], "--in", str(arr)] + [a.format(out=out) for a in argv[1:]])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["verify", "--in", str(tmp_path / "none.arr")]) == 2
 

@@ -22,6 +22,7 @@ from girthforge.geometry import (
     project_with_map,
     sample_projection,
 )
+from girthforge.truncation import TruncationSpec, build_truncated
 
 
 def lu3_system_holds(v, x):
@@ -123,14 +124,26 @@ class TestLinesFromParams:
     def test_batch_matches_one_line_at_a_time(self, batch):
         family, k, params = batch
         lines = lines_from_params(family, params, k)
-        assert lines == [line_from_params(family, v, k) for v in params]
+        assert len(lines) == len(params)
         plan = family_named(family).plan(k)
         for v, line in zip(params, lines):
             const, slope = substitute(plan, v, from_point=False)
+            assert line == AffineLineKD.through(const, slope)
+            assert AffineLineKD(line.direction, line.key) == line
             for x in range(-2, 3):
                 assert point_on_line([c + x * s for c, s in zip(const, slope)], line)
             lead = next(d for d in line.direction if d)
             assert lead > 0 and gcd(*line.direction) == 1
+
+    @pytest.mark.parametrize(
+        "family,k,n", [("lu", 3, 400), ("wenger", 2, 200), ("lu", 5, 200), ("wenger", 3, 300)]
+    )
+    def test_every_line_passes_the_validating_constructor(self, family, k, n):
+        arr = build_truncated(TruncationSpec(family, k, n))
+        lines = lines_from_params(family, arr.line_params, k)
+        assert len(lines) == len(arr.line_params)
+        for line in lines:
+            assert AffineLineKD(line.direction, line.key) == line
 
     def test_empty_batch(self):
         assert lines_from_params("wenger", [], 2) == []
@@ -184,6 +197,7 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             AffineLineKD.through((1, 2), (0, 0))
 
+
     @given(
         st.tuples(*[st.integers(-30, 30)] * 3),
         st.tuples(*[st.integers(-9, 9)] * 3),
@@ -206,6 +220,40 @@ class TestCanonicalForm:
         line = AffineLineKD.through(base, direction)
         other_point = tuple(b + shift * d for b, d in zip(base, direction))
         assert AffineLineKD.through(other_point, direction) == line
+
+
+class TestConstructorContract:
+    """The checks of the direct AffineLineKD(direction, key) constructor."""
+
+    @pytest.mark.parametrize(
+        "direction,key,message",
+        [
+            ((1, 2), (0, 1, 2), "key and direction must have equal length"),
+            ((0, 0), (0, 0), "direction must be nonzero"),
+            ((0, -1, 2), (1, 0, 3), "leading direction entry must be positive"),
+            ((2, 4, 0), (0, 1, 1), "direction must be primitive"),
+            ((0, 1, 3), (2, 5, 0), "key must have a zero pivot coordinate"),
+        ],
+        ids=["unequal-length", "zero-direction", "negative-lead", "not-primitive", "pivot-key"],
+    )
+    def test_invalid_line_rejected(self, direction, key, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AffineLineKD(direction, key)
+
+    def test_valid_line_keeps_its_fields(self):
+        line = AffineLineKD((0, 2, -3), (Fraction(1, 2), 0, 7))
+        assert (line.direction, line.key) == ((0, 2, -3), (Fraction(1, 2), 0, 7))
+        assert (line.dim, line.pivot) == (3, 1)
+        assert repr(line).startswith("AffineLineKD(")
+
+    def test_equal_lines_hash_equal(self):
+        a = AffineLineKD((1, 2), (0, 3))
+        b = AffineLineKD.through((1, 5), (-2, -4))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_lines_of_different_dimension_are_unequal(self):
+        assert AffineLineKD((1, 0), (0, 0)) != AffineLineKD((1, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize("reference", ["lu64", "wenger64"])
