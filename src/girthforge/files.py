@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from .geometry import PlanarArrangement, _as_exact, canonical_planar_line
+from .geometry import PlanarArrangement, _as_exact
 from .truncation import TruncatedArrangement, TruncationSpec
 
 __all__ = [
@@ -171,14 +172,14 @@ def render_planar(pa: PlanarArrangement) -> str:
 
 
 def _rational(token: str):
-    """A planar coordinate: ``num/den`` or an integer, never decimal or exponent notation.
+    """A planar coordinate: ``num/den``, never a bare integer, decimal or exponent.
 
     The token must be its own canonical rendering: ASCII digits with no
     ``+`` or ``_``, and a pair in lowest terms with a positive denominator.
     """
-    num, slash, den = token.partition("/")
-    x = Fraction(int(num), int(den) if slash else 1)
-    if token != (f"{x.numerator}/{x.denominator}" if slash else str(x.numerator)):
+    num, _, den = token.partition("/")
+    x = Fraction(int(num), int(den))
+    if token != f"{x.numerator}/{x.denominator}":
         raise ValueError(f"not a canonical rational: {token!r}")
     return _as_exact(x)
 
@@ -195,7 +196,8 @@ def parse_planar(text: str) -> PlanarArrangement:
     lines = []
     for _ in range(n_lines):
         a, b, c = r.row(3)
-        if (a, b) == (0, 0) or canonical_planar_line(a, b, c) != (a, b, c):
+        # The canonical form itself: primitive, first nonzero of (a, b) positive.
+        if not (gcd(a, b, c) == 1 and (a or b) > 0):
             raise ParseError(f"line ({a}, {b}, {c}) is not in canonical form")
         lines.append((a, b, c))
     if len(set(lines)) != len(lines):

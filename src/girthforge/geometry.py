@@ -21,11 +21,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
 from .families import family_named, substitute
+from .graphs import BipartiteGraph
 
 __all__ = [
     "AffineLineKD",
@@ -36,7 +37,6 @@ __all__ = [
     "lines_from_params",
     "point_on_line",
     "certify_lines_distinct",
-    "canonical_planar_line",
     "incidence_set_kd",
     "sample_projection",
     "project_with_map",
@@ -369,33 +369,16 @@ class PlanarArrangement:
     incidences: frozenset
 
     def to_bipartite_graph(self):
-        from .graphs import BipartiteGraph
-
         return BipartiteGraph(len(self.points), len(self.lines), sorted(self.incidences))
 
 
-def canonical_planar_line(a, b, c) -> tuple[int, int, int]:
-    """Scale an exact (a, b, c) of ints or Fractions to the canonical integer
-    representative."""
-    if a == 0 and b == 0:
-        raise ValueError("(a, b) must not both be zero")
-    mult = lcm(a.denominator, b.denominator, c.denominator)
-    ints = [int(x * mult) for x in (a, b, c)]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = ints[0] if ints[0] else ints[1]
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def _planar_incidences(points, lines) -> set[tuple[int, int]]:
-    """Planar (point, line) incidences, found per slope class.
+    """Planar (point, line) incidences, found per exact (a, b) class.
 
-    A canonical line (a, b, c) with g = gcd(a, b) is a'x + b'y = -c/g for the
-    primitive slope class (a', b') = (a/g, b/g); the lines are pairwise
-    distinct, so within a class each value names at most one line.  One
-    evaluation per (class, point) pair costs O(D * |points| + |lines|).
+    An int or rational point (x, y) lies on (a, b, c) exactly when
+    a*x + b*y == -c.  Distinct canonical triples with equal (a, b) differ
+    in c, so within a class each value names one line.  One evaluation per
+    (class, point) pair costs O(D * |points| + |lines|) for D classes.
     """
     # Kept apart from incidence_set_kd on purpose.  Rebuilding the planar
     # lines as 2-D AffineLineKD values to share its lookup made `project`
@@ -403,11 +386,9 @@ def _planar_incidences(points, lines) -> set[tuple[int, int]]:
     # from 0.43-0.64 s to 0.62-0.78 s, lu k=5 n=200 from 1.7 s to 2.5-2.9 s.
     # Calling the public incidence_set_kd here would also make every traced
     # `project` report a second k-dimensional incidence pass.
-    classes: dict[tuple[int, int], dict[int | Fraction, int]] = {}
+    classes: dict[tuple[int, int], dict[int, int]] = {}
     for lj, (a, b, c) in enumerate(lines):
-        g = gcd(a, b)
-        value, rem = divmod(-c, g)
-        classes.setdefault((a // g, b // g), {})[Fraction(-c, g) if rem else value] = lj
+        classes.setdefault((a, b), {})[-c] = lj
     out = set()
     for (a, b), by_value in classes.items():
         get = by_value.get

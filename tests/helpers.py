@@ -5,10 +5,12 @@ notation, independent of the coordinate labels and of the plan.  The graph
 oracles avoid the BFS path and the distance pruning of
 girthforge.graphs: the cycle oracle enumerates every simple path.  The
 incidence oracles test every point/line pair, independent of the grouped
-lookups in girthforge.geometry.  The box and window formulas are written out
-by position, independent of the family table in girthforge.families.  The
-SVG oracle is the original renderer, which clips and scales with Fraction
-arithmetic, independent of the integer grid of girthforge.svg.
+lookups in girthforge.geometry.  canonical_planar_line is a general rational
+normalizer, independent of the planar reader's triple rule.  The box and
+window formulas are written out by position, independent of the family table
+in girthforge.families.  The SVG oracle is the original renderer, which
+clips and scales with Fraction arithmetic, independent of the integer grid
+of girthforge.svg.
 """
 
 import math
@@ -136,6 +138,21 @@ def scan_incidence_set_kd(points, lines):
             else:
                 out.add((pi, lj))
     return out
+
+
+def canonical_planar_line(a, b, c):
+    """Scale an exact (a, b, c) of ints or Fractions to the canonical integer
+    representative: gcd 1 and the first nonzero of (a, b) positive."""
+    if a == 0 and b == 0:
+        raise ValueError("(a, b) must not both be zero")
+    mult = math.lcm(a.denominator, b.denominator, c.denominator)
+    ints = [int(x * mult) for x in (a, b, c)]
+    g = math.gcd(*ints)
+    ints = [x // g for x in ints]
+    lead = ints[0] if ints[0] else ints[1]
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
 
 
 def scan_planar_incidences(points, lines):

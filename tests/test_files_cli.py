@@ -5,10 +5,11 @@ import tempfile
 import time
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
-from helpers import fraction_export_svg, fraction_viewport
+from helpers import canonical_planar_line, fraction_export_svg, fraction_viewport
 from hypothesis import given, settings, strategies as st
 
 import girthforge
@@ -26,7 +27,6 @@ from girthforge.files import (
 from girthforge.geometry import (
     PlanarArrangement,
     ProjectionMap,
-    canonical_planar_line,
     incidence_set_kd,
     line_from_params,
     project_generic,
@@ -271,6 +271,28 @@ class TestPlanarFormat:
         text = f"GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n{line}\n"
         with pytest.raises(ParseError, match="canonical"):
             parse_planar(text)
+
+    def test_triple_rule_is_the_canonical_form(self):
+        # Every small triple parses exactly when the general normalizer fixes it.
+        for a, b, c in product(range(-4, 5), repeat=3):
+            text = f"GIRTHFORGE-PLANAR 1\npoints 0\nlines 1\n{a} {b} {c}\nincidences 0\n"
+            if (a, b) != (0, 0) and canonical_planar_line(a, b, c) == (a, b, c):
+                assert parse_planar(text).lines == ((a, b, c),)
+            else:
+                with pytest.raises(ParseError, match="not in canonical form"):
+                    parse_planar(text)
+
+    @pytest.mark.parametrize("row", ["3 4", "3/1 4", "3 4/1"])
+    def test_bare_integer_coordinate_rejected(self, tmp_path, row):
+        # The writer emits every coordinate as num/den, 3 as 3/1.
+        text = f"GIRTHFORGE-PLANAR 1\npoints 1\n{row}\nlines 1\n1 0 -3\nincidences 1\n0 0\n"
+        written = _with_line(text, 2, "3/1 4/1")
+        assert render_planar(parse_planar(written)) == written
+        with pytest.raises(ParseError, match=r"^line 3: "):
+            parse_planar(text)
+        path = tmp_path / "bare.planar"
+        path.write_text(text)
+        assert run(["stats", "--in", str(path)]) == 2
 
     def test_duplicate_point_rejected(self):
         text = "GIRTHFORGE-PLANAR 1\npoints 2\n0/1 0/1\n0/1 0/1\nlines 0\n"

@@ -4,15 +4,15 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
-from helpers import scan_incidence_set_kd, scan_planar_incidences
+from helpers import canonical_planar_line, scan_incidence_set_kd, scan_planar_incidences
 
 from girthforge.families import family_named, substitute
 from girthforge.geometry import (
     AffineLineKD,
     _incidence_plan,
+    _planar_incidences,
     ProjectionError,
     ProjectionMap,
-    canonical_planar_line,
     certify_lines_distinct,
     incidence_set_kd,
     line_from_params,
@@ -493,6 +493,48 @@ class TestCanonicalPlanarLine:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             canonical_planar_line(0, 0, 7)
+
+
+def points_on(line, xs):
+    """Rational points of the planar line (a, b, c), one per x (per y when b = 0)."""
+    a, b, c = line
+    if b == 0:
+        return [(Fraction(-c, a), y) for y in xs]
+    return [(x, Fraction(-c - a * x, b)) for x in xs]
+
+
+@st.composite
+def planar_cases(draw):
+    """Distinct canonical triples, many sharing a primitive slope but not (a, b),
+    and distinct rational points, some of them on the lines."""
+    small = st.integers(-4, 4)
+    triples = st.tuples(small, small, st.integers(-9, 9)).filter(lambda t: t[:2] != (0, 0))
+    drawn = draw(st.lists(triples, min_size=1, max_size=8))
+    lines = list(dict.fromkeys(canonical_planar_line(*t) for t in drawn))
+    rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    points = draw(st.lists(st.tuples(rationals, rationals), max_size=6))
+    for line in draw(st.lists(st.sampled_from(lines), max_size=6)):
+        points += points_on(line, [draw(rationals)])
+    return list(dict.fromkeys(points)), lines
+
+
+class TestPlanarIncidences:
+    """_planar_incidences against the pairwise scan, on lines that share a
+    primitive slope class but not (a, b)."""
+
+    def test_fixed_lines_sharing_slopes(self):
+        lines = [(1, 2, 3), (2, 4, 1), (2, 4, -3), (0, 3, 1), (0, 1, 5), (1, 0, -2)]
+        points = [p for line in lines for p in points_on(line, [0, Fraction(1, 2), 2])]
+        # (3, 0) is on no line, but x + 2y = 3 = -c for (2, 4, -3) unscaled.
+        points = list(dict.fromkeys(points + [(3, 0), (Fraction(1, 3), Fraction(1, 7))]))
+        expected = scan_planar_incidences(points, lines)
+        assert len(expected) == 23
+        assert _planar_incidences(points, lines) == expected
+
+    @given(planar_cases())
+    def test_matches_pairwise_scan(self, case):
+        points, lines = case
+        assert _planar_incidences(points, lines) == scan_planar_incidences(points, lines)
 
 
 class TestProjection:
