@@ -5,6 +5,9 @@ an edge when the family's equations hold mod q.  Neighbor generation solves
 the equations for v by substitution from u (see :mod:`girthforge.families`).
 
 Both graphs are regular on both sides; that is asserted by tests, not here.
+The builder offers the 2k coordinate translations to
+:func:`girthforge.graphs.root_orbits`, which keeps those that pass its
+certificate, so the girth and cycle searches start at one point per orbit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import product
 
 from .exactmath import is_prime
 from .families import box_rank, family_named, plan_holds_mod, substitute
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, root_orbits
 
 __all__ = [
     "BudgetExceededError",
@@ -24,6 +27,7 @@ __all__ = [
     "WengerParams",
     "field_edge",
     "field_neighbors",
+    "coordinate_translations",
     "build_lu_graph",
     "build_wenger_graph",
     "DEFAULT_VERTEX_BUDGET",
@@ -74,6 +78,25 @@ def field_neighbors(u, params: FieldParams) -> list[tuple[int, ...]]:
     return [tuple((c + s * x) % q for c, s in zip(const, slope)) for x in range(q)]
 
 
+def coordinate_translations(params: FieldParams) -> list[tuple[str, tuple[int, ...]]]:
+    """The 2k translations x -> x + e_s (mod q) as index permutations of F_q^k.
+
+    The k point translations (side "left") come first, then the k
+    line-vertex translations (side "right"), each in coordinate order.
+    Both sides are indexed lexicographically, so coordinate s is the digit
+    of weight q**(k - 1 - s).  Whether one is an automorphism is left to
+    the certificate of :func:`girthforge.graphs.root_orbits`.
+    """
+    k, q = params.k, params.q
+    perms = []
+    for s in range(k):
+        w = q ** (k - 1 - s)
+        perms.append(
+            tuple(i - (q - 1) * w if i // w % q == q - 1 else i + w for i in range(q**k))
+        )
+    return [(side, perm) for side in ("left", "right") for perm in perms]
+
+
 def _build_graph(params: FieldParams) -> BipartiteGraph:
     k, q = params.k, params.q
     size = q**k
@@ -86,7 +109,9 @@ def _build_graph(params: FieldParams) -> BipartiteGraph:
     for pi, u in enumerate(product(range(q), repeat=k)):
         for v in field_neighbors(u, params):
             edges.append((pi, box_rank(v, ranges)))
-    return BipartiteGraph(size, size, edges)
+    graph = BipartiteGraph(size, size, edges)
+    root_orbits(graph, coordinate_translations(params))
+    return graph
 
 
 def build_lu_graph(params: FieldParams) -> BipartiteGraph:

@@ -30,7 +30,14 @@ from .geometry import (
     lines_from_params,
     project_generic,
 )
-from .graphs import degree_stats, girth, has_cycle_of_length, st_ratio, theoretical_exponent
+from .graphs import (
+    degree_stats,
+    girth,
+    has_cycle_of_length,
+    is_forest,
+    st_ratio,
+    theoretical_exponent,
+)
 from .svg import export_svg
 from .truncation import TruncationSpec, build_truncated, embedding_prime, verify_subgraph_embedding
 
@@ -168,6 +175,8 @@ def _cmd_verify(args) -> int:
             cyc = " ".join(graph.vertex_label(v) for v in witness)
             raise CheckFailure(f"found a {args.no_cycle_length}-cycle: {cyc}")
         print(f"ok: no cycle of length {args.no_cycle_length}")
+    if (args.girth_at_least is not None or length is not None) and is_forest(graph):
+        print("note: the graph is a forest, so a girth or cycle check on it proves nothing")
     left, right = degree_stats(graph)
     if args.min_point_degree is not None:
         if left.minimum < args.min_point_degree:

@@ -7,6 +7,21 @@ decision procedure over simple paths, pruned by exact BFS distances back to
 the start.  Both prunings drop only work that cannot lead to a cycle, so
 the answers are those of the unpruned searches; every witness returned by
 either routine is machine-checked before it leaves this module.
+
+A graph may carry orbit roots, set only by :func:`root_orbits`: one left
+vertex per orbit of a group generated by automorphisms that passed an exact
+certificate on this very graph.  The certificate of a permutation T of one
+side indexes the other side by neighbourhood, refusing two equal ones, and
+maps each vertex b there to the vertex whose neighbourhood is T(N(b)),
+refusing if there is none or if the map is not a bijection; T and that map
+then carry every edge to an edge.  Each root is the smallest vertex of its
+orbit.  Every cycle meets the left side, so among the cycles of a given
+length there is a smallest left vertex m on one of them, and m is a root:
+an automorphism carries that cycle to one of the same length through the
+smallest vertex of m's orbit, which is therefore no smaller than m.  The
+cycle through m avoids every vertex below m.  So both searches start at
+the roots only, each root still skipping the vertices below it, and every
+start they leave out finds no cycle that a root's search misses.
 """
 
 from __future__ import annotations
@@ -25,6 +40,8 @@ __all__ = [
     "DegreeSummary",
     "girth",
     "has_cycle_of_length",
+    "root_orbits",
+    "is_forest",
     "degree_stats",
     "st_ratio",
     "theoretical_exponent",
@@ -38,9 +55,13 @@ class BipartiteGraph:
     0..right_count-1; edges are (left, right) pairs.  Adjacency is stored
     sorted and mirrored on both sides.  In girth and cycle queries, vertices
     are addressed globally: left i stays i, right j becomes left_count + j.
+
+    ``roots`` is None, or the orbit roots that :func:`root_orbits` certified:
+    the smallest left index of each orbit, sorted.  Equality and hashing
+    ignore it.
     """
 
-    __slots__ = ("left_count", "right_count", "left_adj", "right_adj")
+    __slots__ = ("left_count", "right_count", "left_adj", "right_adj", "roots")
 
     def __init__(self, left_count: int, right_count: int, edges) -> None:
         if left_count < 0 or right_count < 0:
@@ -60,6 +81,7 @@ class BipartiteGraph:
         self.right_count = right_count
         self.left_adj = tuple(tuple(sorted(nbrs)) for nbrs in left)
         self.right_adj = tuple(tuple(sorted(nbrs)) for nbrs in right)
+        self.roots = None
 
     @property
     def edge_count(self) -> int:
@@ -138,6 +160,14 @@ def girth(g: BipartiteGraph) -> GirthReport:
     one, every left vertex has a smaller global index than the root, and
     cutting them off would leave every root isolated (girth inf).
 
+    A graph with orbit roots (see :func:`root_orbits` for the certificate)
+    is searched from those left vertices only.  The smallest left vertex m
+    on any shortest cycle is a root (see the module docstring), and the
+    shortest cycle through m avoids the vertices below m, so m's search
+    finds it; a start left out can report no shorter length.  On a tie of
+    the sides the girth and the witness are those of the search from every
+    left vertex, which reaches the girth first at m as well.
+
     While processing a vertex at depth d only cycles of length >= 2d can
     still be discovered from that root, so each search is cut as soon as 2d
     reaches the best length found so far.  A candidate that ties the true
@@ -152,7 +182,7 @@ def girth(g: BipartiteGraph) -> GirthReport:
     seen = [-1] * n
     depth = [0] * n
     parent = [-1] * n
-    for s in range(lo, hi):
+    for s in range(lo, hi) if g.roots is None else g.roots:
         if not adj[s]:
             continue
         seen[s] = s
@@ -217,6 +247,13 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     the rest of any closing path keeps to vertices > s, so it is no shorter
     than the BFS distance.  The surviving paths are visited in the same
     order, so the first witness is the one the unpruned search returns.
+
+    A graph with orbit roots (see :func:`root_orbits` for the certificate)
+    starts only at those left vertices.  The smallest vertex of a cycle is
+    a left one, and the smallest left vertex m on any cycle of this length
+    is a root (see the module docstring).  Every start below m finds
+    nothing, and the search from m is the one it would be without roots, so
+    the answer and the witness are unchanged.
     """
     if length % 2 != 0:
         raise ValueError(f"cycle length must be even in a bipartite graph, got {length}")
@@ -232,7 +269,7 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     # also keeps the path to vertices > s
     dist = [length] * n
 
-    for s in range(n):
+    for s in range(n) if g.roots is None else g.roots:
         if len(adj[s]) < 2:
             continue
         dist[s] = 0
@@ -276,6 +313,96 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
         for v in reached:
             dist[v] = length
     return None
+
+
+def root_orbits(g: BipartiteGraph, generators) -> tuple[bool, ...]:
+    """Certify each generator as an automorphism; root g at the orbits of those that pass.
+
+    A generator is ``(side, perm)``: a permutation of the left or the right
+    side's indices.  Its certificate, O(E), takes nothing on trust.  Index
+    the other side by neighbourhood (the sorted adjacency tuple, a set's
+    canonical form) and refuse if two of its vertices share one; map each
+    vertex b of the other side to the vertex whose neighbourhood is
+    ``perm(N(b))`` and refuse if there is none; refuse unless that map is a
+    bijection.  A generator that passes, with its forced map, carries every
+    edge to an edge and is an automorphism.
+
+    Sets ``g.roots`` to the smallest vertex of each left orbit of the group
+    the passing generators generate, or leaves it alone if none passes.
+    Returns, per generator, whether it passed.
+    """
+    sides = {"left": (g.left_adj, g.right_adj), "right": (g.right_adj, g.left_adj)}
+    indices = {}
+    passed = []
+    left_perms = []
+    for side, perm in generators:
+        moved, other = sides[side]
+        if side not in indices:
+            index = {nbrs: b for b, nbrs in enumerate(other)}
+            indices[side] = index if len(index) == len(other) else None
+        forced = None
+        if indices[side] is not None and sorted(perm) == list(range(len(moved))):
+            forced = _forced_map(perm, other, indices[side])
+        passed.append(forced is not None)
+        if forced is not None:
+            left_perms.append(perm if side == "left" else forced)
+    if left_perms:
+        # the images under the generators close each orbit: in a finite
+        # group every inverse is a power
+        reached = [False] * g.left_count
+        roots = []
+        for r in range(g.left_count):
+            if reached[r]:
+                continue
+            roots.append(r)
+            reached[r] = True
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                for perm in left_perms:
+                    if not reached[perm[x]]:
+                        reached[perm[x]] = True
+                        stack.append(perm[x])
+        g.roots = tuple(roots)
+    return tuple(passed)
+
+
+def _forced_map(perm, other, index) -> list[int] | None:
+    """The map b -> index[perm(N(b))] on the other side, or None unless it is a bijection."""
+    forced = []
+    for nbrs in other:
+        b = index.get(tuple(sorted([perm[a] for a in nbrs])))
+        if b is None:
+            return None
+        forced.append(b)
+    return forced if len(set(forced)) == len(forced) else None
+
+
+def is_forest(g: BipartiteGraph) -> bool:
+    """Whether g has no cycle.
+
+    E edges on V' non-isolated vertices in C components form a forest
+    exactly when E = V' - C.
+    """
+    edges = g.edge_count
+    touched = sum(1 for nbrs in g.left_adj if nbrs) + sum(1 for nbrs in g.right_adj if nbrs)
+    if edges and edges >= touched:
+        return False  # a nonempty forest has fewer edges than non-isolated vertices
+    adj = g.global_adjacency()
+    component = [False] * len(adj)
+    trees = 0
+    for r, nbrs in enumerate(adj):
+        if not nbrs or component[r]:
+            continue
+        trees += 1
+        component[r] = True
+        stack = [r]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not component[w]:
+                    component[w] = True
+                    stack.append(w)
+    return edges == touched - trees
 
 
 @dataclass(frozen=True)

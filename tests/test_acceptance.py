@@ -195,13 +195,13 @@ def test_criterion_9_sanity_diagnostics(lu64, wenger64):
         )
 
 
-def _layered_girth_over_f3(num, k, expected):
-    """D(3, k) is 3-regular on 3^k vertices a side, with girth exactly expected >= k + 5."""
+def _layered_girth(num, k, q, expected):
+    """D(k, q) is q-regular on q^k vertices a side, with girth exactly expected >= k + 5."""
     with criterion(num) as c:
-        g = build_lu_graph(LUParams(k, 3))
-        assert g.left_count == g.right_count == 3**k
+        g = build_lu_graph(LUParams(k, q))
+        assert g.left_count == g.right_count == q**k
         left, right = degree_stats(g)
-        assert left.minimum == left.maximum == right.minimum == right.maximum == 3
+        assert left.minimum == left.maximum == right.minimum == right.maximum == q
         report = girth(g)
         assert report.girth == expected >= girth_target(k)
         assert is_cycle(g, report.witness, report.girth)
@@ -211,8 +211,22 @@ def _layered_girth_over_f3(num, k, expected):
 
 
 def test_criterion_10_layered_graph_k7_q3():
-    _layered_girth_over_f3(10, 7, 12)
+    _layered_girth(10, 7, 3, 12)
 
 
 def test_criterion_11_layered_graph_k9_q3():
-    _layered_girth_over_f3(11, 9, 18)
+    _layered_girth(11, 9, 3, 18)
+
+
+def test_criterion_12_layered_graph_k5_q7():
+    _layered_girth(12, 5, 7, 10)
+
+
+def test_criterion_13_wenger_k5_p7_has_no_ten_cycle():
+    with criterion(13) as c:
+        g = build_wenger_graph(WengerParams(5, 7))
+        assert g.left_count == g.right_count == 7**5
+        assert has_cycle_of_length(g, 10) is None
+        elapsed = c.elapsed
+        assert elapsed < 30.0
+        c.detail = f"no 10-cycle, {elapsed:.2f}s"

@@ -352,6 +352,13 @@ def triangle_arrangement():
     return TruncatedArrangement("wenger", 2, 1, points, lines, edges)
 
 
+def forest_arrangement():
+    """The triangle arrangement without its third line: a path U1-V0-U0-V1-U2."""
+    tri = triangle_arrangement()
+    edges = tuple((pi, lj) for pi, lj in tri.edges if lj < 2)
+    return TruncatedArrangement("wenger", 2, 1, tri.points, tri.line_params[:2], edges)
+
+
 class TestCLI:
     def test_construct_reference_instance(self, tmp_path, capsys):
         out = tmp_path / "a.arr"
@@ -433,6 +440,34 @@ class TestCLI:
         code = run(["verify", "--in", str(out), "--girth-at-least", "8"])
         assert code == 1
         assert "witness" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "checks",
+        [
+            ["--girth-at-least", "12", "--no-cycle-length", "10"],
+            ["--girth-at-least", "12"],
+            ["--no-cycle-length", "4"],
+        ],
+    )
+    def test_verify_says_a_check_on_a_forest_proves_nothing(self, tmp_path, capsys, checks):
+        out = tmp_path / "forest.arr"
+        out.write_text(render_arrangement(forest_arrangement()))
+        assert run(["verify", "--in", str(out), *checks]) == 0
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")]
+        assert len(notes) == 1
+        assert "forest" in notes[0] and "proves nothing" in notes[0]
+
+    def test_verify_notes_nothing_without_a_cycle_check_or_on_a_cyclic_graph(
+        self, tmp_path, capsys
+    ):
+        forest = tmp_path / "forest.arr"
+        forest.write_text(render_arrangement(forest_arrangement()))
+        assert run(["verify", "--in", str(forest), "--min-point-degree", "1"]) == 0
+        tri = tmp_path / "tri.arr"
+        tri.write_text(render_arrangement(triangle_arrangement()))
+        assert run(["verify", "--in", str(tri), "--girth-at-least", "6",
+                    "--no-cycle-length", "4"]) == 0
+        assert "note:" not in capsys.readouterr().out
 
     def test_verify_wenger_no_c4(self, tmp_path):
         out = tmp_path / "w.arr"

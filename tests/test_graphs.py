@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthforge.algebraic import LUParams, WengerParams, build_lu_graph, build_wenger_graph
+from girthforge.algebraic import (
+    LUParams,
+    WengerParams,
+    build_lu_graph,
+    build_wenger_graph,
+    coordinate_translations,
+)
 from helpers import (
     enumeration_girth,
     girth_target,
@@ -20,6 +26,8 @@ from girthforge.graphs import (
     degree_stats,
     girth,
     has_cycle_of_length,
+    is_forest,
+    root_orbits,
     st_ratio,
     theoretical_exponent,
 )
@@ -38,6 +46,27 @@ def path_graph():
 def transpose(g):
     """The same graph with its sides swapped."""
     return BipartiteGraph(g.right_count, g.left_count, [(j, i) for i, j in g.edges()])
+
+
+def rootless(g):
+    """The same graph built by the constructor, so without orbit roots."""
+    return BipartiteGraph(g.left_count, g.right_count, g.edges())
+
+
+# field graphs whose rooted searches are compared with the unpruned oracles
+ROOTED_FIELD_GRAPHS = (
+    ("lu", 3, 3),
+    ("lu", 5, 3),
+    ("wenger", 2, 5),
+    ("wenger", 3, 5),
+    ("wenger", 5, 2),
+)
+
+
+def field_graph(family, k, q):
+    if family == "lu":
+        return build_lu_graph(LUParams(k, q))
+    return build_wenger_graph(WengerParams(k, q))
 
 
 @st.composite
@@ -186,12 +215,28 @@ class TestCycleOfLength:
 
     def test_same_witness_as_the_unpruned_scan_on_field_graphs(self):
         for g, lengths in (
-            (build_lu_graph(LUParams(3, 3)), (4, 6, 8, 10)),
-            (build_wenger_graph(WengerParams(2, 5)), (4, 6, 8)),
-            (build_wenger_graph(WengerParams(3, 5)), (4, 6, 8)),
+            (rootless(build_lu_graph(LUParams(3, 3))), (4, 6, 8, 10)),
+            (rootless(build_wenger_graph(WengerParams(2, 5))), (4, 6, 8)),
+            (rootless(build_wenger_graph(WengerParams(3, 5))), (4, 6, 8)),
         ):
             for length in lengths:
                 assert has_cycle_of_length(g, length) == scan_cycle_of_length(g, length)
+
+    @pytest.mark.parametrize("family, k, q", ROOTED_FIELD_GRAPHS)
+    def test_rooted_search_agrees_with_the_unpruned_scan_on_field_graphs(self, family, k, q):
+        # the smallest vertex on any cycle of a length is a root, so even the
+        # witnesses are those of the searches from every vertex
+        g = field_graph(family, k, q)
+        assert g.roots is not None
+        for length in range(4, min(12, 2 * g.left_count) + 1, 2):
+            witness = has_cycle_of_length(g, length)
+            assert witness == scan_cycle_of_length(g, length), length
+            if witness is not None:
+                assert is_cycle(g, witness, length)
+        report = girth(g)
+        assert report == girth(rootless(g))
+        assert report.girth == enumeration_girth(g)
+        assert is_cycle(g, report.witness, report.girth)
 
     def test_cycle_longer_than_the_recursion_limit(self):
         # one 1200-cycle: every simple path of the search grows to 1200 vertices
@@ -200,6 +245,120 @@ class TestCycleOfLength:
         witness = has_cycle_of_length(g, 1200)
         assert is_cycle(g, witness, 1200)
         assert has_cycle_of_length(g, 1198) is None
+
+
+@st.composite
+def cyclic_covers(draw):
+    """A c-fold cyclic cover of a small bipartite graph, relabelled at random,
+    with the shift of the copies as a left permutation.
+
+    Left (i, x) joins right (j, x + volt) for each base edge (i, j) with its
+    voltage; x -> x + 1 on both sides is an automorphism, so the shift on the
+    left passes the certificate unless two right vertices share neighbours.
+    """
+    base_left, base_right, c = (draw(st.integers(2, 4)) for _ in range(3))
+    pairs = [(i, j) for i in range(base_left) for j in range(base_right)]
+    base = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=8))
+    # no isolated right vertex: c of them would share the empty neighbourhood
+    used = sorted({j for _, j in base})
+    base_right = len(used)
+    base = [(i, used.index(j)) for i, j in base]
+    volts = draw(st.lists(st.integers(0, c - 1), min_size=len(base), max_size=len(base)))
+    left_label = draw(st.permutations(range(base_left * c)))
+    right_label = draw(st.permutations(range(base_right * c)))
+    edges = [
+        (left_label[i * c + x], right_label[j * c + (x + v) % c])
+        for (i, j), v in zip(base, volts)
+        for x in range(c)
+    ]
+    shift = [0] * (base_left * c)
+    for i in range(base_left):
+        for x in range(c):
+            shift[left_label[i * c + x]] = left_label[i * c + (x + 1) % c]
+    return BipartiteGraph(base_left * c, base_right * c, edges), shift
+
+
+class TestOrbitRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(cyclic_covers())
+    def test_rooted_searches_match_the_searches_from_every_vertex(self, cover):
+        g, shift = cover
+        plain = rootless(g)
+        if root_orbits(g, [("left", shift)]) == (False,):
+            assert g.roots is None
+            return
+        smallest = set()
+        for v in range(g.left_count):
+            orbit = [v]
+            while shift[orbit[-1]] != v:
+                orbit.append(shift[orbit[-1]])
+            smallest.add(min(orbit))
+        assert g.roots == tuple(sorted(smallest))
+        report = girth(g)
+        assert report.girth == enumeration_girth(plain)
+        if g.left_count <= g.right_count:
+            assert report == girth(plain)
+        for length in range(4, 2 * min(g.left_count, g.right_count) + 1, 2):
+            witness = has_cycle_of_length(g, length)
+            assert witness == scan_cycle_of_length(plain, length), length
+
+    def test_lu_k5_q5_passes_exactly_the_recorded_translations(self):
+        params = LUParams(5, 5)
+        g = rootless(build_lu_graph(params))
+        passed = root_orbits(g, coordinate_translations(params))
+        # points: coordinates 2-4 pass; line vertices: coordinates 3-4 pass
+        assert passed == (False, False, True, True, True, False, False, False, True, True)
+        assert len(g.roots) == 25
+        assert g.roots == build_lu_graph(params).roots
+
+    def test_wenger_translations_give_one_orbit(self):
+        for k, p in ((2, 5), (3, 5), (5, 2)):
+            g = build_wenger_graph(WengerParams(k, p))
+            assert g.roots == (0,)
+
+    def test_a_permutation_that_is_not_an_automorphism_is_refused(self):
+        g = rootless(build_lu_graph(LUParams(3, 3)))
+        swap = list(range(g.left_count))
+        swap[0], swap[1] = 1, 0
+        assert root_orbits(g, [("left", swap), ("right", swap)]) == (False, False)
+        assert g.roots is None
+
+    def test_a_map_that_is_not_a_permutation_is_refused(self):
+        g = hexagon()
+        not_permutations = [("left", (0, 0, 1)), ("left", (1, 2)), ("right", (1, 2, 3))]
+        assert root_orbits(g, not_permutations) == (False, False, False)
+        assert g.roots is None
+
+    def test_equal_neighbourhoods_refuse_every_generator(self):
+        # K_{2,2}: the swaps are automorphisms, but the forced map is not determined
+        k22 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert root_orbits(k22, [("left", (1, 0)), ("right", (1, 0))]) == (False, False)
+        assert k22.roots is None
+        assert girth(k22).girth == 4
+
+    def test_constructed_and_truncated_graphs_carry_no_roots(self):
+        assert hexagon().roots is None
+        assert build_truncated(WengerTruncationSpec(2, 16)).to_bipartite_graph().roots is None
+
+    def test_roots_do_not_enter_equality_or_hash(self):
+        g = build_lu_graph(LUParams(3, 3))
+        plain = rootless(g)
+        assert g.roots is not None and plain.roots is None
+        assert g == plain and hash(g) == hash(plain)
+
+
+class TestForest:
+    def test_forests_and_cyclic_graphs(self):
+        assert is_forest(path_graph())
+        assert is_forest(BipartiteGraph(0, 0, []))
+        assert is_forest(BipartiteGraph(3, 3, [(0, 0), (2, 2)]))
+        assert not is_forest(hexagon())
+        assert not is_forest(build_lu_graph(LUParams(3, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bipartite_graphs())
+    def test_forest_exactly_when_the_girth_is_infinite(self, g):
+        assert is_forest(g) == (enumeration_girth(g) == math.inf)
 
 
 class TestGirthOracleAgreement:
