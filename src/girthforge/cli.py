@@ -39,7 +39,8 @@ from .graphs import (
     theoretical_exponent,
 )
 from .svg import export_svg
-from .truncation import TruncationSpec, build_truncated, embedding_prime, verify_subgraph_embedding
+from .truncation import DEFAULT_BOX_BUDGET, TruncationSpec, build_truncated
+from .truncation import embedding_prime, verify_subgraph_embedding
 
 __all__ = ["run", "main"]
 
@@ -66,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--budget", type=int, default=None, help="box size budget per side")
+    p.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET, help="box size budget per side")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="re-derive and check properties of an arrangement")
@@ -121,13 +122,7 @@ def _lines_of(arr):
 
 
 def _cmd_construct(args) -> int:
-    if args.budget is not None and args.budget < 1:
-        raise UsageError("budget must be >= 1")
-    spec = TruncationSpec(args.family, args.k, args.n)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["box_budget"] = args.budget
-    arr = build_truncated(spec, **kwargs)
+    arr = build_truncated(TruncationSpec(args.family, args.k, args.n), box_budget=args.budget)
     args.out.write_text(render_arrangement(arr))
     print(
         f"wrote {args.out}: family={arr.family} k={arr.k} n={arr.n} "
@@ -244,6 +239,8 @@ def _cmd_stats(args) -> int:
     print(f"line degrees min {right.minimum} max {right.maximum}")
     report = girth(graph)
     print(f"girth {report.girth}")
+    if report.witness is None:
+        print("note: the graph is a forest, so girth inf proves nothing")
     if n_inc:
         ratio = st_ratio(n_points, n_lines, n_inc)
         print(f"incidence-bound ratio {ratio} = {float(ratio):.6f}")

@@ -212,8 +212,9 @@ def render_edge_list(edges) -> str:
 
 
 def sniff_format(text: str) -> str:
-    """'arrangement' or 'planar', judged from the header line."""
-    head = text.lstrip().splitlines()[0].strip() if text.strip() else ""
+    """'arrangement' or 'planar', judged from the first non-blank line alone."""
+    # the leading whitespace, then the rest of that line up to a str.splitlines boundary
+    head = re.match(r"\s*([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)", text)[1].rstrip()
     if head == ARRANGEMENT_HEADER:
         return "arrangement"
     if head == PLANAR_HEADER:

@@ -8,20 +8,23 @@ the start.  Both prunings drop only work that cannot lead to a cycle, so
 the answers are those of the unpruned searches; every witness returned by
 either routine is machine-checked before it leaves this module.
 
-A graph may carry orbit roots, set only by :func:`root_orbits`: one left
-vertex per orbit of a group generated by automorphisms that passed an exact
-certificate on this very graph.  The certificate of a permutation T of one
-side indexes the other side by neighbourhood, refusing two equal ones, and
-maps each vertex b there to the vertex whose neighbourhood is T(N(b)),
-refusing if there is none or if the map is not a bijection; T and that map
-then carry every edge to an edge.  Each root is the smallest vertex of its
-orbit.  Every cycle meets the left side, so among the cycles of a given
-length there is a smallest left vertex m on one of them, and m is a root:
-an automorphism carries that cycle to one of the same length through the
-smallest vertex of m's orbit, which is therefore no smaller than m.  The
-cycle through m avoids every vertex below m.  So both searches start at
-the roots only, each root still skipping the vertices below it, and every
-start they leave out finds no cycle that a root's search misses.
+The start rule: global indices put every point (left vertex) below every
+line, and every edge joins a point to a line, so the smallest vertex of a
+cycle is a point and every component with an edge holds a point.  A search
+that must meet each cycle or each component starts at points only.
+
+Orbit roots, set only by :func:`root_orbits`, narrow those starts to the
+smallest point of each orbit of a group generated by automorphisms that
+passed an exact certificate on this very graph.  The certificate of a
+permutation T of one side indexes the other side by neighbourhood,
+refusing two equal ones, and maps each vertex b there to the vertex whose
+neighbourhood is T(N(b)), refusing if there is none or if the map is not a
+bijection; T and that map then carry every edge to an edge.  Among the
+cycles of a given length take the smallest point m on one of them: an
+automorphism carries that cycle to one through the smallest point of m's
+orbit, which is therefore no smaller than m, so m is a root.  The cycle
+through m avoids every vertex below m, so the searches from the roots,
+each still skipping the vertices below it, miss no cycle.
 """
 
 from __future__ import annotations
@@ -160,13 +163,13 @@ def girth(g: BipartiteGraph) -> GirthReport:
     one, every left vertex has a smaller global index than the root, and
     cutting them off would leave every root isolated (girth inf).
 
-    A graph with orbit roots (see :func:`root_orbits` for the certificate)
-    is searched from those left vertices only.  The smallest left vertex m
-    on any shortest cycle is a root (see the module docstring), and the
-    shortest cycle through m avoids the vertices below m, so m's search
-    finds it; a start left out can report no shorter length.  On a tie of
-    the sides the girth and the witness are those of the search from every
-    left vertex, which reaches the girth first at m as well.
+    A graph with orbit roots is searched from those points only (see the
+    module docstring): the smallest point m on any shortest cycle is a root,
+    and m's search finds that cycle.  On a tie of the sides the girth and
+    the witness are those of the search from every point.  Without roots
+    the smaller side stays, not the point side of the start rule: where the
+    lines are fewer it is faster (CPython 3.11, 2 vCPUs: wenger k=3, n=200
+    takes 0.019 s from its 2,712 lines, 0.024 s from its 16,344 points).
 
     While processing a vertex at depth d only cycles of length >= 2d can
     still be discovered from that root, so each search is cut as soon as 2d
@@ -248,12 +251,9 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     than the BFS distance.  The surviving paths are visited in the same
     order, so the first witness is the one the unpruned search returns.
 
-    A graph with orbit roots (see :func:`root_orbits` for the certificate)
-    starts only at those left vertices.  The smallest vertex of a cycle is
-    a left one, and the smallest left vertex m on any cycle of this length
-    is a root (see the module docstring).  Every start below m finds
-    nothing, and the search from m is the one it would be without roots, so
-    the answer and the witness are unchanged.
+    The starts are the points, or the orbit roots when g has them, by the
+    start rule in the module docstring; the starts left out find nothing,
+    so the answer and the witness are those of the search from every vertex.
     """
     if length % 2 != 0:
         raise ValueError(f"cycle length must be even in a bipartite graph, got {length}")
@@ -269,7 +269,7 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     # also keeps the path to vertices > s
     dist = [length] * n
 
-    for s in range(n) if g.roots is None else g.roots:
+    for s in range(g.left_count) if g.roots is None else g.roots:
         if len(adj[s]) < 2:
             continue
         dist[s] = 0
@@ -382,7 +382,8 @@ def is_forest(g: BipartiteGraph) -> bool:
     """Whether g has no cycle.
 
     E edges on V' non-isolated vertices in C components form a forest
-    exactly when E = V' - C.
+    exactly when E = V' - C.  The component walks start at points only, by
+    the start rule in the module docstring.
     """
     edges = g.edge_count
     touched = sum(1 for nbrs in g.left_adj if nbrs) + sum(1 for nbrs in g.right_adj if nbrs)
@@ -391,8 +392,8 @@ def is_forest(g: BipartiteGraph) -> bool:
     adj = g.global_adjacency()
     component = [False] * len(adj)
     trees = 0
-    for r, nbrs in enumerate(adj):
-        if not nbrs or component[r]:
+    for r in range(g.left_count):
+        if not adj[r] or component[r]:
             continue
         trees += 1
         component[r] = True

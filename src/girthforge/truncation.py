@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from itertools import chain, product
 
 from .algebraic import BudgetExceededError
-from .exactmath import _MR_LIMIT, is_prime, next_prime, prime_in_window
+from .exactmath import is_prime, next_prime, prime_in_window
 from .families import box_rank, family_named, plan_holds_mod, substitute
 from .graphs import BipartiteGraph
 
@@ -160,11 +160,13 @@ def build_truncated(
     evaluating the written-out equations on every pair and the two must
     agree.
 
-    Raises BudgetExceededError when either box exceeds box_budget (checked
-    against the lower bound 2**k before any range is evaluated), and
-    ValueError when a line box is empty (impossible for n >= 1, kept as a
-    guard).
+    Raises ValueError when box_budget < 1, BudgetExceededError when either
+    box exceeds box_budget (checked against the lower bound 2**k before any
+    range is evaluated), and ValueError when a line box is empty (impossible
+    for n >= 1, kept as a guard).
     """
+    if box_budget < 1:
+        raise ValueError("budget must be >= 1")
     # Every point coordinate range holds 0 and 1, so the point box holds at
     # least 2**k tuples; refuse before evaluating any range.  Comparing bit
     # lengths tests 2**k > box_budget without building 2**k for a huge k.
@@ -218,18 +220,14 @@ def embedding_prime(arr: TruncatedArrangement, mode: str = "minimal") -> int:
     scale; no box range is evaluated.  'paper' searches the family's much
     larger window, (4 n**(8/k), 8 n**(8/k)) for the layered family and
     (2**(2k) n**(2/k), 2**(2k+1) n**(2/k)) for the positional one, with both
-    ends evaluated exactly.  A prime or window reaching past the exact range
-    of the primality test is a ValueError.
+    ends evaluated exactly.  A search that reaches the exact limit of
+    ``is_prime`` before it finds a prime raises that test's ValueError.
     """
     if mode == "minimal":
         largest = max(map(max, chain(arr.points, arr.line_params)), default=1)
         return next_prime(max(1, largest))
     if mode == "paper":
         lo, hi = family_named(arr.family).prime_window(arr.k, arr.n)
-        if hi >= _MR_LIMIT:
-            raise ValueError(
-                f"the window ({lo}, {hi}) reaches past the exact primality limit {_MR_LIMIT}"
-            )
         p = prime_in_window(lo, hi)
         if p is None:
             raise ValueError(f"no prime in the window ({lo}, {hi})")

@@ -102,6 +102,33 @@ class TestArrangementFormat:
         with pytest.raises(ParseError):
             sniff_format("junk\n")
 
+    def test_sniff_skips_leading_blank_lines(self):
+        assert sniff_format("\n \t\r\n\n  GIRTHFORGE-ARR 1  \r\npoints") == "arrangement"
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\r\n\x0b\x0c\u2028 "])
+    def test_sniff_of_whitespace_only_text(self, text):
+        with pytest.raises(ParseError, match=r"^unrecognized header ''$"):
+            sniff_format(text)
+
+    def test_sniff_reads_the_header_and_nothing_after_it(self):
+        assert sniff_format("GIRTHFORGE-PLANAR 1\n\x00 junk \u2029 1/0") == "planar"
+        with pytest.raises(ParseError, match=r"^unrecognized header 'junk'$"):
+            sniff_format("\n junk \nGIRTHFORGE-ARR 1\n")
+
+    @pytest.mark.parametrize(
+        "sep", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                "\x85", "\xa0", "\u2028", "\u2029", "\u3000", " "],
+    )
+    def test_sniff_ends_the_header_where_splitlines_does(self, sep):
+        text = f"{sep} GIRTHFORGE-ARR 1{sep}x"
+        # the whole-text reading of the header line, as an oracle
+        head = text.lstrip().splitlines()[0].strip()
+        expected = "arrangement" if head == "GIRTHFORGE-ARR 1" else f"unrecognized header {head!r}"
+        try:
+            assert sniff_format(text) == expected
+        except ParseError as exc:
+            assert str(exc) == expected
+
 
 @st.composite
 def small_arrangements(draw):
@@ -535,6 +562,18 @@ class TestCLI:
         text = capsys.readouterr().out
         assert "points" in text and "girth" in text and "exponent" in text
 
+    def test_stats_notes_a_forest(self, tmp_path, capsys):
+        # lu k=5, n=64: 144 points, 17,424 lines, no line with three points
+        forest, cyclic = tmp_path / "f.arr", tmp_path / "w.arr"
+        run(["construct", "--family", "lu", "--k", "5", "--n", "64", "--out", str(forest)])
+        run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(cyclic)])
+        capsys.readouterr()
+        assert run(["stats", "--in", str(forest)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[out.index("girth inf") + 1] == "note: the graph is a forest, so girth inf proves nothing"
+        assert run(["stats", "--in", str(cyclic)]) == 0
+        assert "note:" not in capsys.readouterr().out
+
     def test_stats_on_planar_file(self, tmp_path, capsys):
         arr_path = tmp_path / "w.arr"
         planar_path = tmp_path / "w.planar"
@@ -653,6 +692,21 @@ class TestCLI:
         capsys.readouterr()
         assert run([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_paper_window_across_the_primality_limit_is_answered(self, tmp_path, capsys):
+        # lu k=3 at n = 324000000: the window (198082762990900653766538,
+        # 396165525981801307533077) straddles the limit, its first prime below it
+        path = tmp_path / "a.arr"
+        path.write_text(small_arrangement_text(dim=3, family="lu", n=324_000_000, points=0, lines=0))
+        assert run(["verify", "--in", str(path), "--subgraph-prime", "paper"]) == 0
+        assert "mod 198082762990900653766603 (paper mode)" in capsys.readouterr().out
+
+    def test_paper_window_past_the_primality_limit_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "a.arr"
+        path.write_text(small_arrangement_text(dim=3, family="lu", n=10**9, points=0, lines=0))
+        assert run(["verify", "--in", str(path), "--subgraph-prime", "paper"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"at or above the exact primality limit {_MR_LIMIT}" in err
 
     def test_module_entry_point_keeps_the_exit_code(self, tmp_path):
         proc = run_module(["stats", "--in", str(tmp_path / "none.arr")], timeout=60)

@@ -19,6 +19,7 @@ from helpers import (
     is_cycle,
     random_bipartite,
     scan_cycle_of_length,
+    union_find_has_cycle,
 )
 
 from girthforge.graphs import (
@@ -31,7 +32,7 @@ from girthforge.graphs import (
     st_ratio,
     theoretical_exponent,
 )
-from girthforge.truncation import WengerTruncationSpec, build_truncated
+from girthforge.truncation import TruncationSpec, WengerTruncationSpec, build_truncated
 
 
 def hexagon():
@@ -359,6 +360,33 @@ class TestForest:
     @given(bipartite_graphs())
     def test_forest_exactly_when_the_girth_is_infinite(self, g):
         assert is_forest(g) == (enumeration_girth(g) == math.inf)
+
+
+# Truncations whose sides differ by up to 120 times, and the even lengths at
+# which the unpruned oracle stays fast on each.
+TRUNCATION_LENGTHS = {
+    "lu64": range(4, 24, 2),  # 135 points, 2,145 lines, girth 8
+    "wenger64": range(4, 62, 2),  # 325 points, 165 lines, girth 6
+    "lu5_64": (*range(4, 42, 2), 288),  # 144 points, 17,424 lines, a forest
+}
+
+
+@pytest.fixture(scope="module")
+def lu5_64():
+    return build_truncated(TruncationSpec("lu", 5, 64))
+
+
+class TestPointSideStarts:
+    @pytest.mark.parametrize("name", TRUNCATION_LENGTHS)
+    def test_cycle_search_returns_the_unpruned_witness_on_truncations(self, request, name):
+        g = request.getfixturevalue(name).to_bipartite_graph()
+        for length in TRUNCATION_LENGTHS[name]:
+            assert has_cycle_of_length(g, length) == scan_cycle_of_length(g, length), length
+
+    @pytest.mark.parametrize("name", TRUNCATION_LENGTHS)
+    def test_forest_answer_matches_union_find_on_truncations(self, request, name):
+        g = request.getfixturevalue(name).to_bipartite_graph()
+        assert is_forest(g) == (not union_find_has_cycle(g)) == (name == "lu5_64")
 
 
 class TestGirthOracleAgreement:

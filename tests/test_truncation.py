@@ -311,6 +311,11 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match=r"2\*\*"):
             build_truncated(spec, box_budget=budget)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_value_error(self, budget):
+        with pytest.raises(ValueError, match=r"^budget must be >= 1$"):
+            build_truncated(LU64, box_budget=budget)
+
     def test_lower_bound_equal_to_the_budget_passes(self):
         # lu k=5, n=1 has exactly 2**5 points, so only its 960 lines exceed 32.
         with pytest.raises(BudgetExceededError, match="box sizes 32 x 960"):
@@ -342,8 +347,19 @@ class TestEmbedding:
 
     def test_paper_window_beyond_exact_primality_rejected(self):
         # (4 n**(8/3), 8 n**(8/3)) at n = 10**12 starts near 4e32.
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ValueError, match="at or above the exact primality limit"):
             embedding_prime(TruncatedArrangement("lu", 3, 10**12, (), (), ()), "paper")
+
+    def test_paper_window_across_the_primality_limit_is_answered(self):
+        # The window straddles psi_12 = 318665857834031151167461, and its
+        # smallest prime lies below it.
+        n = 324_000_000
+        assert family_named("lu").prime_window(3, n) == (
+            198082762990900653766538,
+            396165525981801307533077,
+        )
+        arr = TruncatedArrangement("lu", 3, n, (), (), ())
+        assert embedding_prime(arr, "paper") == 198082762990900653766603
 
     def test_nonprime_modulus_rejected(self, lu64):
         with pytest.raises(ValueError):
