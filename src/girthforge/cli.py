@@ -147,12 +147,17 @@ def _cmd_verify(args) -> int:
 
     derived = incidence_set_kd(arr.points, lines)
     if derived != arr.edge_set:
-        extra = len(derived - arr.edge_set)
-        missing = len(arr.edge_set - derived)
-        raise CheckFailure(
-            f"recorded incidences disagree with geometry: file is missing {extra} "
-            f"and carries {missing} spurious pairs"
+        missing = derived - arr.edge_set
+        spurious = arr.edge_set - derived
+        message = (
+            f"recorded incidences disagree with geometry: file is missing {len(missing)} "
+            f"and carries {len(spurious)} spurious pairs"
         )
+        if missing:
+            message += f"; smallest missing: {min(missing)}"
+        if spurious:
+            message += f"; smallest spurious: {min(spurious)}"
+        raise CheckFailure(message)
     print(f"ok: {len(derived)} incidences re-derived from geometry match the file")
 
     graph = arr.to_bipartite_graph()

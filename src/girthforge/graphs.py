@@ -381,29 +381,38 @@ def _forced_map(perm, other, index) -> list[int] | None:
 def is_forest(g: BipartiteGraph) -> bool:
     """Whether g has no cycle.
 
-    E edges on V' non-isolated vertices in C components form a forest
-    exactly when E = V' - C.  The component walks start at points only, by
-    the start rule in the module docstring.
+    A component is a tree exactly when it has one edge fewer than vertices.
+    The component walks start at points only, by the start rule in the
+    module docstring, and step over left_adj and right_adj directly,
+    counting each line as it is first reached.  The first component with a
+    cycle ends the search.
     """
-    edges = g.edge_count
-    touched = sum(1 for nbrs in g.left_adj if nbrs) + sum(1 for nbrs in g.right_adj if nbrs)
-    if edges and edges >= touched:
-        return False  # a nonempty forest has fewer edges than non-isolated vertices
-    adj = g.global_adjacency()
-    component = [False] * len(adj)
-    trees = 0
-    for r in range(g.left_count):
-        if not adj[r] or component[r]:
+    left_adj, right_adj = g.left_adj, g.right_adj
+    point_seen = [False] * g.left_count
+    line_seen = [False] * g.right_count
+    for r, nbrs in enumerate(left_adj):
+        if not nbrs or point_seen[r]:
             continue
-        trees += 1
-        component[r] = True
+        point_seen[r] = True
         stack = [r]
+        vertices = 1
+        edges = 0
         while stack:
-            for w in adj[stack.pop()]:
-                if not component[w]:
-                    component[w] = True
-                    stack.append(w)
-    return edges == touched - trees
+            lines = left_adj[stack.pop()]
+            edges += len(lines)
+            for j in lines:
+                if line_seen[j]:
+                    continue
+                line_seen[j] = True
+                vertices += 1
+                for i in right_adj[j]:
+                    if not point_seen[i]:
+                        point_seen[i] = True
+                        vertices += 1
+                        stack.append(i)
+        if edges >= vertices:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

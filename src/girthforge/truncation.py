@@ -8,9 +8,11 @@ bounds evaluated exactly: closed ranges with floored upper ends (and ceiled
 lower ends where a lower bound exists).  Each family's boxes, equations and
 prime window come from the family table in :mod:`girthforge.families`.
 
-Edge generation walks the free coordinate and substitutes; a brute force
-pass over all point/line pairs cross-checks the result whenever the
-instance is small enough, which covers every desk-scale run.
+Edge generation walks the free coordinate and substitutes.  Whenever the
+instance is small enough, which covers every desk-scale run, a brute-force
+pass cross-checks the result on every point/line pair: line by line, it
+filters the whole point box through the family's equations written out by
+position, one equation at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "LUTruncationSpec",
     "WengerTruncationSpec",
     "TruncatedArrangement",
+    "lu_points_on",
+    "wenger_points_on",
     "lu_edge_free",
     "wenger_edge_free",
     "build_truncated",
@@ -66,29 +70,51 @@ LUTruncationSpec = partial(TruncationSpec, "lu")
 WengerTruncationSpec = partial(TruncationSpec, "wenger")
 
 
-def lu_edge_free(u, v, k: int) -> bool:
-    """The layered equations over the plain integers (no modulus), by position.
+def lu_points_on(v, points, k: int) -> list[int]:
+    """Indices of the points on line vertex v by the layered equations, by position.
 
-    Written out on its own, apart from the coordinate labels and the plan it
-    cross-checks.  From position 1 on, the coordinates come in blocks of
+    The equations hold over the plain integers (no modulus) and are written
+    out here on their own, apart from the coordinate labels and the plan
+    they cross-check.  From position 1 on, the coordinates come in blocks of
     four.  The last two of each block hold v[t] - u[t] = v[0] * u[t-2]; the
     first two hold v[t] - u[t] = u[0] * v[t-2], except that positions 1 and
-    2 read v[0] and v[1].
+    2 read v[0] and v[1].  Every point is tested against the equation at
+    position 1, and each survivor against the next position in turn.
     """
+    hits = range(len(points))
     for t in range(1, k):
+        vt = v[t]
         if (t - 1) % 4 >= 2:
-            rhs = v[0] * u[t - 2]
+            a, s = v[0], t - 2
+            hits = [i for i in hits if vt - points[i][t] == a * points[i][s]]
         else:
-            rhs = u[0] * v[t - 2 if t > 2 else t - 1]
-        if v[t] - u[t] != rhs:
-            return False
-    return True
+            c = v[t - 2 if t > 2 else t - 1]
+            hits = [i for i in hits if vt - points[i][t] == points[i][0] * c]
+    return list(hits)
+
+
+def wenger_points_on(v, points, k: int) -> list[int]:
+    """Indices of the points on line vertex v by the positional relations.
+
+    Point u passes when v_j = u_j + u_{j+1} * v_{k-1} over the plain integers
+    for every j; every point is tested at j = 0, each survivor at the next j.
+    """
+    last = v[k - 1]
+    hits = range(len(points))
+    for j in range(k - 1):
+        vj = v[j]
+        hits = [i for i in hits if vj == points[i][j] + points[i][j + 1] * last]
+    return list(hits)
+
+
+def lu_edge_free(u, v, k: int) -> bool:
+    """Whether point u lies on line vertex v, by :func:`lu_points_on`."""
+    return bool(lu_points_on(v, (u,), k))
 
 
 def wenger_edge_free(u, v, k: int) -> bool:
-    """The relations v_j = u_j + u_{j+1} * v_{k-1} over the plain integers."""
-    last = v[k - 1]
-    return all(v[j] == u[j] + u[j + 1] * last for j in range(k - 1))
+    """Whether point u lies on line vertex v, by :func:`wenger_points_on`."""
+    return bool(wenger_points_on(v, (u,), k))
 
 
 @dataclass(frozen=True)
@@ -142,7 +168,7 @@ def _walk(plan, fixed, partner_ranges, from_point: bool) -> list[tuple[int, int]
 
 
 # The written-out equations that the brute-force pass checks the walk against.
-_EDGE_ORACLES = {"lu": lu_edge_free, "wenger": wenger_edge_free}
+_EDGE_ORACLES = {"lu": lu_points_on, "wenger": wenger_points_on}
 
 
 def build_truncated(
@@ -156,9 +182,10 @@ def build_truncated(
     every vertex of one side (the side with fewer candidates) and
     substituting the remaining coordinates over the integers, keeping a
     candidate only when it lands inside the partner box.  When
-    |points| * |lines| <= cross_check_limit the edge set is re-derived by
-    evaluating the written-out equations on every pair and the two must
-    agree.
+    |points| * |lines| <= cross_check_limit the edge set is re-derived and
+    the two must agree: for each line vertex, the family's ``*_points_on``
+    filter keeps the points that pass the written-out equations, testing
+    every point against the first and each survivor against the next.
 
     Raises ValueError when box_budget < 1, BudgetExceededError when either
     box exceeds box_budget (checked against the lower bound 2**k before any
@@ -196,13 +223,12 @@ def build_truncated(
     edges = tuple(sorted(edges))
 
     if n_points * n_lines <= cross_check_limit:
-        predicate = _EDGE_ORACLES[spec.family]
+        points_on = _EDGE_ORACLES[spec.family]
         brute = tuple(
             sorted(
                 (pi, lj)
-                for pi, u in enumerate(points)
                 for lj, v in enumerate(line_params)
-                if predicate(u, v, spec.k)
+                for pi in points_on(v, points, spec.k)
             )
         )
         if brute != edges:

@@ -443,6 +443,25 @@ class TestCLI:
         assert code == 1
         assert "disagree" in capsys.readouterr().err
 
+    def test_verify_names_the_smallest_missing_and_spurious_pairs(self, tmp_path, capsys):
+        out = tmp_path / "w.arr"
+        run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(out)])
+        arr = parse_arrangement(out.read_text())
+        rows = [f"{pi} {lj}" for pi, lj in arr.edges]
+        dropped = arr.edges[-1]
+        spurious = next((0, lj) for lj in range(len(arr.line_params)) if (0, lj) not in arr.edge_set)
+        text = out.read_text()
+        head = text[: text.index("\n".join(rows))]
+        # the last row becomes a pair that is not an incidence; the count stays
+        out.write_text(head + "\n".join(rows[:-1] + [f"{spurious[0]} {spurious[1]}"]) + "\n")
+        code = run(["verify", "--in", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "disagree" in err
+        assert "missing 1 and carries 1 spurious" in err
+        assert f"smallest missing: {dropped}" in err
+        assert f"smallest spurious: {spurious}" in err
+
     def test_verify_cycle_length_beyond_any_simple_cycle_is_immediate(self, tmp_path, capsys):
         out = tmp_path / "w.arr"
         run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(out)])

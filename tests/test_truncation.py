@@ -4,13 +4,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from girthforge.algebraic import BudgetExceededError
 from girthforge.exactmath import floor_pow, next_prime
 from girthforge.families import CoordLabel, box_rank, family_named, lu_labels, substitute
 from girthforge.graphs import degree_stats, girth
+from girthforge import truncation
 from girthforge.truncation import (
+    DEFAULT_CROSS_CHECK_LIMIT,
     LUTruncationSpec,
     TruncatedArrangement,
     WengerTruncationSpec,
@@ -19,8 +21,10 @@ from girthforge.truncation import (
     embedding_prime,
     TruncationSpec,
     lu_edge_free,
+    lu_points_on,
     verify_subgraph_embedding,
     wenger_edge_free,
+    wenger_points_on,
 )
 from helpers import (
     bumped,
@@ -438,3 +442,59 @@ class TestFreePredicates:
         for pi, lj in list(lu64.edges)[::50]:
             u, v = lu64.points[pi], lu64.line_params[lj]
             assert lu_edge_free(u, v, 3)
+
+
+@st.composite
+def line_and_points(draw, family, k):
+    """A line vertex and a list of points: random tuples, partners of the line
+    from the plan, partners bumped by one in one coordinate, and repeats."""
+    coord = st.integers(-4, 4)
+    anywhere = st.tuples(*[coord] * k)
+    v = draw(anywhere)
+    const, slope = substitute(family_named(family).plan(k), v, False)
+    on = st.builds(lambda x: tuple(c + s * x for c, s in zip(const, slope)), coord)
+    near = st.builds(bumped, on, st.integers(0, k - 1), st.sampled_from((-1, 1)))
+    rows = draw(st.lists(st.one_of(anywhere, on, near), max_size=10))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    return v, draw(st.permutations(rows + repeats))
+
+
+POINTS_ON = {"lu": (lu_points_on, lu_edge_free), "wenger": (wenger_points_on, wenger_edge_free)}
+
+
+@pytest.mark.parametrize(
+    "family,k", [("lu", 3), ("lu", 5), ("lu", 7), ("lu", 9), ("wenger", 2), ("wenger", 3), ("wenger", 5)]
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_points_on_a_line_is_the_pair_predicate_row_by_row(family, k, data):
+    v, points = data.draw(line_and_points(family, k))
+    points_on, edge_free = POINTS_ON[family]
+    assert points_on(v, points, k) == [i for i, u in enumerate(points) if edge_free(u, v, k)]
+
+
+def dropping_first_edge(walk):
+    return lambda *args, **kwargs: walk(*args, **kwargs)[1:]
+
+
+def adding_a_non_edge(walk):
+    def wrong(*args, **kwargs):
+        edges = walk(*args, **kwargs)
+        present = set(edges)
+        i = edges[0][0]
+        return edges + [next((i, j) for _, j in edges if (i, j) not in present)]
+
+    return wrong
+
+
+@pytest.mark.parametrize("spec", [LU64, WengerTruncationSpec(2, 200)], ids=["lu3-n64", "wenger2-n200"])
+@pytest.mark.parametrize("wrong_walk", [dropping_first_edge, adding_a_non_edge])
+def test_cross_check_refuses_a_walk_off_by_one_edge(spec, wrong_walk, monkeypatch):
+    """Both instances sit under the default limit, so the brute-force pass runs."""
+    honest = build_truncated(spec)
+    assert len(honest.points) * len(honest.line_params) <= DEFAULT_CROSS_CHECK_LIMIT
+    monkeypatch.setattr(truncation, "_walk", wrong_walk(truncation._walk))
+    with pytest.raises(AssertionError, match="disagrees with the brute-force predicate"):
+        build_truncated(spec)
+    unchecked = build_truncated(spec, cross_check_limit=0)
+    assert len(unchecked.edge_set ^ honest.edge_set) == 1
