@@ -30,6 +30,7 @@ __all__ = [
     "coordinate_translations",
     "build_lu_graph",
     "build_wenger_graph",
+    "check_box_lower_bound",
     "DEFAULT_VERTEX_BUDGET",
 ]
 
@@ -38,6 +39,15 @@ DEFAULT_VERTEX_BUDGET = 100_000
 
 class BudgetExceededError(RuntimeError):
     """A requested construction is larger than the configured desk-scale budget."""
+
+
+def check_box_lower_bound(box: str, k: int, budget: int) -> None:
+    """Refuse a box of k coordinates that each take 0 and 1 when its 2**k tuples exceed budget.
+
+    The bit lengths compare 2**k with budget without building 2**k for a huge k.
+    """
+    if k >= budget.bit_length():
+        raise BudgetExceededError(f"{box} holds at least 2**{k} tuples, beyond the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,7 @@ def coordinate_translations(params: FieldParams) -> list[tuple[str, tuple[int, .
 
 def _build_graph(params: FieldParams) -> BipartiteGraph:
     k, q = params.k, params.q
+    check_box_lower_bound("each side", k, DEFAULT_VERTEX_BUDGET)  # q >= 2
     size = q**k
     if size > DEFAULT_VERTEX_BUDGET:
         raise BudgetExceededError(

@@ -31,6 +31,7 @@ from .geometry import (
     project_generic,
 )
 from .graphs import (
+    check_cycle_length,
     degree_stats,
     girth,
     has_cycle_of_length,
@@ -132,11 +133,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    length = args.no_cycle_length
-    if length is not None and length % 2:
-        raise UsageError(f"cycle length must be even in a bipartite graph, got {length}")
-    if length is not None and length < 4:
-        raise UsageError(f"cycle length must be >= 4, got {length}")
+    if args.no_cycle_length is not None:
+        check_cycle_length(args.no_cycle_length)
     arr = _load_arrangement(args.infile)
     lines = _lines_of(arr)
 
@@ -165,9 +163,7 @@ def _cmd_verify(args) -> int:
         report = girth(graph)
         if report.girth < args.girth_at_least:
             cyc = " ".join(graph.vertex_label(v) for v in report.witness)
-            raise CheckFailure(
-                f"girth {report.girth} < {args.girth_at_least}; witness: {cyc}"
-            )
+            raise CheckFailure(f"girth {report.girth} < {args.girth_at_least}; witness: {cyc}")
         print(f"ok: girth {report.girth} >= {args.girth_at_least}")
     if args.no_cycle_length is not None:
         witness = has_cycle_of_length(graph, args.no_cycle_length)
@@ -175,20 +171,16 @@ def _cmd_verify(args) -> int:
             cyc = " ".join(graph.vertex_label(v) for v in witness)
             raise CheckFailure(f"found a {args.no_cycle_length}-cycle: {cyc}")
         print(f"ok: no cycle of length {args.no_cycle_length}")
-    if (args.girth_at_least is not None or length is not None) and is_forest(graph):
+    if (args.girth_at_least is not None or args.no_cycle_length is not None) and is_forest(graph):
         print("note: the graph is a forest, so a girth or cycle check on it proves nothing")
     left, right = degree_stats(graph)
     if args.min_point_degree is not None:
         if left.minimum < args.min_point_degree:
-            raise CheckFailure(
-                f"minimum point degree {left.minimum} < {args.min_point_degree}"
-            )
+            raise CheckFailure(f"minimum point degree {left.minimum} < {args.min_point_degree}")
         print(f"ok: every point lies on >= {args.min_point_degree} lines")
     if args.min_line_degree is not None:
         if right.minimum < args.min_line_degree:
-            raise CheckFailure(
-                f"minimum line degree {right.minimum} < {args.min_line_degree}"
-            )
+            raise CheckFailure(f"minimum line degree {right.minimum} < {args.min_line_degree}")
         print(f"ok: every line carries >= {args.min_line_degree} points")
     if args.subgraph_prime is not None:
         q = embedding_prime(arr, args.subgraph_prime)

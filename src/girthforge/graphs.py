@@ -1,12 +1,12 @@
 """Bipartite graphs and exact structural verifiers.
 
-Girth comes from breadth-first search rooted at the vertices of the smaller
-side only, each root searching the graph without the smaller-indexed roots,
-with an early depth cutoff.  Fixed-length cycle detection is an exhaustive
-decision procedure over simple paths, pruned by exact BFS distances back to
-the start.  Both prunings drop only work that cannot lead to a cycle, so
-the answers are those of the unpruned searches; every witness returned by
-either routine is machine-checked before it leaves this module.
+Girth is breadth-first search with an early depth cutoff; fixed-length
+cycle detection is an exhaustive decision procedure over simple paths,
+pruned by exact BFS distances back to the start.  Both start by the start
+rule below, each start searching the graph without the vertices below it.
+Both prunings drop only work that cannot lead to a cycle, so the answers
+are those of the unpruned searches; every witness returned by either
+routine is machine-checked before it leaves this module.
 
 The start rule: global indices put every point (left vertex) below every
 line, and every edge joins a point to a line, so the smallest vertex of a
@@ -42,6 +42,7 @@ __all__ = [
     "GirthReport",
     "DegreeSummary",
     "girth",
+    "check_cycle_length",
     "has_cycle_of_length",
     "root_orbits",
     "is_forest",
@@ -150,26 +151,20 @@ def _validate_cycle(adj, cycle, expected_len=None) -> None:
             raise AssertionError(f"witness step {a}->{b} is not an edge")
 
 
+def _starts(g: BipartiteGraph):
+    """The points, or the orbit roots when g has them: the starts of the start rule."""
+    return range(g.left_count) if g.roots is None else g.roots
+
+
 def girth(g: BipartiteGraph) -> GirthReport:
     """Length of the shortest cycle, with a witness; math.inf for forests.
 
-    A cycle alternates sides, so it has a vertex on the smaller side
-    ``[lo, hi)`` (the left side ``[0, left_count)`` on a tie, else the right
-    side ``[left_count, n)``), and BFS roots there suffice.  The root s
-    searches the graph without the root-side vertices ``lo <= w < s``: every
-    cycle is then found from its smallest root-side vertex, in a subgraph
-    that still holds the whole cycle, and no cycle is searched twice.  The
-    bound is ``lo <= w``, not ``w < s``: when the right side is the smaller
-    one, every left vertex has a smaller global index than the root, and
-    cutting them off would leave every root isolated (girth inf).
-
-    A graph with orbit roots is searched from those points only (see the
-    module docstring): the smallest point m on any shortest cycle is a root,
-    and m's search finds that cycle.  On a tie of the sides the girth and
-    the witness are those of the search from every point.  Without roots
-    the smaller side stays, not the point side of the start rule: where the
-    lines are fewer it is faster (CPython 3.11, 2 vCPUs: wenger k=3, n=200
-    takes 0.019 s from its 2,712 lines, 0.024 s from its 16,344 points).
+    BFS runs from each start of the start rule (module docstring), the start
+    s searching the graph without the vertices w < s.  A cycle is found from
+    its smallest vertex, in a subgraph that still holds it whole, and no
+    cycle is searched twice; with orbit roots, the smallest point on some
+    shortest cycle is still a root.  Either way the girth and the witness
+    are those of the search from every point.
 
     While processing a vertex at depth d only cycles of length >= 2d can
     still be discovered from that root, so each search is cut as soon as 2d
@@ -179,13 +174,12 @@ def girth(g: BipartiteGraph) -> GirthReport:
     """
     adj = g.global_adjacency()
     n = len(adj)
-    lo, hi = (0, g.left_count) if g.left_count <= g.right_count else (g.left_count, n)
     best: int | float = math.inf
     witness: tuple[int, ...] | None = None
     seen = [-1] * n
     depth = [0] * n
     parent = [-1] * n
-    for s in range(lo, hi) if g.roots is None else g.roots:
+    for s in _starts(g):
         if not adj[s]:
             continue
         seen[s] = s
@@ -199,7 +193,7 @@ def girth(g: BipartiteGraph) -> GirthReport:
                 break
             pu = parent[u]
             for w in adj[u]:
-                if lo <= w < s:
+                if w < s:
                     continue
                 if seen[w] != s:
                     seen[w] = s
@@ -230,14 +224,22 @@ def _close_cycle(u: int, w: int, parent) -> tuple[int, ...]:
     return tuple(reversed(path_u)) + tuple(path_w[:-1])
 
 
+def check_cycle_length(length: int) -> None:
+    """Refuse a length no simple cycle of a bipartite graph has: an odd one, or one below 4."""
+    if length % 2 != 0:
+        raise ValueError(f"cycle length must be even in a bipartite graph, got {length}")
+    if length < 4:
+        raise ValueError(f"cycle length must be >= 4, got {length}")
+
+
 def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | None:
     """Decide exactly whether a simple cycle of this exact length exists.
 
     Enumerates simple paths from each start vertex s, restricted so that s
     is the smallest global index on the cycle (the path keeps to vertices
     > s) and s's smaller neighbor comes first; each cycle is therefore
-    generated at most once.  Returns a validated witness, or None.  Odd
-    lengths are rejected since bipartite graphs have none; a simple cycle
+    generated at most once.  Returns a validated witness, or None.  Lengths
+    refused by :func:`check_cycle_length` raise ValueError; a simple cycle
     alternates sides, so none is longer than twice the smaller side and such
     lengths answer None at once.
 
@@ -255,10 +257,7 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     start rule in the module docstring; the starts left out find nothing,
     so the answer and the witness are those of the search from every vertex.
     """
-    if length % 2 != 0:
-        raise ValueError(f"cycle length must be even in a bipartite graph, got {length}")
-    if length < 4:
-        raise ValueError(f"cycle length must be >= 4, got {length}")
+    check_cycle_length(length)
     if length > 2 * min(g.left_count, g.right_count):
         return None
     adj = g.global_adjacency()
@@ -269,7 +268,7 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     # also keeps the path to vertices > s
     dist = [length] * n
 
-    for s in range(g.left_count) if g.roots is None else g.roots:
+    for s in _starts(g):
         if len(adj[s]) < 2:
             continue
         dist[s] = 0

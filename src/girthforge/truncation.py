@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, product
 
-from .algebraic import BudgetExceededError
+from .algebraic import BudgetExceededError, check_box_lower_bound
 from .exactmath import is_prime, next_prime, prime_in_window
 from .families import box_rank, family_named, plan_holds_mod, substitute
 from .graphs import BipartiteGraph
@@ -194,20 +194,17 @@ def build_truncated(
     """
     if box_budget < 1:
         raise ValueError("budget must be >= 1")
-    # Every point coordinate range holds 0 and 1, so the point box holds at
-    # least 2**k tuples; refuse before evaluating any range.  Comparing bit
-    # lengths tests 2**k > box_budget without building 2**k for a huge k.
-    if spec.k >= box_budget.bit_length():
-        raise BudgetExceededError(
-            f"the point box holds at least 2**{spec.k} tuples, beyond the budget of {box_budget}"
-        )
+    # Every point coordinate range holds 0 and 1; refuse before evaluating any range.
+    check_box_lower_bound("the point box", spec.k, box_budget)
     point_ranges, line_ranges = spec.ranges()
     n_points = _box_size(point_ranges)
     n_lines = _box_size(line_ranges)
     if n_points > box_budget or n_lines > box_budget:
-        raise BudgetExceededError(
-            f"box sizes {n_points} x {n_lines} exceed the budget of {box_budget}"
-        )
+        try:
+            sizes = f"box sizes {n_points} x {n_lines}"
+        except ValueError:  # more digits than Python prints
+            sizes = "the box sizes"
+        raise BudgetExceededError(f"{sizes} exceed the budget of {box_budget}")
     if n_lines == 0 or n_points == 0:
         raise ValueError(f"empty coordinate box for spec {spec}")
 

@@ -293,6 +293,10 @@ class TestBuildGraphs:
         with pytest.raises(BudgetExceededError):
             # 47**3 = 103,823 vertices per side, refused before anything is built
             build_lu_graph(LUParams(3, 47))
+        with pytest.raises(BudgetExceededError, match=r"2\*\*9015"):
+            # 3**9015 has more digits than Python prints; 2**9015 already
+            # exceeds the budget, so the refusal comes before q**k
+            build_lu_graph(LUParams(9015, 3))
 
 
 # Excluded: (5, 5) on both sides; exact girth / cycle search from every root

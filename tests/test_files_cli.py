@@ -740,6 +740,14 @@ class TestCLI:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
 
+    def test_box_sizes_too_long_to_print_still_name_the_budget(self, tmp_path, capsys):
+        out = tmp_path / "a.arr"
+        argv = ["construct", "--family", "lu", "--k", "3", "--n", "9" * 4300, "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
+        assert not out.exists()
+
     def test_minimal_prime_of_a_huge_header_reads_no_range(self, tmp_path):
         # The layered box ranges at k=2001 each take a root of degree about 4e6;
         # the minimal prime reads the file's coordinates instead, and it has none.

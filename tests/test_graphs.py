@@ -155,7 +155,7 @@ class TestGirth:
             assert is_cycle(g, report.witness, report.girth)
 
     def test_truncated_wenger_with_the_smaller_right_side(self):
-        # 822 points on the left, 408 lines on the right: roots are lines
+        # 822 points on the left, 408 lines on the right: starts are still points
         g = build_truncated(WengerTruncationSpec(2, 200)).to_bipartite_graph()
         assert (g.left_count, g.right_count) == (822, 408)
         report = girth(g)
@@ -297,8 +297,7 @@ class TestOrbitRoots:
         assert g.roots == tuple(sorted(smallest))
         report = girth(g)
         assert report.girth == enumeration_girth(plain)
-        if g.left_count <= g.right_count:
-            assert report == girth(plain)
+        assert report == girth(plain)
         for length in range(4, 2 * min(g.left_count, g.right_count) + 1, 2):
             witness = has_cycle_of_length(g, length)
             assert witness == scan_cycle_of_length(plain, length), length
@@ -382,6 +381,14 @@ class TestPointSideStarts:
         g = request.getfixturevalue(name).to_bipartite_graph()
         for length in TRUNCATION_LENGTHS[name]:
             assert has_cycle_of_length(g, length) == scan_cycle_of_length(g, length), length
+
+    @pytest.mark.parametrize("name", TRUNCATION_LENGTHS)
+    def test_girth_matches_the_enumeration_on_truncations(self, request, name):
+        g = request.getfixturevalue(name).to_bipartite_graph()
+        report = girth(g)
+        assert report.girth == enumeration_girth(g)
+        if report.witness is not None:
+            assert is_cycle(g, report.witness, report.girth)
 
     @pytest.mark.parametrize("name", TRUNCATION_LENGTHS)
     def test_forest_answer_matches_union_find_on_truncations(self, request, name):
