@@ -17,7 +17,7 @@ from functools import partial
 from itertools import product
 
 from .exactmath import is_prime
-from .families import box_rank, family_named, plan_holds_mod, substitute
+from .families import family_named, plan_holds_mod, substitute
 from .graphs import BipartiteGraph, root_orbits
 
 __all__ = [
@@ -88,23 +88,52 @@ def field_neighbors(u, params: FieldParams) -> list[tuple[int, ...]]:
     return [tuple((c + s * x) % q for c, s in zip(const, slope)) for x in range(q)]
 
 
+def _digit_weights(k: int, q: int) -> list[int]:
+    """Lexicographic index weights of F_q^k: coordinate s is the digit of weight q**(k - 1 - s)."""
+    return [q ** (k - 1 - s) for s in range(k)]
+
+
 def coordinate_translations(params: FieldParams) -> list[tuple[str, tuple[int, ...]]]:
     """The 2k translations x -> x + e_s (mod q) as index permutations of F_q^k.
 
     The k point translations (side "left") come first, then the k
     line-vertex translations (side "right"), each in coordinate order.
-    Both sides are indexed lexicographically, so coordinate s is the digit
-    of weight q**(k - 1 - s).  Whether one is an automorphism is left to
-    the certificate of :func:`girthforge.graphs.root_orbits`.
+    Both sides are indexed lexicographically (:func:`_digit_weights`).
+    Whether one is an automorphism is left to the certificate of
+    :func:`girthforge.graphs.root_orbits`.
     """
     k, q = params.k, params.q
     perms = []
-    for s in range(k):
-        w = q ** (k - 1 - s)
+    for w in _digit_weights(k, q):
         perms.append(
             tuple(i - (q - 1) * w if i // w % q == q - 1 else i + w for i in range(q**k))
         )
     return [(side, perm) for side in ("left", "right") for perm in perms]
+
+
+def _neighbour_rows(params: FieldParams):
+    """Yield each point's q neighbour indices, points in lexicographic order.
+
+    The neighbour x of u is const + slope * x (mod q) from one substitution,
+    indexed digit by digit with :func:`_digit_weights`: the free
+    coordinate's digit is x itself, and each solved coordinate adds its
+    digits to the row with one comprehension.  Nothing larger than k + q
+    entries is tabulated.
+    """
+    k, q = params.k, params.q
+    plan = family_named(params.family).plan(k)
+    free, steps = plan
+    weights = _digit_weights(k, q)
+    xs = range(q)
+    start = [x * weights[free] for x in xs]
+    solved = [(t, weights[t]) for t, _, _ in steps]
+    for u in product(xs, repeat=k):
+        const, slope = substitute(plan, u, from_point=True)
+        row = start
+        for t, w in solved:
+            c, s = const[t], slope[t]
+            row = [r + (c + s * x) % q * w for r, x in zip(row, xs)]
+        yield row
 
 
 def _build_graph(params: FieldParams) -> BipartiteGraph:
@@ -115,12 +144,7 @@ def _build_graph(params: FieldParams) -> BipartiteGraph:
         raise BudgetExceededError(
             f"{size} vertices per side exceeds the budget of {DEFAULT_VERTEX_BUDGET}"
         )
-    ranges = [(0, q - 1)] * k
-    edges = []
-    for pi, u in enumerate(product(range(q), repeat=k)):
-        for v in field_neighbors(u, params):
-            edges.append((pi, box_rank(v, ranges)))
-    graph = BipartiteGraph(size, size, edges)
+    graph = BipartiteGraph.from_rows(size, _neighbour_rows(params))
     root_orbits(graph, coordinate_translations(params))
     return graph
 

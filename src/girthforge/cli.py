@@ -46,6 +46,11 @@ from .truncation import embedding_prime, verify_subgraph_embedding
 __all__ = ["run", "main"]
 
 
+# A wider projection bound could print planar line triples past Python's
+# 4300-digit limit on int-to-str conversion.
+MAX_BOUND_BITS = 4096
+
+
 class UsageError(ValueError):
     pass
 
@@ -85,7 +90,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--M", dest="bound", type=int, default=1 << 16,
-                   help="projection coefficients are sampled below this bound")
+                   help="projection coefficients are sampled below this bound "
+                   f"(at most {MAX_BOUND_BITS} bits)")
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("export", help="emit an SVG figure or a plain edge list")
@@ -193,6 +199,8 @@ def _cmd_verify(args) -> int:
 def _cmd_project(args) -> int:
     if args.bound < 2:
         raise UsageError("coefficient bound must be >= 2")
+    if args.bound.bit_length() > MAX_BOUND_BITS:
+        raise UsageError(f"coefficient bound must have at most {MAX_BOUND_BITS} bits")
     arr = _load_arrangement(args.infile)
     lines = _lines_of(arr)
     planar, pmap = project_generic(arr.points, lines, seed=args.seed, bound=args.bound)

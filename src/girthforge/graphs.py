@@ -62,30 +62,57 @@ class BipartiteGraph:
 
     ``roots`` is None, or the orbit roots that :func:`root_orbits` certified:
     the smallest left index of each orbit, sorted.  Equality and hashing
-    ignore it.
+    ignore it, and the global adjacency too, which is built on first use and
+    kept.
     """
 
-    __slots__ = ("left_count", "right_count", "left_adj", "right_adj", "roots")
+    __slots__ = ("left_count", "right_count", "left_adj", "right_adj", "roots", "_global_adj")
 
     def __init__(self, left_count: int, right_count: int, edges) -> None:
         if left_count < 0 or right_count < 0:
             raise ValueError("vertex counts must be nonnegative")
-        left = [[] for _ in range(left_count)]
-        right = [[] for _ in range(right_count)]
-        seen = set()
+        rows = [[] for _ in range(left_count)]
         for i, j in edges:
-            if not (0 <= i < left_count and 0 <= j < right_count):
+            if not 0 <= i < left_count:
                 raise ValueError(f"edge ({i}, {j}) out of range")
-            if (i, j) in seen:
+            rows[i].append(j)
+        self._set_rows(right_count, rows)
+
+    @classmethod
+    def from_rows(cls, right_count: int, left_rows) -> BipartiteGraph:
+        """The graph whose left vertex i is adjacent to the right vertices in left_rows[i].
+
+        Each row is sorted; a row that repeats a right vertex or leaves
+        [0, right_count) raises ValueError with the edge-list constructor's
+        messages.
+        """
+        graph = cls.__new__(cls)
+        graph._set_rows(right_count, left_rows)
+        return graph
+
+    def _set_rows(self, right_count: int, left_rows) -> None:
+        """Sort and check each row, then mirror the rows in one pass in left order."""
+        if right_count < 0:
+            raise ValueError("vertex counts must be nonnegative")
+        left_adj = []
+        right = [[] for _ in range(right_count)]
+        for i, row in enumerate(left_rows):
+            row = tuple(sorted(row))
+            if row and not (0 <= row[0] and row[-1] < right_count):
+                raise ValueError(f"edge ({i}, {row[0] if row[0] < 0 else row[-1]}) out of range")
+            if len(set(row)) != len(row):
+                j = next(a for a, b in zip(row, row[1:]) if a == b)
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            left[i].append(j)
-            right[j].append(i)
-        self.left_count = left_count
+            left_adj.append(row)
+            for j in row:
+                right[j].append(i)
+        self.left_count = len(left_adj)
         self.right_count = right_count
-        self.left_adj = tuple(tuple(sorted(nbrs)) for nbrs in left)
-        self.right_adj = tuple(tuple(sorted(nbrs)) for nbrs in right)
+        self.left_adj = tuple(left_adj)
+        # filled in left order, so each row is already sorted
+        self.right_adj = tuple(map(tuple, right))
         self.roots = None
+        self._global_adj = None
 
     @property
     def edge_count(self) -> int:
@@ -99,12 +126,14 @@ class BipartiteGraph:
         """All edges as sorted (left, right) pairs."""
         return [(i, j) for i, nbrs in enumerate(self.left_adj) for j in nbrs]
 
-    def global_adjacency(self) -> list[tuple[int, ...]]:
-        """Adjacency over the combined vertex set, right side offset by left_count."""
-        off = self.left_count
-        out = [tuple(off + j for j in nbrs) for nbrs in self.left_adj]
-        out.extend(tuple(nbrs) for nbrs in self.right_adj)
-        return out
+    def global_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Adjacency over the combined vertex set, right side offset by left_count; built once."""
+        if self._global_adj is None:
+            off = self.left_count
+            self._global_adj = tuple(
+                [tuple([off + j for j in nbrs]) for nbrs in self.left_adj]
+            ) + self.right_adj
+        return self._global_adj
 
     def vertex_label(self, v: int) -> str:
         """Side-prefixed label for a global vertex index, e.g. 'U12' or 'V7'."""

@@ -10,15 +10,20 @@ normalizer, independent of the planar reader's triple rule.  The box and
 window formulas are written out by position, independent of the family table
 in girthforge.families.  The SVG oracle is the original renderer, which
 clips and scales with Fraction arithmetic, independent of the integer grid
-of girthforge.svg.
+of girthforge.svg.  The field-graph oracle is the per-edge build: each
+neighbour tuple from field_neighbors, ranked by box_rank, fed as an edge list
+to the BipartiteGraph constructor, independent of the builder's rows.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
+from girthforge.algebraic import coordinate_translations, field_neighbors
 from girthforge.exactmath import ceil_pow, floor_pow
+from girthforge.families import box_rank
 from girthforge.geometry import PlanarArrangement
-from girthforge.graphs import BipartiteGraph
+from girthforge.graphs import BipartiteGraph, root_orbits
 
 
 def is_cycle(graph, witness, length):
@@ -35,6 +40,19 @@ def random_bipartite(rng):
     max_edges = min(len(possible), int(1.2 * (n_left + n_right)))
     count = rng.randint(0, max_edges)
     return BipartiteGraph(n_left, n_right, rng.sample(possible, count))
+
+
+def per_edge_field_graph(params):
+    """The field graph one edge at a time, rooted by the same certificate as the builder."""
+    k, q = params.k, params.q
+    ranges = [(0, q - 1)] * k
+    edges = []
+    for pi, u in enumerate(product(range(q), repeat=k)):
+        for v in field_neighbors(u, params):
+            edges.append((pi, box_rank(v, ranges)))
+    graph = BipartiteGraph(q**k, q**k, edges)
+    root_orbits(graph, coordinate_translations(params))
+    return graph
 
 
 def union_find_has_cycle(graph):

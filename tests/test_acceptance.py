@@ -230,3 +230,7 @@ def test_criterion_13_wenger_k5_p7_has_no_ten_cycle():
         elapsed = c.elapsed
         assert elapsed < 30.0
         c.detail = f"no 10-cycle, {elapsed:.2f}s"
+
+
+def test_criterion_14_layered_graph_k7_q5():
+    _layered_girth(14, 7, 5, 12)

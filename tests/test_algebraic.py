@@ -5,6 +5,7 @@ import pytest
 
 from girthforge.algebraic import (
     BudgetExceededError,
+    FieldParams,
     LUParams,
     WengerParams,
     build_lu_graph,
@@ -15,7 +16,7 @@ from girthforge.algebraic import (
 from girthforge.families import CoordLabel, family_named, lu_label, lu_labels, substitute
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
 from girthforge.truncation import lu_edge_free
-from helpers import LU_BY_HAND, bumped
+from helpers import LU_BY_HAND, bumped, per_edge_field_graph
 
 
 class TestLabels:
@@ -288,6 +289,20 @@ class TestBuildGraphs:
         left, right = degree_stats(g)
         assert left.minimum == left.maximum == p
         assert right.minimum == right.maximum == p
+
+    @pytest.mark.parametrize(
+        "family,k,q",
+        [("lu", 3, 2), ("lu", 3, 3), ("lu", 3, 5), ("lu", 3, 7), ("lu", 5, 3), ("lu", 5, 5),
+         ("lu", 7, 3), ("wenger", 2, 23), ("wenger", 3, 7), ("wenger", 5, 3)],
+    )
+    def test_rows_match_the_per_edge_oracle(self, family, k, q):
+        params = FieldParams(family, k, q)
+        g = build_lu_graph(params) if family == "lu" else build_wenger_graph(params)
+        oracle = per_edge_field_graph(params)
+        assert g.left_adj == oracle.left_adj
+        assert g.right_adj == oracle.right_adj
+        assert g.roots is not None
+        assert g.roots == oracle.roots
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):

@@ -386,6 +386,9 @@ def forest_arrangement():
     return TruncatedArrangement("wenger", 2, 1, tri.points, tri.line_params[:2], edges)
 
 
+BOUND_CAP_MESSAGE = "coefficient bound must have at most 4096 bits"
+
+
 class TestCLI:
     def test_construct_reference_instance(self, tmp_path, capsys):
         out = tmp_path / "a.arr"
@@ -630,8 +633,14 @@ class TestCLI:
             (["verify", "--no-cycle-length", "2"], "cycle length must be >= 4, got 2"),
             (["project", "--out", "{out}", "--M", "1"], "coefficient bound must be >= 2"),
             (["project", "--out", "{out}", "--M", "-5"], "coefficient bound must be >= 2"),
+            (["project", "--out", "{out}", "--M", str(1 << 4096)], BOUND_CAP_MESSAGE),
+            # would print line triples past Python's 4300-digit int-to-str limit
+            (["project", "--out", "{out}", "--M", "9" * 4250], BOUND_CAP_MESSAGE),
         ],
-        ids=["verify-odd-cycle", "verify-short-cycle", "project-M1", "project-M-5"],
+        ids=[
+            "verify-odd-cycle", "verify-short-cycle", "project-M1", "project-M-5",
+            "project-M-4097-bits", "project-M-4250-digits",
+        ],
     )
     def test_bad_flag_value_is_refused_before_the_file_is_read(
         self, tmp_path, capsys, argv, message, present
@@ -644,6 +653,14 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    def test_largest_bound_below_the_cap_projects(self, tmp_path, capsys):
+        arr, out = tmp_path / "w.arr", tmp_path / "out.planar"
+        run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(arr)])
+        bound = (1 << 4096) - 1
+        assert run(["project", "--in", str(arr), "--out", str(out), "--M", str(bound)]) == 0
+        assert f"bound {bound}\n" in capsys.readouterr().out
+        parse_planar(out.read_text())
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["verify", "--in", str(tmp_path / "none.arr")]) == 2

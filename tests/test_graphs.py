@@ -99,10 +99,44 @@ class TestBipartiteGraph:
         assert g.edges() == [(0, 0), (0, 2), (1, 1)]
 
     def test_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) out of range$"):
             BipartiteGraph(2, 2, [(0, 5)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(2, 0\) out of range$"):
+            BipartiteGraph(2, 2, [(0, 0), (2, 0)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 0\)$"):
             BipartiteGraph(2, 2, [(0, 0), (0, 0)])
+        for counts in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="^vertex counts must be nonnegative$"):
+                BipartiteGraph(*counts, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_rows_give_the_graph_of_the_edge_list(self, rng):
+        plain = random_bipartite(rng)
+        edges = plain.edges()
+        rng.shuffle(edges)
+        rows = [[j for i, j in edges if i == a] for a in range(plain.left_count)]
+        g = BipartiteGraph.from_rows(plain.right_count, rows)
+        assert g == plain == BipartiteGraph(plain.left_count, plain.right_count, edges)
+        assert g.left_adj == tuple(tuple(sorted(row)) for row in rows)
+        assert g.right_adj == tuple(
+            tuple(sorted(i for i, j in edges if j == b)) for b in range(plain.right_count)
+        )
+        assert g.roots is None
+
+    @pytest.mark.parametrize(
+        "right_count,rows,message",
+        [
+            (3, [[0], [2, 1, 2]], r"^duplicate edge \(1, 2\)$"),
+            (3, [[0], [1, -1]], r"^edge \(1, -1\) out of range$"),
+            (3, [[3, 0]], r"^edge \(0, 3\) out of range$"),
+            (-1, [], "^vertex counts must be nonnegative$"),
+        ],
+        ids=["repeated-neighbour", "rank-minus-one", "rank-at-right-count", "negative-count"],
+    )
+    def test_rows_are_refused(self, right_count, rows, message):
+        with pytest.raises(ValueError, match=message):
+            BipartiteGraph.from_rows(right_count, rows)
 
     def test_labels(self):
         g = BipartiteGraph(2, 2, [(0, 0)])
@@ -116,6 +150,26 @@ class TestBipartiteGraph:
         adj = g.global_adjacency()
         assert adj[0] == (3, 5)
         assert adj[3] == (0, 1)
+
+    def test_global_adjacency_is_one_tuple_that_equality_ignores(self):
+        g = build_lu_graph(LUParams(3, 3))
+        adj = g.global_adjacency()
+        assert type(adj) is tuple and all(type(nbrs) is tuple for nbrs in adj)
+        assert g.global_adjacency() is adj
+        fresh = build_lu_graph(LUParams(3, 3))
+        assert g == fresh and hash(g) == hash(fresh)
+        assert g == rootless(g) and hash(g) == hash(rootless(g))
+
+    @pytest.mark.parametrize(
+        "family,k,q,length", [("lu", 3, 3, 8), ("lu", 3, 3, 12), ("wenger", 2, 5, 6)]
+    )
+    def test_searches_after_one_another_match_a_fresh_copy(self, family, k, q, length):
+        g = field_graph(family, k, q)
+        report, witness = girth(g), has_cycle_of_length(g, length)
+        assert witness is not None
+        fresh = field_graph(family, k, q)
+        assert has_cycle_of_length(fresh, length) == witness
+        assert girth(fresh) == report
 
 
 class TestGirth:
