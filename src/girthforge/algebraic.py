@@ -5,19 +5,18 @@ an edge when the family's equations hold mod q.  Neighbor generation solves
 the equations for v by substitution from u (see :mod:`girthforge.families`).
 
 Both graphs are regular on both sides; that is asserted by tests, not here.
-The builder offers the 2k coordinate translations to
-:func:`girthforge.graphs.root_orbits`, which keeps those that pass its
-certificate, so the girth and cycle searches start at one point per orbit.
+The builder offers the plan's translation pairs to
+:func:`girthforge.graphs.root_orbits`, which certifies those that can still
+merge orbits, so the searches start at one point per orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 from .exactmath import is_prime
-from .families import family_named, plan_holds_mod, substitute
+from .families import family_named
 from .graphs import BipartiteGraph, root_orbits
 
 __all__ = [
@@ -25,9 +24,7 @@ __all__ = [
     "FieldParams",
     "LUParams",
     "WengerParams",
-    "field_edge",
-    "field_neighbors",
-    "coordinate_translations",
+    "translation_pairs",
     "build_lu_graph",
     "build_wenger_graph",
     "check_box_lower_bound",
@@ -68,72 +65,85 @@ LUParams = partial(FieldParams, "lu")
 WengerParams = partial(FieldParams, "wenger")
 
 
-def _check_length(vertex, k: int, name: str) -> None:
-    if len(vertex) != k:
-        raise ValueError(f"{name} has length {len(vertex)}, expected {k}")
-
-
-def field_edge(u, v, params: FieldParams) -> bool:
-    """Whether the family's equations hold mod q for point u and line-vertex v."""
-    _check_length(u, params.k, "u")
-    _check_length(v, params.k, "v")
-    return plan_holds_mod(family_named(params.family).plan(params.k), u, v, params.q)
-
-
-def field_neighbors(u, params: FieldParams) -> list[tuple[int, ...]]:
-    """The q neighbors of u, one per value of the free coordinate of v."""
-    _check_length(u, params.k, "u")
-    q = params.q
-    const, slope = substitute(family_named(params.family).plan(params.k), u, from_point=True)
-    return [tuple((c + s * x) % q for c, s in zip(const, slope)) for x in range(q)]
-
-
 def _digit_weights(k: int, q: int) -> list[int]:
     """Lexicographic index weights of F_q^k: coordinate s is the digit of weight q**(k - 1 - s)."""
     return [q ** (k - 1 - s) for s in range(k)]
 
 
-def coordinate_translations(params: FieldParams) -> list[tuple[str, tuple[int, ...]]]:
-    """The 2k translations x -> x + e_s (mod q) as index permutations of F_q^k.
+def _digit_columns(k: int, q: int) -> list[list[int]]:
+    """Coordinate s of every tuple of F_q^k, tuples in lexicographic order, one list per s."""
+    return [[d for d in range(q) for _ in range(w)] * (q**k // (q * w)) for w in _digit_weights(k, q)]
 
-    The k point translations (side "left") come first, then the k
-    line-vertex translations (side "right"), each in coordinate order.
-    Both sides are indexed lexicographically (:func:`_digit_weights`).
-    Whether one is an automorphism is left to the certificate of
-    :func:`girthforge.graphs.root_orbits`.
+
+def translation_pairs(params: FieldParams) -> list[tuple[list[int], list[int]]]:
+    """The coordinate translations that the plan maps to automorphisms, as index permutation pairs.
+
+    Each pair is ``(left_perm, right_perm)`` on the lexicographic indices.
+    By the steps ``v[t] - u[t] = v[a] * u[b]``, the point translation
+    u -> u + e_s goes with S(v)[t] = v[t] + [t = s] + [b = s] * v[a], offered
+    when no step's a is a coordinate that S moves, and the line translation
+    v -> v + e_s with F(u)[t] = u[t] + [t = s] - [a = s] * u[b], offered when
+    no step's b is a coordinate that F moves.  Point pairs come first, then
+    line pairs, each in coordinate order.  The plan only chooses the pairs:
+    :func:`girthforge.graphs.root_orbits` certifies each one it uses.
     """
     k, q = params.k, params.q
-    perms = []
-    for w in _digit_weights(k, q):
-        perms.append(
-            tuple(i - (q - 1) * w if i // w % q == q - 1 else i + w for i in range(q**k))
-        )
-    return [(side, perm) for side in ("left", "right") for perm in perms]
+    _, steps = family_named(params.family).plan(k)
+    columns, weights = _digit_columns(k, q), _digit_weights(k, q)
+    perms = {}
+
+    def perm(moves):  # y[t] += c + m * y[r] mod q per move, all reading y before any; cached
+        moves = tuple((t, c, m, r if m else t) for t, c, m, r in moves)
+        if moves not in perms:
+            image = range(q**k)
+            for t, c, m, r in moves:
+                w, digits = weights[t], zip(columns[t], columns[r])
+                image = [i + ((d + c + m * y) % q - d) * w for i, (d, y) in zip(image, digits)]
+            perms[moves] = image
+        return perms[moves]
+
+    points, lines = [], []
+    for s in range(k):
+        shift = [(s, 1, 0, s)]
+        moved = [(t, int(t == s), int(b == s), a) for t, a, b in steps if s in (t, b)]
+        if all(a not in {t for t, *_ in moved} for _, a, _ in steps):
+            points.append((perm(shift), perm(moved)))
+        moved = [(t, int(t == s), -int(a == s), b) for t, a, b in steps if s in (t, a)]
+        if all(b not in {t for t, *_ in moved} for *_, b in steps):
+            lines.append((perm(moved), perm(shift)))
+    return points + lines
 
 
 def _neighbour_rows(params: FieldParams):
-    """Yield each point's q neighbour indices, points in lexicographic order.
+    """Each point's q neighbour indices, points in lexicographic order, built column-wise.
 
-    The neighbour x of u is const + slope * x (mod q) from one substitution,
-    indexed digit by digit with :func:`_digit_weights`: the free
-    coordinate's digit is x itself, and each solved coordinate adds its
-    digits to the row with one comprehension.  Nothing larger than k + q
-    entries is tabulated.
+    The neighbour x of u is const + slope * x (mod q).  The plan's steps give
+    const and slope as whole columns over all points, one comprehension
+    each; then each x gives one column of indices (:func:`_digit_weights`),
+    looking up each solved coordinate's weighted digit in a q * q table by
+    c + q * m.  The rows are those q columns read across.
     """
     k, q = params.k, params.q
-    plan = family_named(params.family).plan(k)
-    free, steps = plan
-    weights = _digit_weights(k, q)
-    xs = range(q)
-    start = [x * weights[free] for x in xs]
-    solved = [(t, weights[t]) for t, _, _ in steps]
-    for u in product(xs, repeat=k):
-        const, slope = substitute(plan, u, from_point=True)
-        row = start
-        for t, w in solved:
-            c, s = const[t], slope[t]
-            row = [r + (c + s * x) % q * w for r, x in zip(row, xs)]
-        yield row
+    free, steps = family_named(params.family).plan(k)
+    columns, weights = _digit_columns(k, q), _digit_weights(k, q)
+    const, slope, keys = {}, {}, {}
+    for t, a, b in steps:  # const[t] = u[t] + const[a] * u[b], slope[t] = slope[a] * u[b]
+        if a == free:  # const 0 and slope 1 there
+            const[t], slope[t] = columns[t], columns[b]
+        else:
+            const[t] = [(ut + c * y) % q for ut, c, y in zip(columns[t], const[a], columns[b])]
+            slope[t] = [m * y % q for m, y in zip(slope[a], columns[b])]
+        keys[t] = [c + q * m for c, m in zip(const[t], slope[t])]
+    neighbours = []
+    for x in range(q):
+        column = [x * weights[free]] * q**k
+        for t, _, _ in steps:
+            # entry c + q * m is ring[m * x % q + c], weight times (c + m * x) % q
+            ring = [d * weights[t] for d in range(q)] * 2
+            digit = [d for m in range(q) for d in ring[m * x % q:][:q]]
+            column = [i + digit[key] for i, key in zip(column, keys[t])]
+        neighbours.append(column)
+    return zip(*neighbours)
 
 
 def _build_graph(params: FieldParams) -> BipartiteGraph:
@@ -145,7 +155,7 @@ def _build_graph(params: FieldParams) -> BipartiteGraph:
             f"{size} vertices per side exceeds the budget of {DEFAULT_VERTEX_BUDGET}"
         )
     graph = BipartiteGraph.from_rows(size, _neighbour_rows(params))
-    root_orbits(graph, coordinate_translations(params))
+    root_orbits(graph, translation_pairs(params))
     return graph
 
 

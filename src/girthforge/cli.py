@@ -25,6 +25,7 @@ from .files import (
 )
 from .geometry import (
     ProjectionError,
+    _planar_incidences,
     certify_lines_distinct,
     incidence_set_kd,
     lines_from_params,
@@ -76,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET, help="box size budget per side")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="re-derive and check properties of an arrangement")
+    p = sub.add_parser("verify", help="re-derive and check an arrangement or planar file")
     p.add_argument("--in", dest="infile", required=True, type=Path)
     p.add_argument("--girth-at-least", type=int, default=None)
     p.add_argument("--no-cycle-length", type=int, default=None)
@@ -141,18 +142,21 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     if args.no_cycle_length is not None:
         check_cycle_length(args.no_cycle_length)
-    arr = _load_arrangement(args.infile)
-    lines = _lines_of(arr)
-
-    ok, pair = certify_lines_distinct(lines)
-    if not ok:
-        raise CheckFailure(f"line parameters {pair[0]} and {pair[1]} give the same line")
-    print(f"ok: {len(lines)} lines are pairwise distinct")
-
-    derived = incidence_set_kd(arr.points, lines)
-    if derived != arr.edge_set:
-        missing = derived - arr.edge_set
-        spurious = arr.edge_set - derived
+    kind, arr = _load(args.infile)
+    if kind == "arrangement":
+        lines = _lines_of(arr)
+        ok, pair = certify_lines_distinct(lines)
+        if not ok:
+            raise CheckFailure(f"line parameters {pair[0]} and {pair[1]} give the same line")
+        print(f"ok: {len(lines)} lines are pairwise distinct")
+        derived, recorded = incidence_set_kd(arr.points, lines), arr.edge_set
+    else:  # the reader already refuses two equal planar lines
+        if args.subgraph_prime is not None:
+            raise UsageError("--subgraph-prime needs an arrangement file, not a planar one")
+        derived, recorded = _planar_incidences(arr.points, arr.lines), arr.incidences
+    if derived != recorded:
+        missing = derived - recorded
+        spurious = recorded - derived
         message = (
             f"recorded incidences disagree with geometry: file is missing {len(missing)} "
             f"and carries {len(spurious)} spurious pairs"

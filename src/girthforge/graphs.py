@@ -16,10 +16,9 @@ that must meet each cycle or each component starts at points only.
 Orbit roots, set only by :func:`root_orbits`, narrow those starts to the
 smallest point of each orbit of a group generated by automorphisms that
 passed an exact certificate on this very graph.  The certificate of a
-permutation T of one side indexes the other side by neighbourhood,
-refusing two equal ones, and maps each vertex b there to the vertex whose
-neighbourhood is T(N(b)), refusing if there is none or if the map is not a
-bijection; T and that map then carry every edge to an edge.  Among the
+pair of permutations, T of the points and S of the lines, checks that the
+sorted S-image of every point's row is the row of its T-image; T and S
+then carry every edge to an edge.  Among the
 cycles of a given length take the smallest point m on one of them: an
 automorphism carries that cycle to one through the smallest point of m's
 orbit, which is therefore no smaller than m, so m is a root.  The cycle
@@ -343,67 +342,53 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     return None
 
 
-def root_orbits(g: BipartiteGraph, generators) -> tuple[bool, ...]:
-    """Certify each generator as an automorphism; root g at the orbits of those that pass.
+def root_orbits(g: BipartiteGraph, pairs) -> tuple[bool | None, ...]:
+    """Root g at the point orbits of the offered pairs that pass an exact certificate.
 
-    A generator is ``(side, perm)``: a permutation of the left or the right
-    side's indices.  Its certificate, O(E), takes nothing on trust.  Index
-    the other side by neighbourhood (the sorted adjacency tuple, a set's
-    canonical form) and refuse if two of its vertices share one; map each
-    vertex b of the other side to the vertex whose neighbourhood is
-    ``perm(N(b))`` and refuse if there is none; refuse unless that map is a
-    bijection.  A generator that passes, with its forced map, carries every
-    edge to an edge and is an automorphism.
-
-    Sets ``g.roots`` to the smallest vertex of each left orbit of the group
-    the passing generators generate, or leaves it alone if none passes.
-    Returns, per generator, whether it passed.
+    A pair ``(left_perm, right_perm)`` maps the points by T and the lines by
+    S.  Its O(E) certificate (module docstring) also requires T and S to be
+    permutations.  In order, a pair whose T keeps every point in its orbit
+    under the pairs certified so far cannot change the roots and is skipped
+    uncertified, as is every pair once one orbit remains.  Sets ``g.roots``
+    to the smallest point of each orbit unless no pair is certified.  Returns,
+    per pair, True (certified), False (refused, not used) or None (skipped).
     """
-    sides = {"left": (g.left_adj, g.right_adj), "right": (g.right_adj, g.left_adj)}
-    indices = {}
-    passed = []
-    left_perms = []
-    for side, perm in generators:
-        moved, other = sides[side]
-        if side not in indices:
-            index = {nbrs: b for b, nbrs in enumerate(other)}
-            indices[side] = index if len(index) == len(other) else None
-        forced = None
-        if indices[side] is not None and sorted(perm) == list(range(len(moved))):
-            forced = _forced_map(perm, other, indices[side])
-        passed.append(forced is not None)
-        if forced is not None:
-            left_perms.append(perm if side == "left" else forced)
-    if left_perms:
-        # the images under the generators close each orbit: in a finite
-        # group every inverse is a power
-        reached = [False] * g.left_count
-        roots = []
-        for r in range(g.left_count):
-            if reached[r]:
-                continue
-            roots.append(r)
-            reached[r] = True
-            stack = [r]
-            while stack:
-                x = stack.pop()
-                for perm in left_perms:
-                    if not reached[perm[x]]:
-                        reached[perm[x]] = True
-                        stack.append(perm[x])
-        g.roots = tuple(roots)
-    return tuple(passed)
-
-
-def _forced_map(perm, other, index) -> list[int] | None:
-    """The map b -> index[perm(N(b))] on the other side, or None unless it is a bijection."""
-    forced = []
-    for nbrs in other:
-        b = index.get(tuple(sorted([perm[a] for a in nbrs])))
-        if b is None:
-            return None
-        forced.append(b)
-    return forced if len(set(forced)) == len(forced) else None
+    n, rows = g.left_count, g.left_adj
+    points, lines = list(range(n)), list(range(g.right_count))
+    label = points  # the smallest point of each point's orbit
+    orbits = n
+    statuses = []
+    for perm, image in pairs:
+        if orbits <= 1:
+            certified = None
+        elif sorted(perm) != points:
+            certified = False
+        elif [label[x] for x in perm] == label:
+            certified = None
+        elif sorted(image) != lines:
+            certified = False
+        else:
+            # map(map, ...) takes the image of every row with no interpreted step per row
+            images = map(sorted, map(map, [image.__getitem__] * n, rows))
+            certified = list(map(tuple, images)) == [rows[x] for x in perm]
+        statuses.append(certified)
+        if certified:
+            # union-find over the orbits' roots, each joined to the smaller
+            up = points[:]
+            for a, b in zip(label, [label[x] for x in perm]):
+                while up[a] != a:
+                    up[a] = a = up[up[a]]
+                while up[b] != b:
+                    up[b] = b = up[up[b]]
+                if a != b:
+                    up[max(a, b)] = min(a, b)
+                    orbits -= 1
+            for x in points:  # up[x] <= x, so up[up[x]] is already final
+                up[x] = up[up[x]]
+            label = [up[r] for r in label]
+    if True in statuses:
+        g.roots = tuple(x for x in points if label[x] == x)
+    return tuple(statuses)
 
 
 def is_forest(g: BipartiteGraph) -> bool:

@@ -11,19 +11,21 @@ window formulas are written out by position, independent of the family table
 in girthforge.families.  The SVG oracle is the original renderer, which
 clips and scales with Fraction arithmetic, independent of the integer grid
 of girthforge.svg.  The field-graph oracle is the per-edge build: each
-neighbour tuple from field_neighbors, ranked by box_rank, fed as an edge list
-to the BipartiteGraph constructor, independent of the builder's rows.
+neighbour tuple from field_neighbors (one substitution per point), ranked by
+box_rank, fed as an edge list to the BipartiteGraph constructor, independent
+of the builder's columns.  Its roots come from the forced-map certificate
+over all 2k coordinate translations, independent of the plan's translation
+pairs and of the pair certificate in girthforge.graphs.root_orbits.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
 
-from girthforge.algebraic import coordinate_translations, field_neighbors
 from girthforge.exactmath import ceil_pow, floor_pow
-from girthforge.families import box_rank
+from girthforge.families import box_rank, family_named, plan_holds_mod, substitute
 from girthforge.geometry import PlanarArrangement
-from girthforge.graphs import BipartiteGraph, root_orbits
+from girthforge.graphs import BipartiteGraph
 
 
 def is_cycle(graph, witness, length):
@@ -42,8 +44,101 @@ def random_bipartite(rng):
     return BipartiteGraph(n_left, n_right, rng.sample(possible, count))
 
 
+def _check_length(vertex, k, name):
+    if len(vertex) != k:
+        raise ValueError(f"{name} has length {len(vertex)}, expected {k}")
+
+
+def field_edge(u, v, params):
+    """Whether the family's equations hold mod q for point u and line-vertex v."""
+    _check_length(u, params.k, "u")
+    _check_length(v, params.k, "v")
+    return plan_holds_mod(family_named(params.family).plan(params.k), u, v, params.q)
+
+
+def field_neighbors(u, params):
+    """The q neighbors of u, one per value of the free coordinate of v."""
+    _check_length(u, params.k, "u")
+    q = params.q
+    const, slope = substitute(family_named(params.family).plan(params.k), u, from_point=True)
+    return [tuple((c + s * x) % q for c, s in zip(const, slope)) for x in range(q)]
+
+
+def coordinate_translations(params):
+    """The 2k translations x -> x + e_s (mod q) as ("left" or "right", index permutation).
+
+    The k point translations come first, then the k line-vertex
+    translations, each in coordinate order; both sides are indexed
+    lexicographically.
+    """
+    k, q = params.k, params.q
+    perms = []
+    for s in range(k):
+        w = q ** (k - 1 - s)
+        perms.append(tuple(i - (q - 1) * w if i // w % q == q - 1 else i + w for i in range(q**k)))
+    return [(side, perm) for side in ("left", "right") for perm in perms]
+
+
+def forced_map(perm, other, index):
+    """The map b -> index[perm(N(b))] on the other side, or None unless it is a bijection."""
+    forced = []
+    for nbrs in other:
+        b = index.get(tuple(sorted([perm[a] for a in nbrs])))
+        if b is None:
+            return None
+        forced.append(b)
+    return forced if len(set(forced)) == len(forced) else None
+
+
+def neighbourhood_index(adjacency):
+    """Each vertex by its neighbourhood, or None if two vertices share one."""
+    index = {nbrs: b for b, nbrs in enumerate(adjacency)}
+    return index if len(index) == len(adjacency) else None
+
+
+def forced_map_root_orbits(g, generators):
+    """The forced-map certificate of each ("left" or "right", perm) generator; roots g at the passing ones.
+
+    The other side is indexed by neighbourhood, refusing if two of its
+    vertices share one; each vertex b there goes to the vertex whose
+    neighbourhood is perm(N(b)), refusing if there is none or if that map is
+    not a bijection.  Sets g.roots to the smallest point of each orbit of
+    the group the passing generators generate (their point maps), or leaves
+    it alone if none passes.  Returns, per generator, whether it passed.
+    """
+    sides = {"left": (g.left_adj, g.right_adj), "right": (g.right_adj, g.left_adj)}
+    passed = []
+    left_perms = []
+    for side, perm in generators:
+        moved, other = sides[side]
+        index = neighbourhood_index(other)
+        forced = None
+        if index is not None and sorted(perm) == list(range(len(moved))):
+            forced = forced_map(perm, other, index)
+        passed.append(forced is not None)
+        if forced is not None:
+            left_perms.append(perm if side == "left" else forced)
+    if left_perms:
+        reached = [False] * g.left_count
+        roots = []
+        for r in range(g.left_count):
+            if reached[r]:
+                continue
+            roots.append(r)
+            reached[r] = True
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                for perm in left_perms:
+                    if not reached[perm[x]]:
+                        reached[perm[x]] = True
+                        stack.append(perm[x])
+        g.roots = tuple(roots)
+    return tuple(passed)
+
+
 def per_edge_field_graph(params):
-    """The field graph one edge at a time, rooted by the same certificate as the builder."""
+    """The field graph one edge at a time, rooted by the forced-map certificate."""
     k, q = params.k, params.q
     ranges = [(0, q - 1)] * k
     edges = []
@@ -51,7 +146,7 @@ def per_edge_field_graph(params):
         for v in field_neighbors(u, params):
             edges.append((pi, box_rank(v, ranges)))
     graph = BipartiteGraph(q**k, q**k, edges)
-    root_orbits(graph, coordinate_translations(params))
+    forced_map_root_orbits(graph, coordinate_translations(params))
     return graph
 
 

@@ -10,13 +10,11 @@ from girthforge.algebraic import (
     WengerParams,
     build_lu_graph,
     build_wenger_graph,
-    field_edge,
-    field_neighbors,
 )
 from girthforge.families import CoordLabel, family_named, lu_label, lu_labels, substitute
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
 from girthforge.truncation import lu_edge_free
-from helpers import LU_BY_HAND, bumped, per_edge_field_graph
+from helpers import LU_BY_HAND, bumped, field_edge, field_neighbors, per_edge_field_graph
 
 
 class TestLabels:

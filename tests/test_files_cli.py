@@ -388,6 +388,15 @@ def forest_arrangement():
 
 BOUND_CAP_MESSAGE = "coefficient bound must have at most 4096 bits"
 
+# Points (0, 0) and (5, 7), the line x = 0, and both points recorded on it.
+SPURIOUS_PLANAR = "GIRTHFORGE-PLANAR 1\npoints 2\n0/1 0/1\n5/1 7/1\nlines 1\n1 0 0\nincidences 2\n0 0\n1 0\n"
+
+
+def run_capture(argv, capsys):
+    """The standard output of one successful command."""
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
 
 class TestCLI:
     def test_construct_reference_instance(self, tmp_path, capsys):
@@ -525,6 +534,44 @@ class TestCLI:
             ["verify", "--in", str(out), "--no-cycle-length", "4",
              "--min-line-degree", "2", "--subgraph-prime", "minimal"]
         ) == 0
+
+    def test_verify_checks_a_planar_file_against_its_geometry(self, tmp_path, capsys):
+        # x = 0 passes through (0, 0) but not through (5, 7)
+        path = tmp_path / "bad.planar"
+        path.write_text(SPURIOUS_PLANAR)
+        assert run(["stats", "--in", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "missing 0 and carries 1 spurious" in err
+        assert "smallest spurious: (1, 0)" in err
+
+    def test_verify_runs_the_graph_checks_on_a_projected_file(self, tmp_path, capsys):
+        arr_path, planar_path = tmp_path / "w.arr", tmp_path / "w.planar"
+        run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(arr_path)])
+        run(["project", "--in", str(arr_path), "--out", str(planar_path), "--seed", "1"])
+        capsys.readouterr()
+        checks = ["--girth-at-least", "6", "--no-cycle-length", "4", "--min-line-degree", "2"]
+        assert run(["verify", "--in", str(planar_path), *checks]) == 0
+        out = capsys.readouterr().out
+        assert out == run_capture(["verify", "--in", str(arr_path), *checks], capsys).replace(
+            "ok: 39 lines are pairwise distinct\n", ""
+        )
+        tri_arr, tri_planar = tmp_path / "tri.arr", tmp_path / "tri.planar"
+        tri_arr.write_text(render_arrangement(triangle_arrangement()))
+        run(["project", "--in", str(tri_arr), "--out", str(tri_planar), "--seed", "1"])
+        capsys.readouterr()
+        assert run(["verify", "--in", str(tri_planar), "--no-cycle-length", "6"]) == 1
+        assert "6-cycle" in capsys.readouterr().err
+        assert run(["verify", "--in", str(tri_planar), "--min-point-degree", "3"]) == 1
+        assert "minimum point degree 2 < 3" in capsys.readouterr().err
+
+    def test_verify_refuses_subgraph_prime_on_a_planar_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.planar"
+        path.write_text(SPURIOUS_PLANAR)
+        assert run(["verify", "--in", str(path), "--subgraph-prime", "minimal"]) == 2
+        captured = capsys.readouterr()
+        assert "--subgraph-prime" in captured.err and captured.out == ""
 
     def test_project_writes_planar_and_echoes_seed(self, tmp_path, capsys):
         arr_path = tmp_path / "w.arr"

@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthforge.algebraic import (
+    FieldParams,
     LUParams,
     WengerParams,
     build_lu_graph,
     build_wenger_graph,
-    coordinate_translations,
+    translation_pairs,
 )
 from helpers import (
+    coordinate_translations,
     enumeration_girth,
+    forced_map,
+    forced_map_root_orbits,
     girth_target,
     is_cycle,
+    neighbourhood_index,
     random_bipartite,
     scan_cycle_of_length,
     union_find_has_cycle,
@@ -305,19 +310,16 @@ class TestCycleOfLength:
 @st.composite
 def cyclic_covers(draw):
     """A c-fold cyclic cover of a small bipartite graph, relabelled at random,
-    with the shift of the copies as a left permutation.
+    with the shift of the copies on the left and on the right.
 
     Left (i, x) joins right (j, x + volt) for each base edge (i, j) with its
-    voltage; x -> x + 1 on both sides is an automorphism, so the shift on the
-    left passes the certificate unless two right vertices share neighbours.
+    voltage, so x -> x + 1 on both sides is an automorphism.  Shifting the
+    right copies by 2 instead is not: an edge's image would need the voltage
+    of its base edge plus 1, and the base edges are distinct.
     """
     base_left, base_right, c = (draw(st.integers(2, 4)) for _ in range(3))
     pairs = [(i, j) for i in range(base_left) for j in range(base_right)]
     base = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=8))
-    # no isolated right vertex: c of them would share the empty neighbourhood
-    used = sorted({j for _, j in base})
-    base_right = len(used)
-    base = [(i, used.index(j)) for i, j in base]
     volts = draw(st.lists(st.integers(0, c - 1), min_size=len(base), max_size=len(base)))
     left_label = draw(st.permutations(range(base_left * c)))
     right_label = draw(st.permutations(range(base_right * c)))
@@ -326,22 +328,46 @@ def cyclic_covers(draw):
         for (i, j), v in zip(base, volts)
         for x in range(c)
     ]
-    shift = [0] * (base_left * c)
-    for i in range(base_left):
-        for x in range(c):
-            shift[left_label[i * c + x]] = left_label[i * c + (x + 1) % c]
-    return BipartiteGraph(base_left * c, base_right * c, edges), shift
+
+    def shift(label, count, by):
+        moved = [0] * (count * c)
+        for i in range(count):
+            for x in range(c):
+                moved[label[i * c + x]] = label[i * c + (x + by) % c]
+        return moved
+
+    graph = BipartiteGraph(base_left * c, base_right * c, edges)
+    left, right = shift(left_label, base_left, 1), shift(right_label, base_right, 1)
+    return graph, left, right, shift(right_label, base_right, 2)
+
+
+# Every field graph whose plan pairs are checked against the forced-map oracle.
+PAIR_GRAPHS = (
+    [("lu", 3, q) for q in (2, 3, 5, 7, 11)]
+    + [("lu", 5, q) for q in (3, 5, 7)]
+    + [("lu", 7, 3), ("lu", 7, 5), ("lu", 9, 2), ("lu", 9, 3)]
+    + [("wenger", 2, q) for q in (2, 5, 23, 97)]
+    + [("wenger", 3, q) for q in (2, 5, 7)]
+    + [("wenger", 5, q) for q in (2, 3, 7)]
+)
+
+# The benchmark's field graphs: the status of each plan pair, in order.
+WORKLOAD_STATUSES = {
+    ("lu", 3, 7): (True, True, True, None),
+    ("wenger", 3, 7): (True, True, True, None),
+    ("wenger", 5, 3): (True, True, True, True, True, None),
+    ("lu", 5, 5): (True, True, True, None, None),
+    ("wenger", 2, 23): (True, True, None, None),
+}
 
 
 class TestOrbitRoots:
     @settings(max_examples=200, deadline=None)
     @given(cyclic_covers())
     def test_rooted_searches_match_the_searches_from_every_vertex(self, cover):
-        g, shift = cover
+        g, shift, right_shift, wrong_shift = cover
         plain = rootless(g)
-        if root_orbits(g, [("left", shift)]) == (False,):
-            assert g.roots is None
-            return
+        assert root_orbits(g, [(shift, wrong_shift), (shift, right_shift)]) == (False, True)
         smallest = set()
         for v in range(g.left_count):
             orbit = [v]
@@ -356,12 +382,34 @@ class TestOrbitRoots:
             witness = has_cycle_of_length(g, length)
             assert witness == scan_cycle_of_length(plain, length), length
 
-    def test_lu_k5_q5_passes_exactly_the_recorded_translations(self):
+    @pytest.mark.parametrize("family,k,q", PAIR_GRAPHS)
+    def test_plan_pairs_agree_with_the_forced_map_oracle(self, family, k, q):
+        params = FieldParams(family, k, q)
+        g = field_graph(family, k, q)
+        pairs = translation_pairs(params)
+        assert False not in root_orbits(rootless(g), pairs)
+        oracle = rootless(g)
+        forced_map_root_orbits(oracle, coordinate_translations(params))
+        assert g.roots == oracle.roots
+        right_index, left_index = neighbourhood_index(g.right_adj), neighbourhood_index(g.left_adj)
+        for perm, image in pairs:
+            assert forced_map(perm, g.right_adj, right_index) == list(image)
+            assert forced_map(image, g.left_adj, left_index) == list(perm)
+
+    @pytest.mark.parametrize("key", WORKLOAD_STATUSES)
+    def test_workload_graphs_certify_the_pinned_pairs(self, key):
+        g = rootless(field_graph(*key))
+        assert root_orbits(g, translation_pairs(FieldParams(*key))) == WORKLOAD_STATUSES[key]
+
+    def test_lu_k5_q5_offers_the_recorded_translations(self):
         params = LUParams(5, 5)
+        pairs = translation_pairs(params)
+        translations = coordinate_translations(params)
+        # points: coordinates 2-4; line vertices: coordinates 3-4
+        assert [list(perm) for perm, _ in pairs[:3]] == [list(perm) for _, perm in translations[2:5]]
+        assert [list(image) for _, image in pairs[3:]] == [list(perm) for _, perm in translations[8:]]
         g = rootless(build_lu_graph(params))
-        passed = root_orbits(g, coordinate_translations(params))
-        # points: coordinates 2-4 pass; line vertices: coordinates 3-4 pass
-        assert passed == (False, False, True, True, True, False, False, False, True, True)
+        assert root_orbits(g, pairs) == (True, True, True, None, None)
         assert len(g.roots) == 25
         assert g.roots == build_lu_graph(params).roots
 
@@ -370,25 +418,48 @@ class TestOrbitRoots:
             g = build_wenger_graph(WengerParams(k, p))
             assert g.roots == (0,)
 
+    def test_a_pair_with_two_images_swapped_is_refused(self):
+        g = rootless(build_lu_graph(LUParams(3, 3)))
+        perm, image = translation_pairs(LUParams(3, 3))[0]
+        swapped = list(image)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        assert root_orbits(g, [(perm, swapped)]) == (False,)
+        assert g.roots is None
+
+    def test_a_pair_that_keeps_the_orbits_is_skipped_uncertified(self):
+        params = LUParams(3, 3)
+        pairs = translation_pairs(params)
+        perm, image = pairs[0]
+        swapped = list(image)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        g = rootless(build_lu_graph(params))
+        assert root_orbits(g, pairs + [(perm, swapped)]) == (True, True, True, None, None)
+        assert g.roots == build_lu_graph(params).roots
+
     def test_a_permutation_that_is_not_an_automorphism_is_refused(self):
         g = rootless(build_lu_graph(LUParams(3, 3)))
         swap = list(range(g.left_count))
         swap[0], swap[1] = 1, 0
-        assert root_orbits(g, [("left", swap), ("right", swap)]) == (False, False)
+        assert root_orbits(g, [(swap, range(g.right_count)), (swap, swap)]) == (False, False)
         assert g.roots is None
 
     def test_a_map_that_is_not_a_permutation_is_refused(self):
         g = hexagon()
-        not_permutations = [("left", (0, 0, 1)), ("left", (1, 2)), ("right", (1, 2, 3))]
-        assert root_orbits(g, not_permutations) == (False, False, False)
+        turn = (1, 2, 0)  # with itself on the lines, an automorphism of the hexagon
+        not_permutations = [((0, 0, 1), turn), ((1, 2), turn), (turn, (1, 2, 3)), (turn, (0, 0, 1))]
+        assert root_orbits(g, not_permutations) == (False, False, False, False)
         assert g.roots is None
+        assert root_orbits(g, [(turn, turn)]) == (True,)
+        assert g.roots == (0,)
 
-    def test_equal_neighbourhoods_refuse_every_generator(self):
-        # K_{2,2}: the swaps are automorphisms, but the forced map is not determined
+    def test_equal_neighbourhoods_need_no_distinct_rows(self):
+        # K_{2,2}: the swap of both sides is an automorphism, though both
+        # points, and both lines, share one neighbourhood
         k22 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert root_orbits(k22, [("left", (1, 0)), ("right", (1, 0))]) == (False, False)
-        assert k22.roots is None
+        assert root_orbits(k22, [((1, 0), (1, 0))]) == (True,)
+        assert k22.roots == (0,)
         assert girth(k22).girth == 4
+        assert girth(k22) == girth(rootless(k22))
 
     def test_constructed_and_truncated_graphs_carry_no_roots(self):
         assert hexagon().roots is None
