@@ -12,8 +12,8 @@ merge orbits, so the searches start at one point per orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .exactmath import is_prime
 from .families import family_named
@@ -47,18 +47,17 @@ def check_box_lower_bound(box: str, k: int, budget: int) -> None:
         raise BudgetExceededError(f"{box} holds at least 2**{k} tuples, beyond the budget of {budget}")
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(NamedTuple("FieldParams", [("family", str), ("k", int), ("q", int)])):
     """A family's field graph: k coordinates over the prime field F_q."""
 
-    family: str
-    k: int
-    q: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self):
-        family_named(self.family).check_k(self.k)
-        if not is_prime(self.q):
-            raise ValueError(f"field size must be prime, got {self.q}")
+    def __new__(cls, family, k, q):
+        family_named(family).check_k(k)
+        if not is_prime(q):
+            raise ValueError(f"field size must be prime, got {q}")
+        return tuple.__new__(cls, (family, k, q))
 
 
 LUParams = partial(FieldParams, "lu")

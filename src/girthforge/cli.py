@@ -169,14 +169,19 @@ def _cmd_verify(args) -> int:
     print(f"ok: {len(derived)} incidences re-derived from geometry match the file")
 
     graph = arr.to_bipartite_graph()
+    shortest = 0
     if args.girth_at_least is not None:
         report = girth(graph)
         if report.girth < args.girth_at_least:
             cyc = " ".join(graph.vertex_label(v) for v in report.witness)
             raise CheckFailure(f"girth {report.girth} < {args.girth_at_least}; witness: {cyc}")
         print(f"ok: girth {report.girth} >= {args.girth_at_least}")
+        shortest = report.girth
     if args.no_cycle_length is not None:
-        witness = has_cycle_of_length(graph, args.no_cycle_length)
+        # no cycle is shorter than the girth; the length itself was checked above
+        witness = None
+        if args.no_cycle_length >= shortest:
+            witness = has_cycle_of_length(graph, args.no_cycle_length)
         if witness is not None:
             cyc = " ".join(graph.vertex_label(v) for v in witness)
             raise CheckFailure(f"found a {args.no_cycle_length}-cycle: {cyc}")

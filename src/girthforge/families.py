@@ -18,10 +18,9 @@ family ``H_k(p)`` has the relations ``v_j = u_j + u_{j+1} * v_{k-1}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exactmath import ceil_pow, floor_pow
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoordLabel:
+class CoordLabel(NamedTuple("CoordLabel", [("kind", str), ("i", int), ("j", int)])):
     """Label of one coordinate position in a layered vertex tuple.
 
     kind is 'first' for the leading coordinate, 'pair' for a doubly indexed
@@ -48,24 +46,24 @@ class CoordLabel:
     of layer 1 is identified with the (1, 1) pair and never stored.
     """
 
-    kind: str
-    i: int = 0
-    j: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self):
-        if self.kind == "first":
-            if self.i or self.j:
+    def __new__(cls, kind, i=0, j=0):
+        if kind == "first":
+            if i or j:
                 raise ValueError("'first' carries no indices")
-        elif self.kind == "pair":
-            if self.i < 1 or self.j < 1 or abs(self.i - self.j) > 1:
-                raise ValueError(f"invalid pair indices ({self.i}, {self.j})")
-        elif self.kind == "primed":
-            if self.i < 2:
+        elif kind == "pair":
+            if i < 1 or j < 1 or abs(i - j) > 1:
+                raise ValueError(f"invalid pair indices ({i}, {j})")
+        elif kind == "primed":
+            if i < 2:
                 raise ValueError("primed coordinates start at layer 2")
-            if self.j != self.i:
+            if j != i:
                 raise ValueError("primed coordinates are diagonal")
         else:
-            raise ValueError(f"unknown coordinate kind {self.kind!r}")
+            raise ValueError(f"unknown coordinate kind {kind!r}")
+        return tuple.__new__(cls, (kind, i, j))
 
     @property
     def weight(self) -> int:
@@ -190,8 +188,7 @@ def _wenger_plan(k: int) -> Plan:
     return k - 1, tuple((j, k - 1, j + 1) for j in range(k - 2, -1, -1))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything that tells one family from another; FAMILIES holds one per family."""
 
     name: str

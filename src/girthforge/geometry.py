@@ -18,7 +18,6 @@ is resampled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -310,20 +309,21 @@ def _integer_base(key, direction, axis, pivot):
     return tuple(base)
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
+class ProjectionMap(
+    NamedTuple("ProjectionMap", [("rows", tuple), ("seed", int | None), ("bound", int | None)])
+):
     """Two independent integer rows mapping R^k to the plane."""
 
-    rows: tuple[tuple[int, ...], tuple[int, ...]]
-    seed: int | None = None
-    bound: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self):
-        r1, r2 = self.rows
+    def __new__(cls, rows, seed=None, bound=None):
+        r1, r2 = rows
         if len(r1) != len(r2):
             raise ValueError("projection rows must have equal length")
         if not _rows_independent(r1, r2):
             raise ValueError("projection rows must be linearly independent")
+        return tuple.__new__(cls, (rows, seed, bound))
 
     @property
     def dim(self) -> int:
@@ -356,8 +356,7 @@ def sample_projection(dim: int, seed: int, bound: int = 1 << 16) -> ProjectionMa
             return ProjectionMap((r1, r2), seed=seed, bound=bound)
 
 
-@dataclass(frozen=True)
-class PlanarArrangement:
+class PlanarArrangement(NamedTuple):
     """Exact planar points, canonical integer line triples, and incidences.
 
     Each line triple (a, b, c) means a*x + b*y + c = 0 with gcd(a, b, c) = 1,

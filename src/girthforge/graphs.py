@@ -1,12 +1,13 @@
 """Bipartite graphs and exact structural verifiers.
 
-Girth is breadth-first search with an early depth cutoff; fixed-length
-cycle detection is an exhaustive decision procedure over simple paths,
-pruned by exact BFS distances back to the start.  Both start by the start
-rule below, each start searching the graph without the vertices below it.
-Both prunings drop only work that cannot lead to a cycle, so the answers
-are those of the unpruned searches; every witness returned by either
-routine is machine-checked before it leaves this module.
+Girth is breadth-first search cut at the first level that can close no
+cycle shorter than the best; fixed-length cycle detection is an exhaustive
+decision procedure over simple paths, pruned by exact BFS distances back to
+the start.  Both start by the start rule below, each start searching the
+graph without the vertices below it.  Both prunings drop only work that
+cannot change the answer, so answers and witnesses are those of the
+unpruned searches; every witness returned by either routine is
+machine-checked before it leaves this module.
 
 The start rule: global indices put every point (left vertex) below every
 line, and every edge joins a point to a line, so the smallest vertex of a
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactmath import ceil_pow
 from .families import family_named
@@ -161,8 +162,7 @@ class BipartiteGraph:
         )
 
 
-@dataclass(frozen=True)
-class GirthReport:
+class GirthReport(NamedTuple):
     """Exact girth plus a witness cycle (global vertex indices) when finite."""
 
     girth: int | float
@@ -194,11 +194,13 @@ def girth(g: BipartiteGraph) -> GirthReport:
     shortest cycle is still a root.  Either way the girth and the witness
     are those of the search from every point.
 
-    While processing a vertex at depth d only cycles of length >= 2d can
-    still be discovered from that root, so each search is cut as soon as 2d
-    reaches the best length found so far.  A candidate that ties the true
-    girth always closes into a simple cycle, which is why the final witness
-    can be reconstructed from parent links and then checked.
+    Depths alternate sides, so a vertex u at depth d closes a new cycle of
+    length 2d + 2: one of length 2d through a non-parent w at depth d - 1
+    was closed when the later of w and u's parent was scanned.  Each search
+    is cut once 2d + 2 reaches the best length; ties never replace the best,
+    so the cut changes neither the girth nor the witness.  A candidate that
+    ties the true girth always closes into a simple cycle, so the witness is
+    rebuilt from parent links and checked.
     """
     adj = g.global_adjacency()
     n = len(adj)
@@ -217,7 +219,7 @@ def girth(g: BipartiteGraph) -> GirthReport:
         while queue:
             u = queue.popleft()
             du = depth[u]
-            if 2 * du >= best:
+            if 2 * du + 2 >= best:
                 break
             pu = parent[u]
             for w in adj[u]:
@@ -428,8 +430,7 @@ def is_forest(g: BipartiteGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
+class DegreeSummary(NamedTuple):
     minimum: int
     maximum: int
     histogram: dict

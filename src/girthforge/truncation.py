@@ -17,9 +17,9 @@ position, one equation at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, product
+from typing import NamedTuple
 
 from .algebraic import BudgetExceededError, check_box_lower_bound
 from .exactmath import is_prime, next_prime, prime_in_window
@@ -48,18 +48,17 @@ DEFAULT_BOX_BUDGET = 1_000_000
 DEFAULT_CROSS_CHECK_LIMIT = 400_000
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
+class TruncationSpec(NamedTuple("TruncationSpec", [("family", str), ("k", int), ("n", int)])):
     """Size parameters of a truncation: a family name, its k, and the scale n >= 1."""
 
-    family: str
-    k: int
-    n: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self):
-        family_named(self.family).check_k(self.k)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+    def __new__(cls, family, k, n):
+        family_named(family).check_k(k)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        return tuple.__new__(cls, (family, k, n))
 
     def ranges(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Closed [lo, hi] range of each point coordinate and of each line-parameter coordinate."""
@@ -117,8 +116,7 @@ def wenger_edge_free(u, v, k: int) -> bool:
     return bool(wenger_points_on(v, (u,), k))
 
 
-@dataclass(frozen=True)
-class TruncatedArrangement:
+class TruncatedArrangement(NamedTuple):
     """Integer points, integer line parameters, and their incidence pairs.
 
     points and line_params are full coordinate boxes in lexicographic order;
@@ -133,7 +131,7 @@ class TruncatedArrangement:
     line_params: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
 
-    @cached_property
+    @property
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 

@@ -3,8 +3,10 @@
 The layered systems write the D(k, q) equations out by hand in the paper's
 notation, independent of the coordinate labels and of the plan.  The graph
 oracles avoid the BFS path and the distance pruning of
-girthforge.graphs: the cycle oracle enumerates every simple path.  The
-incidence oracles test every point/line pair, independent of the grouped
+girthforge.graphs: the cycle oracle enumerates every simple path.
+scan_girth is the girth BFS as it was before its cut moved one level
+earlier: it scans every vertex at depth d while 2d is below the best
+length.  The incidence oracles test every point/line pair, independent of the grouped
 lookups in girthforge.geometry.  canonical_planar_line is a general rational
 normalizer, independent of the planar reader's triple rule.  The box and
 window formulas are written out by position, independent of the family table
@@ -19,6 +21,7 @@ pairs and of the pair certificate in girthforge.graphs.root_orbits.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -230,6 +233,47 @@ def scan_cycle_of_length(graph, length):
             else:
                 path.pop()
     return None
+
+
+def scan_girth(graph):
+    """Oracle girth report (girth, witness): BFS from every start, cut once 2d reaches the best.
+
+    The starts are the points, or the orbit roots when the graph has them,
+    and the start s searches the graph without the vertices below it, so the
+    witness is the tuple girthforge.graphs.girth returns.
+    """
+    adj = graph.global_adjacency()
+    n = len(adj)
+    best, witness = math.inf, None
+    seen, depth, parent = [-1] * n, [0] * n, [-1] * n
+    starts = range(graph.left_count) if graph.roots is None else graph.roots
+    for s in starts:
+        if not adj[s]:
+            continue
+        seen[s], depth[s], parent[s] = s, 0, -1
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            du = depth[u]
+            if 2 * du >= best:
+                break
+            for w in adj[u]:
+                if w < s:
+                    continue
+                if seen[w] != s:
+                    seen[w], depth[w], parent[w] = s, du + 1, u
+                    queue.append(w)
+                elif w != parent[u] and du + depth[w] + 1 < best:
+                    best = du + depth[w] + 1
+                    path_u, path_w = [u], [w]
+                    while parent[path_u[-1]] != -1:
+                        path_u.append(parent[path_u[-1]])
+                    while parent[path_w[-1]] != -1:
+                        path_w.append(parent[path_w[-1]])
+                    witness = tuple(reversed(path_u)) + tuple(path_w[:-1])
+    if witness is not None:
+        assert is_cycle(graph, witness, best)
+    return best, witness
 
 
 def scan_incidence_set_kd(points, lines):

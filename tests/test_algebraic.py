@@ -12,8 +12,9 @@ from girthforge.algebraic import (
     build_wenger_graph,
 )
 from girthforge.families import CoordLabel, family_named, lu_label, lu_labels, substitute
+from girthforge.geometry import ProjectionMap
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
-from girthforge.truncation import lu_edge_free
+from girthforge.truncation import TruncationSpec, lu_edge_free
 from helpers import LU_BY_HAND, bumped, field_edge, field_neighbors, per_edge_field_graph
 
 
@@ -51,6 +52,22 @@ class TestLabels:
             lu_label(0, 5)
         with pytest.raises(ValueError):
             lu_label(6, 5)
+
+    @pytest.mark.parametrize(
+        "value, bad",
+        [
+            (CoordLabel("pair", 1, 1), {"j": 3}),
+            (FieldParams("lu", 3, 5), {"q": 4}),
+            (TruncationSpec("lu", 3, 7), {"n": 0}),
+            (ProjectionMap(((1, 0), (0, 1))), {"rows": ((1, 0), (2, 0))}),
+        ],
+    )
+    def test_replace_checks_like_the_constructor(self, value, bad):
+        assert type(value._replace()) is type(value)
+        with pytest.raises(ValueError):
+            value._replace(**bad)
+        with pytest.raises(ValueError):
+            type(value)._make({**value._asdict(), **bad}.values())
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

@@ -527,6 +527,22 @@ class TestCLI:
                     "--no-cycle-length", "4"]) == 0
         assert "note:" not in capsys.readouterr().out
 
+    def test_verify_searches_no_length_below_the_girth(self, tmp_path, capsys, monkeypatch):
+        tri = tmp_path / "tri.arr"
+        tri.write_text(render_arrangement(triangle_arrangement()))
+        searched, search = [], girthforge.cli.has_cycle_of_length
+        monkeypatch.setattr(
+            girthforge.cli, "has_cycle_of_length", lambda g, n: searched.append(n) or search(g, n)
+        )
+        assert run(["verify", "--in", str(tri), "--girth-at-least", "6", "--no-cycle-length", "4"]) == 0
+        assert "ok: no cycle of length 4" in capsys.readouterr().out
+        assert searched == []
+        # at the girth, or with no girth check, the search runs
+        assert run(["verify", "--in", str(tri), "--girth-at-least", "6", "--no-cycle-length", "6"]) == 1
+        assert "6-cycle" in capsys.readouterr().err
+        assert run(["verify", "--in", str(tri), "--no-cycle-length", "4"]) == 0
+        assert searched == [6, 4]
+
     def test_verify_wenger_no_c4(self, tmp_path):
         out = tmp_path / "w.arr"
         run(["construct", "--family", "wenger", "--k", "2", "--n", "16", "--out", str(out)])

@@ -24,6 +24,7 @@ from helpers import (
     neighbourhood_index,
     random_bipartite,
     scan_cycle_of_length,
+    scan_girth,
     union_find_has_cycle,
 )
 
@@ -68,6 +69,18 @@ ROOTED_FIELD_GRAPHS = (
     ("wenger", 5, 2),
 )
 
+# The benchmark's field graphs: the status of each plan pair, in order.
+WORKLOAD_STATUSES = {
+    ("lu", 3, 7): (True, True, True, None),
+    ("wenger", 3, 7): (True, True, True, None),
+    ("wenger", 5, 3): (True, True, True, True, True, None),
+    ("lu", 5, 5): (True, True, True, None, None),
+    ("wenger", 2, 23): (True, True, None, None),
+}
+
+# Every rooted field graph whose girth and cycle answers are compared across search orders.
+FIELD_GRAPHS = ROOTED_FIELD_GRAPHS + tuple(WORKLOAD_STATUSES)
+
 
 def field_graph(family, k, q):
     if family == "lu":
@@ -76,9 +89,9 @@ def field_graph(family, k, q):
 
 
 @st.composite
-def bipartite_graphs(draw):
+def bipartite_graphs(draw, min_side=2):
     """Sparse bipartite graphs, either side the larger, some vertices isolated."""
-    left_count, right_count = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    left_count, right_count = draw(st.integers(min_side, 9)), draw(st.integers(min_side, 9))
     isolated_left = draw(st.sets(st.integers(0, left_count - 1), max_size=2))
     isolated_right = draw(st.sets(st.integers(0, right_count - 1), max_size=2))
     pairs = [
@@ -213,6 +226,18 @@ class TestGirth:
         if report.witness is not None:
             assert is_cycle(g, report.witness, report.girth)
 
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_graphs(min_side=1))
+    def test_same_report_as_the_scan_cut_a_level_later(self, g):
+        # the cut at 2d + 2 leaves the girth and the witness tuple as they were
+        assert girth(g) == scan_girth(g)
+
+    @pytest.mark.parametrize("family, k, q", FIELD_GRAPHS)
+    def test_same_report_as_the_scan_cut_a_level_later_on_field_graphs(self, family, k, q):
+        g = field_graph(family, k, q)
+        assert g.roots is not None
+        assert girth(g) == scan_girth(g)
+
     def test_truncated_wenger_with_the_smaller_right_side(self):
         # 822 points on the left, 408 lines on the right: starts are still points
         g = build_truncated(WengerTruncationSpec(2, 200)).to_bipartite_graph()
@@ -298,6 +323,22 @@ class TestCycleOfLength:
         assert report.girth == enumeration_girth(g)
         assert is_cycle(g, report.witness, report.girth)
 
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_graphs(min_side=1))
+    def test_answers_do_not_depend_on_a_girth_taken_first(self, g):
+        # neither search keeps state on the graph that the other could read
+        first = rootless(g)
+        girth(first)
+        for length in range(4, min(2 * min(g.left_count, g.right_count), 10) + 1, 2):
+            assert has_cycle_of_length(first, length) == has_cycle_of_length(g, length)
+
+    @pytest.mark.parametrize("family, k, q", FIELD_GRAPHS)
+    def test_answers_do_not_depend_on_a_girth_taken_first_on_field_graphs(self, family, k, q):
+        g, first = field_graph(family, k, q), field_graph(family, k, q)
+        girth(first)
+        for length in range(4, min(2 * g.left_count, 10) + 1, 2):
+            assert has_cycle_of_length(first, length) == has_cycle_of_length(g, length), length
+
     def test_cycle_longer_than_the_recursion_limit(self):
         # one 1200-cycle: every simple path of the search grows to 1200 vertices
         edges = [(i, i) for i in range(600)] + [(i, (i + 1) % 600) for i in range(600)]
@@ -350,15 +391,6 @@ PAIR_GRAPHS = (
     + [("wenger", 3, q) for q in (2, 5, 7)]
     + [("wenger", 5, q) for q in (2, 3, 7)]
 )
-
-# The benchmark's field graphs: the status of each plan pair, in order.
-WORKLOAD_STATUSES = {
-    ("lu", 3, 7): (True, True, True, None),
-    ("wenger", 3, 7): (True, True, True, None),
-    ("wenger", 5, 3): (True, True, True, True, True, None),
-    ("lu", 5, 5): (True, True, True, None, None),
-    ("wenger", 2, 23): (True, True, None, None),
-}
 
 
 class TestOrbitRoots:
