@@ -5,19 +5,20 @@ an edge when the family's equations hold mod q.  Neighbor generation solves
 the equations for v by substitution from u (see :mod:`girthforge.families`).
 
 Both graphs are regular on both sides; that is asserted by tests, not here.
-The builder offers the plan's translation pairs to
-:func:`girthforge.graphs.root_orbits`, which certifies those that can still
-merge orbits, so the searches start at one point per orbit.
+The builders root each graph from the plan alone (:func:`plan_roots`): the
+translation pairs that :func:`certify_pair` proves automorphisms free
+coordinates, and the searches start at the smallest point of each coset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import NamedTuple
 
 from .exactmath import is_prime
 from .families import family_named
-from .graphs import BipartiteGraph, root_orbits
+from .graphs import BipartiteGraph
 
 __all__ = [
     "BudgetExceededError",
@@ -25,6 +26,9 @@ __all__ = [
     "LUParams",
     "WengerParams",
     "translation_pairs",
+    "certify_pair",
+    "freed_coordinates",
+    "plan_roots",
     "build_lu_graph",
     "build_wenger_graph",
     "check_box_lower_bound",
@@ -74,43 +78,106 @@ def _digit_columns(k: int, q: int) -> list[list[int]]:
     return [[d for d in range(q) for _ in range(w)] * (q**k // (q * w)) for w in _digit_weights(k, q)]
 
 
-def translation_pairs(params: FieldParams) -> list[tuple[list[int], list[int]]]:
-    """The coordinate translations that the plan maps to automorphisms, as index permutation pairs.
+def translation_pairs(params: FieldParams) -> list[tuple[tuple, tuple]]:
+    """The coordinate translations that the plan maps to automorphisms, as pairs of coordinate moves.
 
-    Each pair is ``(left_perm, right_perm)`` on the lexicographic indices.
-    By the steps ``v[t] - u[t] = v[a] * u[b]``, the point translation
-    u -> u + e_s goes with S(v)[t] = v[t] + [t = s] + [b = s] * v[a], offered
-    when no step's a is a coordinate that S moves, and the line translation
-    v -> v + e_s with F(u)[t] = u[t] + [t = s] - [a = s] * u[b], offered when
-    no step's b is a coordinate that F moves.  Point pairs come first, then
-    line pairs, each in coordinate order.  The plan only chooses the pairs:
-    :func:`girthforge.graphs.root_orbits` certifies each one it uses.
+    Each pair is ``(point moves, line moves)``, T on the points and S on the
+    line vertices; a move ``(t, c, m, r)`` is ``y[t] += c + m * y[r]``, every
+    move of a map reading y before any move.  By the steps
+    ``v[t] - u[t] = v[a] * u[b]``, the point translation u -> u + e_s goes
+    with S(v)[t] = v[t] + [t = s] + [b = s] * v[a], offered when no step's a
+    is a coordinate that S moves, and the line translation v -> v + e_s with
+    F(u)[t] = u[t] + [t = s] - [a = s] * u[b], offered when no step's b is a
+    coordinate that F moves.  Point pairs come first, then line pairs, each
+    in coordinate order.  The plan only chooses the pairs:
+    :func:`certify_pair` proves each one it uses.
+    """
+    _, steps = family_named(params.family).plan(params.k)
+    points, lines = [], []
+    for s in range(params.k):
+        shift = ((s, 1, 0, s),)
+        moved = tuple((t, int(t == s), int(b == s), a) for t, a, b in steps if s in (t, b))
+        if all(a not in {t for t, *_ in moved} for _, a, _ in steps):
+            points.append((shift, moved))
+        moved = tuple((t, int(t == s), -int(a == s), b) for t, a, b in steps if s in (t, a))
+        if all(b not in {t for t, *_ in moved} for *_, b in steps):
+            lines.append((moved, shift))
+    return points + lines
+
+
+def _images(moves, k: int) -> list[Counter]:
+    """Each coordinate's image under the moves, as {coordinate or None (the constant 1): coefficient}."""
+    images = [Counter({i: 1}) for i in range(k)]
+    for t, c, m, r in moves:
+        images[t].update({None: c, r: m})
+    return images
+
+
+def certify_pair(params: FieldParams, pair) -> bool:
+    """Whether the plan proves a pair of :func:`translation_pairs` an automorphism of the field graph.
+
+    Each map must be invertible: no two moves share a target, and every move
+    reads only coordinates that its own map leaves unmoved, so subtracting
+    the same moves undoes it.  Then for every step (t, a, b) the edge
+    polynomial v[t] - u[t] - v[a] * u[b] must map to itself under (T, S) as
+    a polynomial over F_q; T and S then carry every edge to an edge and
+    every non-edge to a non-edge.  A line coordinate only ever multiplies a
+    point coordinate, so every variable has degree at most 1 and the
+    polynomial identity is exactly the identity of functions on F_q.
     """
     k, q = params.k, params.q
-    _, steps = family_named(params.family).plan(k)
-    columns, weights = _digit_columns(k, q), _digit_weights(k, q)
-    perms = {}
+    for moves in pair:
+        moved = [t for t, *_ in moves]
+        if len(set(moved)) != len(moved) or any(m % q and r in moved for _, _, m, r in moves):
+            return False
+    point, line = (_images(moves, k) for moves in pair)
+    for t, a, b in family_named(params.family).plan(k)[1]:
+        # E(T u, S v) - E(u, v), monomial (x, y) = v[x] * u[y] with None for 1
+        poly = Counter({(x, None): c for x, c in line[t].items()})
+        poly.subtract({(None, y): c for y, c in point[t].items()})
+        poly.subtract({(x, y): c * d for x, c in line[a].items() for y, d in point[b].items()})
+        poly.subtract({(t, None): 1, (None, t): -1, (a, b): -1})
+        if any(c % q for c in poly.values()):
+            return False
+    return True
 
-    def perm(moves):  # y[t] += c + m * y[r] mod q per move, all reading y before any; cached
-        moves = tuple((t, c, m, r if m else t) for t, c, m, r in moves)
-        if moves not in perms:
-            image = range(q**k)
-            for t, c, m, r in moves:
-                w, digits = weights[t], zip(columns[t], columns[r])
-                image = [i + ((d + c + m * y) % q - d) * w for i, (d, y) in zip(image, digits)]
-            perms[moves] = image
-        return perms[moves]
 
-    points, lines = [], []
-    for s in range(k):
-        shift = [(s, 1, 0, s)]
-        moved = [(t, int(t == s), int(b == s), a) for t, a, b in steps if s in (t, b)]
-        if all(a not in {t for t, *_ in moved} for _, a, _ in steps):
-            points.append((perm(shift), perm(moved)))
-        moved = [(t, int(t == s), -int(a == s), b) for t, a, b in steps if s in (t, a)]
-        if all(b not in {t for t, *_ in moved} for *_, b in steps):
-            lines.append((perm(moved), perm(shift)))
-    return points + lines
+def freed_coordinates(params: FieldParams, pairs) -> frozenset[int]:
+    """The coordinates C that the pairs free, walked in order.
+
+    A pair frees s when its point map is the shift u[s] += 1 apart from
+    moves of coordinates already in C, and :func:`certify_pair` proves it.
+    By induction the group of the freed pairs' point maps is transitive on
+    each coset u + span(e_c : c in C): the shift runs through the values of
+    s and the earlier pairs through those of the other coordinates of C.
+    """
+    q, freed = params.q, set()
+    for pair in pairs:
+        new = [(t, c % q, m % q) for t, c, m, _ in pair[0] if t not in freed]
+        if len(new) == 1 and new[0][1:] == (1, 0) and certify_pair(params, pair):
+            freed.add(new[0][0])
+    return frozenset(freed)
+
+
+def plan_roots(params: FieldParams) -> tuple[int, ...] | None:
+    """Orbit roots of the field graph from the plan alone: the points with digit 0 on every freed coordinate.
+
+    Each such point is the smallest of its coset (:func:`freed_coordinates`),
+    and every coset lies inside one orbit, so the roots hold the smallest
+    point of every orbit, as the start rule of :mod:`girthforge.graphs`
+    asks.  None when no coordinate is freed.  The graph need not be built,
+    but a root set beyond the vertex budget is refused.
+    """
+    k, q = params.k, params.q
+    freed = freed_coordinates(params, translation_pairs(params))
+    if not freed:
+        return None
+    _check_budget("the root set", k - len(freed), q)
+    roots = [0]
+    for s, w in enumerate(_digit_weights(k, q)):
+        if s not in freed:
+            roots = [i + d * w for i in roots for d in range(q)]
+    return tuple(roots)
 
 
 def _neighbour_rows(params: FieldParams):
@@ -145,16 +212,18 @@ def _neighbour_rows(params: FieldParams):
     return zip(*neighbours)
 
 
+def _check_budget(what: str, k: int, q: int) -> int:
+    """q**k, the size of what; BudgetExceededError beyond the vertex budget, 2**k checked first."""
+    check_box_lower_bound(what, k, DEFAULT_VERTEX_BUDGET)  # q >= 2
+    if q**k > DEFAULT_VERTEX_BUDGET:
+        raise BudgetExceededError(f"{what} holds {q**k} tuples, beyond the budget of {DEFAULT_VERTEX_BUDGET}")
+    return q**k
+
+
 def _build_graph(params: FieldParams) -> BipartiteGraph:
-    k, q = params.k, params.q
-    check_box_lower_bound("each side", k, DEFAULT_VERTEX_BUDGET)  # q >= 2
-    size = q**k
-    if size > DEFAULT_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"{size} vertices per side exceeds the budget of {DEFAULT_VERTEX_BUDGET}"
-        )
+    size = _check_budget("each side", params.k, params.q)
     graph = BipartiteGraph.from_rows(size, _neighbour_rows(params))
-    root_orbits(graph, translation_pairs(params))
+    graph.roots = plan_roots(params)
     return graph
 
 

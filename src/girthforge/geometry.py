@@ -34,7 +34,6 @@ __all__ = [
     "ProjectionError",
     "line_from_params",
     "lines_from_params",
-    "point_on_line",
     "certify_lines_distinct",
     "incidence_set_kd",
     "sample_projection",
@@ -67,11 +66,12 @@ class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), (
     the line exactly when its cross key equals key.
 
     The value is the tuple (direction, key), so hashing and equality are
-    the tuple's own.  The constructor checks the whole form;
-    lines_from_params checks each direction once for a batch.
+    the tuple's own.  The constructor, and so _make and _replace, checks the
+    whole form; lines_from_params checks each direction once for a batch.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, direction, key):
         if len(key) != len(direction):
@@ -100,13 +100,6 @@ class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), (
         pivot coordinate j is zero."""
         dj = self.direction[self.pivot]
         return tuple(_as_exact(Fraction(c, dj) + t * d) for c, d in zip(self.key, self.direction))
-
-
-def point_on_line(point, line: AffineLineKD) -> bool:
-    """Exact membership test: the point's cross key is the line's key."""
-    if len(point) != line.dim:
-        raise ValueError(f"point has dimension {len(point)}, line has {line.dim}")
-    return _cross_key(point, line.direction, line.pivot) == line.key
 
 
 def _pivot(direction) -> int:

@@ -14,17 +14,16 @@ line, and every edge joins a point to a line, so the smallest vertex of a
 cycle is a point and every component with an edge holds a point.  A search
 that must meet each cycle or each component starts at points only.
 
-Orbit roots, set only by :func:`root_orbits`, narrow those starts to the
-smallest point of each orbit of a group generated by automorphisms that
-passed an exact certificate on this very graph.  The certificate of a
-pair of permutations, T of the points and S of the lines, checks that the
-sorted S-image of every point's row is the row of its T-image; T and S
-then carry every edge to an edge.  Among the
-cycles of a given length take the smallest point m on one of them: an
-automorphism carries that cycle to one through the smallest point of m's
-orbit, which is therefore no smaller than m, so m is a root.  The cycle
-through m avoids every vertex below m, so the searches from the roots,
-each still skipping the vertices below it, miss no cycle.
+Orbit roots narrow those starts.  A graph's roots, when set, are sorted
+points that include the smallest point of every orbit of some group of its
+automorphisms; the field-graph builders prove the group from the plan
+(:func:`girthforge.algebraic.plan_roots`).  Among the cycles of a given
+length take the smallest point m on one of them: an automorphism carries
+that cycle to one through the smallest point of m's orbit, which is
+therefore no smaller than m, so m is a root.  The cycle through m avoids
+every vertex below m, and no root below m lies on a cycle of that length,
+so the searches from the roots, each still skipping the vertices below it,
+miss no cycle and return the witnesses of the searches from every point.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "girth",
     "check_cycle_length",
     "has_cycle_of_length",
-    "root_orbits",
     "is_forest",
     "degree_stats",
     "st_ratio",
@@ -60,10 +58,10 @@ class BipartiteGraph:
     sorted and mirrored on both sides.  In girth and cycle queries, vertices
     are addressed globally: left i stays i, right j becomes left_count + j.
 
-    ``roots`` is None, or the orbit roots that :func:`root_orbits` certified:
-    the smallest left index of each orbit, sorted.  Equality and hashing
-    ignore it, and the global adjacency too, which is built on first use and
-    kept.
+    ``roots`` is None, or sorted left indices that include the smallest of
+    each orbit of a group of automorphisms (module docstring); the
+    field-graph builders set them.  Equality and hashing ignore it, and the
+    global adjacency too, which is built on first use and kept.
     """
 
     __slots__ = ("left_count", "right_count", "left_adj", "right_adj", "roots", "_global_adj")
@@ -342,55 +340,6 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
         for v in reached:
             dist[v] = length
     return None
-
-
-def root_orbits(g: BipartiteGraph, pairs) -> tuple[bool | None, ...]:
-    """Root g at the point orbits of the offered pairs that pass an exact certificate.
-
-    A pair ``(left_perm, right_perm)`` maps the points by T and the lines by
-    S.  Its O(E) certificate (module docstring) also requires T and S to be
-    permutations.  In order, a pair whose T keeps every point in its orbit
-    under the pairs certified so far cannot change the roots and is skipped
-    uncertified, as is every pair once one orbit remains.  Sets ``g.roots``
-    to the smallest point of each orbit unless no pair is certified.  Returns,
-    per pair, True (certified), False (refused, not used) or None (skipped).
-    """
-    n, rows = g.left_count, g.left_adj
-    points, lines = list(range(n)), list(range(g.right_count))
-    label = points  # the smallest point of each point's orbit
-    orbits = n
-    statuses = []
-    for perm, image in pairs:
-        if orbits <= 1:
-            certified = None
-        elif sorted(perm) != points:
-            certified = False
-        elif [label[x] for x in perm] == label:
-            certified = None
-        elif sorted(image) != lines:
-            certified = False
-        else:
-            # map(map, ...) takes the image of every row with no interpreted step per row
-            images = map(sorted, map(map, [image.__getitem__] * n, rows))
-            certified = list(map(tuple, images)) == [rows[x] for x in perm]
-        statuses.append(certified)
-        if certified:
-            # union-find over the orbits' roots, each joined to the smaller
-            up = points[:]
-            for a, b in zip(label, [label[x] for x in perm]):
-                while up[a] != a:
-                    up[a] = a = up[up[a]]
-                while up[b] != b:
-                    up[b] = b = up[up[b]]
-                if a != b:
-                    up[max(a, b)] = min(a, b)
-                    orbits -= 1
-            for x in points:  # up[x] <= x, so up[up[x]] is already final
-                up[x] = up[up[x]]
-            label = [up[r] for r in label]
-    if True in statuses:
-        g.roots = tuple(x for x in points if label[x] == x)
-    return tuple(statuses)
 
 
 def is_forest(g: BipartiteGraph) -> bool:

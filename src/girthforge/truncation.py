@@ -33,8 +33,6 @@ __all__ = [
     "TruncatedArrangement",
     "lu_points_on",
     "wenger_points_on",
-    "lu_edge_free",
-    "wenger_edge_free",
     "build_truncated",
     "embedding_prime",
     "verify_subgraph_embedding",
@@ -104,16 +102,6 @@ def wenger_points_on(v, points, k: int) -> list[int]:
         vj = v[j]
         hits = [i for i in hits if vj == points[i][j] + points[i][j + 1] * last]
     return list(hits)
-
-
-def lu_edge_free(u, v, k: int) -> bool:
-    """Whether point u lies on line vertex v, by :func:`lu_points_on`."""
-    return bool(lu_points_on(v, (u,), k))
-
-
-def wenger_edge_free(u, v, k: int) -> bool:
-    """Whether point u lies on line vertex v, by :func:`wenger_points_on`."""
-    return bool(wenger_points_on(v, (u,), k))
 
 
 class TruncatedArrangement(NamedTuple):

@@ -17,7 +17,13 @@ neighbour tuple from field_neighbors (one substitution per point), ranked by
 box_rank, fed as an edge list to the BipartiteGraph constructor, independent
 of the builder's columns.  Its roots come from the forced-map certificate
 over all 2k coordinate translations, independent of the plan's translation
-pairs and of the pair certificate in girthforge.graphs.root_orbits.
+pairs and of their certificate in girthforge.algebraic.  root_orbits is the
+O(E) certificate of index permutation pairs on a built graph;
+translation_pairs gives it the plan's pairs, each move applied to the
+digits of every index by move_permutation, so a pair the plan certifies is
+checked again on the graph itself.  point_on_line tests membership by
+parallel differences, independent of the cross key; lu_edge_free and
+wenger_edge_free run the truncation's row filters on one point.
 """
 
 import math
@@ -25,10 +31,12 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
+from girthforge import algebraic
 from girthforge.exactmath import ceil_pow, floor_pow
 from girthforge.families import box_rank, family_named, plan_holds_mod, substitute
 from girthforge.geometry import PlanarArrangement
 from girthforge.graphs import BipartiteGraph
+from girthforge.truncation import lu_points_on, wenger_points_on
 
 
 def is_cycle(graph, witness, length):
@@ -140,6 +148,79 @@ def forced_map_root_orbits(g, generators):
     return tuple(passed)
 
 
+def move_permutation(moves, params):
+    """The index permutation of F_q^k, lexicographic, under the moves y[t] += c + m * y[r].
+
+    Every move reads the digits of the tuple before any move, as
+    girthforge.algebraic.translation_pairs defines them.
+    """
+    k, q = params.k, params.q
+    image = list(range(q**k))
+    for t, c, m, r in moves:
+        w, v = q ** (k - 1 - t), q ** (k - 1 - r)
+        image = [x + ((i // w + c + m * (i // v)) % q - i // w % q) * w for i, x in enumerate(image)]
+    return image
+
+
+def translation_pairs(params):
+    """The plan's translation pairs as (point, line) index permutation pairs, for root_orbits."""
+    return [
+        tuple(move_permutation(moves, params) for moves in pair)
+        for pair in algebraic.translation_pairs(params)
+    ]
+
+
+def root_orbits(g, pairs):
+    """Root g at the point orbits of the offered pairs that pass an exact O(E) certificate.
+
+    A pair ``(left_perm, right_perm)`` maps the points by T and the lines by
+    S.  It is certified when T and S are permutations and the sorted S-image
+    of every point's row is the row of its T-image; T and S then carry every
+    edge to an edge.  In order, a pair whose T keeps every point in its
+    orbit under the pairs certified so far cannot change the roots and is
+    skipped uncertified, as is every pair once one orbit remains.  Sets
+    ``g.roots`` to the smallest point of each orbit unless no pair is
+    certified.  Returns, per pair, True (certified), False (refused, not
+    used) or None (skipped).
+    """
+    n, rows = g.left_count, g.left_adj
+    points, lines = list(range(n)), list(range(g.right_count))
+    label = points  # the smallest point of each point's orbit
+    orbits = n
+    statuses = []
+    for perm, image in pairs:
+        if orbits <= 1:
+            certified = None
+        elif sorted(perm) != points:
+            certified = False
+        elif [label[x] for x in perm] == label:
+            certified = None
+        elif sorted(image) != lines:
+            certified = False
+        else:
+            # map(map, ...) takes the image of every row with no interpreted step per row
+            images = map(sorted, map(map, [image.__getitem__] * n, rows))
+            certified = list(map(tuple, images)) == [rows[x] for x in perm]
+        statuses.append(certified)
+        if certified:
+            # union-find over the orbits' roots, each joined to the smaller
+            up = points[:]
+            for a, b in zip(label, [label[x] for x in perm]):
+                while up[a] != a:
+                    up[a] = a = up[up[a]]
+                while up[b] != b:
+                    up[b] = b = up[up[b]]
+                if a != b:
+                    up[max(a, b)] = min(a, b)
+                    orbits -= 1
+            for x in points:  # up[x] <= x, so up[up[x]] is already final
+                up[x] = up[up[x]]
+            label = [up[r] for r in label]
+    if True in statuses:
+        g.roots = tuple(x for x in points if label[x] == x)
+    return tuple(statuses)
+
+
 def per_edge_field_graph(params):
     """The field graph one edge at a time, rooted by the forced-map certificate."""
     k, q = params.k, params.q
@@ -151,6 +232,16 @@ def per_edge_field_graph(params):
     graph = BipartiteGraph(q**k, q**k, edges)
     forced_map_root_orbits(graph, coordinate_translations(params))
     return graph
+
+
+def lu_edge_free(u, v, k):
+    """Whether point u lies on line vertex v, by girthforge.truncation.lu_points_on."""
+    return bool(lu_points_on(v, (u,), k))
+
+
+def wenger_edge_free(u, v, k):
+    """Whether point u lies on line vertex v, by girthforge.truncation.wenger_points_on."""
+    return bool(wenger_points_on(v, (u,), k))
 
 
 def union_find_has_cycle(graph):
@@ -295,6 +386,15 @@ def scan_incidence_set_kd(points, lines):
             else:
                 out.add((pi, lj))
     return out
+
+
+def point_on_line(point, line):
+    """Exact membership in R^k: point - base is parallel to the direction, each coordinate against the pivot."""
+    if len(point) != line.dim:
+        raise ValueError(f"point has dimension {len(point)}, line has {line.dim}")
+    base, direction, j = line.point_at(0), line.direction, line.pivot
+    tj = point[j] - base[j]
+    return all((x - b) * direction[j] == tj * d for x, b, d in zip(point, base, direction))
 
 
 def canonical_planar_line(a, b, c):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -10,12 +11,13 @@ from girthforge.algebraic import (
     WengerParams,
     build_lu_graph,
     build_wenger_graph,
+    plan_roots,
 )
 from girthforge.families import CoordLabel, family_named, lu_label, lu_labels, substitute
 from girthforge.geometry import ProjectionMap
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
-from girthforge.truncation import TruncationSpec, lu_edge_free
-from helpers import LU_BY_HAND, bumped, field_edge, field_neighbors, per_edge_field_graph
+from girthforge.truncation import TruncationSpec
+from helpers import LU_BY_HAND, bumped, field_edge, field_neighbors, lu_edge_free, per_edge_field_graph
 
 
 class TestLabels:
@@ -327,6 +329,22 @@ class TestBuildGraphs:
             # 3**9015 has more digits than Python prints; 2**9015 already
             # exceeds the budget, so the refusal comes before q**k
             build_lu_graph(LUParams(9015, 3))
+
+    def test_roots_from_the_plan_beyond_the_vertex_budget(self):
+        # 11**5 = 161,051 points per side: the plan roots the graph it cannot build
+        for params, roots in (
+            (WengerParams(5, 11), (0,)),
+            (LUParams(5, 11), tuple(a * 11**4 + b * 11**3 for a in range(11) for b in range(11))),
+        ):
+            start = time.perf_counter()
+            assert plan_roots(params) == roots
+            assert time.perf_counter() - start < 1.0
+        assert len(plan_roots(LUParams(5, 11))) == 121
+        with pytest.raises(BudgetExceededError):
+            build_wenger_graph(WengerParams(5, 11))
+        # D(9, 11) frees coordinates 5-8 and keeps five
+        with pytest.raises(BudgetExceededError, match="^the root set holds 161051 tuples, beyond"):
+            plan_roots(LUParams(9, 11))
 
 
 # Excluded: (5, 5) on both sides; exact girth / cycle search from every root

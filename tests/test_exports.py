@@ -1,5 +1,6 @@
 """Every exported name resolves, so removing a name cannot leave it in an ``__all__``;
-and the command-line entry point imports no heavier module than it needs."""
+the names the benchmark harness reaches for resolve; and the command-line
+entry point imports no heavier module than it needs."""
 
 import importlib
 import os
@@ -13,6 +14,28 @@ import pytest
 import girthforge
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(girthforge.__path__))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# (module, name) pairs the benchmark harness imports or calls by attribute.
+BENCHMARK_NAMES = [
+    ("algebraic", "LUParams"),
+    ("algebraic", "WengerParams"),
+    ("algebraic", "build_lu_graph"),
+    ("algebraic", "build_wenger_graph"),
+    ("truncation", "LUTruncationSpec"),
+    ("truncation", "WengerTruncationSpec"),
+    ("truncation", "build_truncated"),
+    ("graphs", "girth"),
+    ("graphs", "has_cycle_of_length"),
+    ("cli", "run"),
+]
+# Test-only code that lives in tests/helpers.py, not in the package.
+MOVED_TO_HELPERS = [
+    ("truncation", "lu_edge_free"),
+    ("truncation", "wenger_edge_free"),
+    ("geometry", "point_on_line"),
+    ("graphs", "root_orbits"),
+]
 
 
 def test_module_discovery_finds_the_package():
@@ -32,6 +55,19 @@ def test_package_names_resolve():
     exec("from girthforge import *", namespace)
     for name in ("build_truncated", "line_from_params", "LUTruncationSpec", "WengerTruncationSpec"):
         assert namespace[name] is getattr(girthforge, name)
+
+
+def test_names_the_benchmark_uses_resolve(monkeypatch):
+    for module, name in BENCHMARK_NAMES:
+        assert hasattr(importlib.import_module(f"girthforge.{module}"), name), (module, name)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    traced = importlib.import_module("traced")
+    # the probes replace vars(owner)[attr], so each must be the owner's own attribute
+    for owner, attr, _, _ in traced.PROBES:
+        assert attr in vars(owner), (owner, attr)
+    for module, name in MOVED_TO_HELPERS:
+        module = importlib.import_module(f"girthforge.{module}")
+        assert name not in module.__all__ and not hasattr(module, name), name
 
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
-from helpers import canonical_planar_line, scan_incidence_set_kd, scan_planar_incidences
+from helpers import canonical_planar_line, point_on_line, scan_incidence_set_kd, scan_planar_incidences
 
 from girthforge.families import family_named, substitute
 from girthforge.geometry import (
@@ -17,7 +17,6 @@ from girthforge.geometry import (
     incidence_set_kd,
     line_from_params,
     lines_from_params,
-    point_on_line,
     project_generic,
     project_with_map,
     sample_projection,
@@ -178,6 +177,16 @@ class TestPointOnLine:
 
 
 class TestCanonicalForm:
+    def test_make_and_replace_check_like_the_constructor(self):
+        with pytest.raises(ValueError, match="^key and direction must have equal length$"):
+            AffineLineKD._make(((0, 0), "junk"))
+        line = AffineLineKD.through((6, 5), (2, 4))
+        with pytest.raises(ValueError, match="^key must have a zero pivot coordinate$"):
+            line._replace(key=(1, -7))
+        with pytest.raises(ValueError, match="^leading direction entry must be positive$"):
+            line._replace(direction=(-1, -2))
+        assert line._replace(key=(0, 3)) == AffineLineKD((1, 2), (0, 3))
+
     def test_through_normalizes_direction_sign_and_gcd(self):
         line = AffineLineKD.through((0, 0), (-4, -6))
         assert line.direction == (2, 3)

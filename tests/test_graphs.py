@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthforge import algebraic
 from girthforge.algebraic import (
     FieldParams,
     LUParams,
     WengerParams,
     build_lu_graph,
     build_wenger_graph,
-    translation_pairs,
+    certify_pair,
+    freed_coordinates,
 )
 from helpers import (
     coordinate_translations,
@@ -22,9 +24,12 @@ from helpers import (
     girth_target,
     is_cycle,
     neighbourhood_index,
+    move_permutation,
     random_bipartite,
+    root_orbits,
     scan_cycle_of_length,
     scan_girth,
+    translation_pairs,
     union_find_has_cycle,
 )
 
@@ -34,7 +39,6 @@ from girthforge.graphs import (
     girth,
     has_cycle_of_length,
     is_forest,
-    root_orbits,
     st_ratio,
     theoretical_exponent,
 )
@@ -76,6 +80,15 @@ WORKLOAD_STATUSES = {
     ("wenger", 5, 3): (True, True, True, True, True, None),
     ("lu", 5, 5): (True, True, True, None, None),
     ("wenger", 2, 23): (True, True, None, None),
+}
+
+# The benchmark's field graphs: the coordinates their plan pairs free.
+WORKLOAD_FREED = {
+    ("lu", 3, 7): {1, 2},
+    ("wenger", 3, 7): {0, 1, 2},
+    ("wenger", 5, 3): {0, 1, 2, 3, 4},
+    ("lu", 5, 5): {2, 3, 4},
+    ("wenger", 2, 23): {0, 1},
 }
 
 # Every rooted field graph whose girth and cycle answers are compared across search orders.
@@ -427,11 +440,47 @@ class TestOrbitRoots:
         for perm, image in pairs:
             assert forced_map(perm, g.right_adj, right_index) == list(image)
             assert forced_map(image, g.left_adj, left_index) == list(perm)
+        # each pair the plan certifies passes the O(E) certificate on its own
+        for moves, perms in zip(algebraic.translation_pairs(params), pairs):
+            assert certify_pair(params, moves)
+            assert root_orbits(oracle, [perms]) == (True,)
 
     @pytest.mark.parametrize("key", WORKLOAD_STATUSES)
     def test_workload_graphs_certify_the_pinned_pairs(self, key):
         g = rootless(field_graph(*key))
         assert root_orbits(g, translation_pairs(FieldParams(*key))) == WORKLOAD_STATUSES[key]
+
+    @pytest.mark.parametrize("key", WORKLOAD_FREED)
+    def test_workload_graphs_free_the_pinned_coordinates(self, key):
+        params = FieldParams(*key)
+        assert freed_coordinates(params, algebraic.translation_pairs(params)) == WORKLOAD_FREED[key]
+
+    def test_a_pair_stripped_of_its_product_term_is_refused(self):
+        # D(5,5)'s point pair at coordinate 2 needs S(v)[4] = v[4] + v[0],
+        # from the step v[4] - u[4] = v[0] * u[2]
+        params = LUParams(5, 5)
+        pair = algebraic.translation_pairs(params)[0]
+        assert pair == (((2, 1, 0, 2),), ((2, 1, 0, 1), (4, 0, 1, 0)))
+        stripped = (pair[0], pair[1][:1])
+        assert certify_pair(params, pair) and freed_coordinates(params, [pair]) == {2}
+        assert not certify_pair(params, stripped)
+        assert freed_coordinates(params, [stripped]) == frozenset()
+        g = rootless(build_lu_graph(params))
+        assert root_orbits(g, [[move_permutation(moves, params) for moves in stripped]]) == (False,)
+
+    def test_a_move_reading_a_coordinate_its_map_moves_is_refused(self):
+        # H_2(5)'s point pair at 1 followed by its line pair at 1 is an
+        # automorphism whose edge polynomial maps to itself, but each map
+        # moves coordinate 1 and reads it in the move of coordinate 0
+        params = WengerParams(2, 5)
+        pair = (((0, -1, -1, 1), (1, 1, 0, 1)), ((0, 0, 1, 1), (1, 1, 0, 1)))
+        g = rootless(build_wenger_graph(params))
+        assert root_orbits(g, [[move_permutation(moves, params) for moves in pair]]) == (True,)
+        assert not certify_pair(params, pair)
+        # a second move of one coordinate is refused as well
+        shift = algebraic.translation_pairs(params)[0]
+        assert certify_pair(params, shift)
+        assert not certify_pair(params, (shift[0] + ((0, 0, 0, 0),), shift[1]))
 
     def test_lu_k5_q5_offers_the_recorded_translations(self):
         params = LUParams(5, 5)

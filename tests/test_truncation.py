@@ -20,10 +20,8 @@ from girthforge.truncation import (
     build_truncated,
     embedding_prime,
     TruncationSpec,
-    lu_edge_free,
     lu_points_on,
     verify_subgraph_embedding,
-    wenger_edge_free,
     wenger_points_on,
 )
 from helpers import (
@@ -31,8 +29,10 @@ from helpers import (
     lu3_residues,
     lu7_residues,
     lu_boxes_by_position,
+    lu_edge_free,
     paper_window_by_hand,
     wenger_boxes_by_position,
+    wenger_edge_free,
 )
 
 LU64 = LUTruncationSpec(3, 64)
