@@ -8,7 +8,6 @@ map, and checks every structural claim (girth, forbidden cycle lengths,
 degrees, incidence counts) with exact decision procedures.
 """
 
-from .geometry import line_from_params
 from .truncation import LUTruncationSpec, WengerTruncationSpec, build_truncated
 
 __version__ = "0.1.0"

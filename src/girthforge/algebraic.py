@@ -92,15 +92,22 @@ def translation_pairs(params: FieldParams) -> list[tuple[tuple, tuple]]:
     in coordinate order.  The plan only chooses the pairs:
     :func:`certify_pair` proves each one it uses.
     """
-    _, steps = family_named(params.family).plan(params.k)
+    k = params.k
+    _, steps = family_named(params.family).plan(k)
+    # the steps that write or read each coordinate as b, and as a, in plan order
+    by_b, by_a = [[] for _ in range(k)], [[] for _ in range(k)]
+    for t, a, b in steps:
+        for index, s in ((by_b, t), (by_b, b), (by_a, t), (by_a, a)):
+            index[s].append((t, a, b))
+    reads_a, reads_b = {a for _, a, _ in steps}, {b for *_, b in steps}
     points, lines = [], []
-    for s in range(params.k):
+    for s in range(k):
         shift = ((s, 1, 0, s),)
-        moved = tuple((t, int(t == s), int(b == s), a) for t, a, b in steps if s in (t, b))
-        if all(a not in {t for t, *_ in moved} for _, a, _ in steps):
+        moved = tuple((t, int(t == s), int(b == s), a) for t, a, b in by_b[s])
+        if reads_a.isdisjoint(t for t, *_ in moved):
             points.append((shift, moved))
-        moved = tuple((t, int(t == s), -int(a == s), b) for t, a, b in steps if s in (t, a))
-        if all(b not in {t for t, *_ in moved} for *_, b in steps):
+        moved = tuple((t, int(t == s), -int(a == s), b) for t, a, b in by_a[s])
+        if reads_b.isdisjoint(t for t, *_ in moved):
             lines.append((moved, shift))
     return points + lines
 

@@ -1,15 +1,21 @@
 """The two graph families as data: one table entry per family.
 
-A family is fixed by its rule for the dimension k, its exponent step, its
+A family is fixed by its rule for the dimension k, the scales of its
 integer coordinate boxes, the window its paper-scale prime is taken from,
-and its defining equations.  Every box end and window end is ``s * n**e``,
-floored (ceiled at a lower end), so a family states only exponents and
-scales and :class:`Family` evaluates them by one rule.  The equations are a
-plan: one free coordinate and an ordered tuple of steps ``(t, a, b)``, each
-meaning ``v[t] - u[t] = v[a] * u[b]`` for a point u and a line vertex v.  In
-plan order every step reads only the free coordinate or a coordinate solved
-by an earlier step, from whichever side is held fixed, so :func:`substitute`
-gives the whole other side as an affine function of the free coordinate.
+and its defining equations.  The equations are a plan: one free coordinate
+and an ordered tuple of steps ``(t, a, b)``, each meaning
+``v[t] - u[t] = v[a] * u[b]`` for a point u and a line vertex v.  In plan
+order every step reads only the free coordinate or a coordinate solved by an
+earlier step, from whichever side is held fixed, so :func:`substitute` gives
+the whole other side as an affine function of the free coordinate.
+
+The plan also fixes the box exponents.  Weight 1 at the free coordinate and
+w[t] = w[a] + w[b] at each step make every equation homogeneous; coordinate
+t then has exponent w[t] * step with step = 1 / sum(w), so the point box
+holds about n points, each on about n**step lines, and the incidence count
+grows as n**(1 + step).  Every box end and window end is ``s * n**e``,
+floored (ceiled at a lower end), so a family states only scales and
+:class:`Family` evaluates them by one rule.
 
 The layered family ``D(q, k)`` uses a block-structured coordinate labeling
 (:func:`lu_label`) and its plan is derived from the labels; the positional
@@ -65,11 +71,6 @@ class CoordLabel(NamedTuple("CoordLabel", [("kind", str), ("i", int), ("j", int)
             raise ValueError(f"unknown coordinate kind {kind!r}")
         return tuple.__new__(cls, (kind, i, j))
 
-    @property
-    def weight(self) -> int:
-        """Box exponent in units of the exponent step: 1 for the first coordinate, else i + j."""
-        return 1 if self.kind == "first" else self.i + self.j
-
 
 _FIRST = CoordLabel("first")
 
@@ -103,51 +104,6 @@ def lu_label(pos: int, k: int) -> CoordLabel:
 def lu_labels(k: int) -> tuple[CoordLabel, ...]:
     """All k coordinate labels in storage order."""
     return tuple(lu_label(pos, k) for pos in range(1, k + 1))
-
-
-def _lu_step(k: int) -> Fraction:
-    return Fraction(4, k * k + 6 * k - 3)
-
-
-def _wenger_step(k: int) -> Fraction:
-    return Fraction(2, k * (k + 1))
-
-
-# One coordinate's bounds: (weight, point scale, line low scale, line high scale).
-Bound = tuple[int, int, int, int]
-
-
-def _lu_box(k: int) -> tuple[Bound, ...]:
-    """Points in [0, n**e] and lines in [0, scale * n**e], e = weight * step.
-
-    The line scale, 2 for the first coordinate, 4 for primed coordinates and
-    pairs (i,i+1), 3 for pairs (i,i) and (i+1,i), lets forward substitution
-    from any in-box point land in the box for every free first coordinate.
-    """
-    box = []
-    for lab in lu_labels(k):
-        if lab.kind == "first":
-            scale = 2
-        elif lab.kind == "primed" or lab.j == lab.i + 1:
-            scale = 4
-        else:
-            scale = 3
-        box.append((lab.weight, 1, 0, scale))
-    return tuple(box)
-
-
-def _wenger_box(k: int) -> tuple[Bound, ...]:
-    """Coordinate i (0-based) has exponent (k - i) * step and scale s = 4**(k-i-1).
-
-    Points lie in [0, s n**e], lines in [s/2 n**e, s n**e]; the last line
-    coordinate instead lies in [n**step, 2 n**step].
-    """
-    box = []
-    for i in range(k):
-        s = 4 ** (k - i - 1)
-        line = s if i < k - 1 else 2
-        box.append((k - i, s, line // 2, line))
-    return tuple(box)
 
 
 # (free position, steps (t, a, b) meaning v[t] - u[t] = v[a] * u[b])
@@ -188,16 +144,44 @@ def _wenger_plan(k: int) -> Plan:
     return k - 1, tuple((j, k - 1, j + 1) for j in range(k - 2, -1, -1))
 
 
+# One coordinate's scales: (point, line low, line high).
+Scales = tuple[int, int, int]
+
+
+def _lu_box(k: int) -> tuple[Scales, ...]:
+    """Points in [0, n**e], lines in [0, s n**e]: s = 2 at the free coordinate, 1 + s[a] at each step.
+
+    For an in-box point u and a free line coordinate in [0, 2 n**e],
+    forward substitution gives v[t] = u[t] + v[a] * u[b] at most
+    (1 + s[a]) n**e[t], by induction over the steps, so every partner of an
+    in-box point lands in the line box.
+    """
+    free, steps = _lu_plan(k)
+    scales = [0] * k
+    scales[free] = 2
+    for t, a, _ in steps:
+        scales[t] = 1 + scales[a]
+    return tuple((1, 0, s) for s in scales)
+
+
+def _wenger_box(k: int) -> tuple[Scales, ...]:
+    """Coordinate i (0-based), of weight k - i, has scale s = 4**(k-i-1).
+
+    Points lie in [0, s n**e], lines in [s/2 n**e, s n**e]; the last line
+    coordinate, the free one, instead lies in [n**e, 2 n**e].
+    """
+    scales = [4 ** (k - i - 1) for i in range(k - 1)]
+    return tuple((s, s // 2, s) for s in scales) + ((1, 1, 2),)
+
+
 class Family(NamedTuple):
     """Everything that tells one family from another; FAMILIES holds one per family."""
 
     name: str
     k_rule: str
     k_ok: Callable[[int], bool]
-    # Coordinate box exponents are multiples of this unit.
-    exponent_step: Callable[[int], Fraction]
-    # k -> one Bound per coordinate position, evaluated by ranges().
-    box: Callable[[int], tuple[Bound, ...]]
+    # k -> one Scales per coordinate position, evaluated by ranges().
+    box: Callable[[int], tuple[Scales, ...]]
     # k -> (e, s): the paper takes its prime from the open window (s n**e, 2 s n**e).
     window: Callable[[int], tuple[Fraction, int]]
     # k -> the equations as a Plan, cached per k.
@@ -207,6 +191,19 @@ class Family(NamedTuple):
         """ValueError unless k satisfies the family's rule."""
         if not self.k_ok(k):
             raise ValueError(f"the {self.name} family requires {self.k_rule}, got k={k}")
+
+    def weights(self, k: int) -> list[int]:
+        """Box exponents in units of the step: 1 at the free coordinate, w[a] + w[b] at each step."""
+        free, steps = self.plan(k)
+        weights = [0] * k
+        weights[free] = 1
+        for t, a, b in steps:
+            weights[t] = weights[a] + weights[b]
+        return weights
+
+    def exponent_step(self, k: int) -> Fraction:
+        """The unit of the box exponents, 1 / sum(weights): the point box then holds about n points."""
+        return Fraction(1, sum(self.weights(k)))
 
     def exponent(self, k: int) -> Fraction:
         """Incidence-count exponent 1 + step achieved at parameter k."""
@@ -222,7 +219,7 @@ class Family(NamedTuple):
         """
         step = self.exponent_step(k)
         points, lines = [], []
-        for weight, point, low, high in self.box(k):
+        for weight, (point, low, high) in zip(self.weights(k), self.box(k)):
             e = weight * step
             points.append((0, floor_pow(n, e, point)))
             lines.append((ceil_pow(n, e, low) if low else 0, floor_pow(n, e, high)))
@@ -241,7 +238,6 @@ FAMILIES = {
             name="lu",
             k_rule="odd k >= 3",
             k_ok=lambda k: k >= 3 and k % 2 == 1,
-            exponent_step=_lu_step,
             box=_lu_box,
             window=lambda k: (Fraction(8, k), 4),
             plan=_lu_plan,
@@ -250,7 +246,6 @@ FAMILIES = {
             name="wenger",
             k_rule="k in {2, 3, 5}",
             k_ok=lambda k: k in (2, 3, 5),
-            exponent_step=_wenger_step,
             box=_wenger_box,
             window=lambda k: (Fraction(2, k), 4**k),
             plan=_wenger_plan,

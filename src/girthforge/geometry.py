@@ -32,7 +32,6 @@ __all__ = [
     "ProjectionMap",
     "PlanarArrangement",
     "ProjectionError",
-    "line_from_params",
     "lines_from_params",
     "certify_lines_distinct",
     "incidence_set_kd",
@@ -134,11 +133,6 @@ def _canonical_direction(direction) -> tuple[tuple[int, ...], int]:
     if direction[pivot] < 0:
         g = -g
     return tuple(d // g for d in direction), pivot
-
-
-def line_from_params(family: str, v, k: int) -> AffineLineKD:
-    """The solution line of a family's equations for line parameters v."""
-    return lines_from_params(family, [v], k)[0]
 
 
 def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:

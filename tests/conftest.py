@@ -1,11 +1,7 @@
 import pytest
 
-from girthforge import (
-    LUTruncationSpec,
-    WengerTruncationSpec,
-    build_truncated,
-    line_from_params,
-)
+from girthforge import LUTruncationSpec, WengerTruncationSpec, build_truncated
+from helpers import line_from_params
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,8 @@ translation_pairs gives it the plan's pairs, each move applied to the
 digits of every index by move_permutation, so a pair the plan certifies is
 checked again on the graph itself.  point_on_line tests membership by
 parallel differences, independent of the cross key; lu_edge_free and
-wenger_edge_free run the truncation's row filters on one point.
+wenger_edge_free run the truncation's row filters on one point, and
+line_from_params builds one line by the package's batch builder.
 """
 
 import math
@@ -34,7 +35,7 @@ from itertools import product
 from girthforge import algebraic
 from girthforge.exactmath import ceil_pow, floor_pow
 from girthforge.families import box_rank, family_named, plan_holds_mod, substitute
-from girthforge.geometry import PlanarArrangement
+from girthforge.geometry import PlanarArrangement, lines_from_params
 from girthforge.graphs import BipartiteGraph
 from girthforge.truncation import lu_points_on, wenger_points_on
 
@@ -386,6 +387,11 @@ def scan_incidence_set_kd(points, lines):
             else:
                 out.add((pi, lj))
     return out
+
+
+def line_from_params(family, v, k):
+    """The solution line of a family's equations for line parameters v."""
+    return lines_from_params(family, [v], k)[0]
 
 
 def point_on_line(point, line):

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import girthforge
 from girthforge.algebraic import (
     BudgetExceededError,
     FieldParams,
@@ -90,9 +95,12 @@ class TestLabels:
                 assert 0 <= a < t and 0 <= b < t
 
     def test_weight(self):
-        assert CoordLabel("first").weight == 1
-        assert CoordLabel("pair", 2, 1).weight == 3
-        assert CoordLabel("primed", 3, 3).weight == 6
+        # the plan's weights are the label degrees: 1 for the first coordinate, else i + j
+        for k in range(3, 42, 2):
+            degrees = [1 if lab.kind == "first" else lab.i + lab.j for lab in lu_labels(k)]
+            assert family_named("lu").weights(k) == degrees, k
+        for k in (2, 3, 5):
+            assert family_named("wenger").weights(k) == [k - i for i in range(k)], k
 
 
 @pytest.mark.parametrize("name,ks", [("lu", (3, 5, 7, 9, 11, 13)), ("wenger", (2, 3, 5))])
@@ -345,6 +353,26 @@ class TestBuildGraphs:
         # D(9, 11) frees coordinates 5-8 and keeps five
         with pytest.raises(BudgetExceededError, match="^the root set holds 161051 tuples, beyond"):
             plan_roots(LUParams(9, 11))
+
+    def test_plan_roots_refuses_a_huge_k_without_a_quadratic_plan_walk(self):
+        # 2**19997 roots are refused; reading the pairs off the plan must take
+        # time linear in k, not a scan of every step for each coordinate
+        code = (
+            "from girthforge.algebraic import BudgetExceededError, FieldParams, plan_roots\n"
+            "try:\n"
+            "    plan_roots(FieldParams('lu', 20001, 3))\n"
+            "except BudgetExceededError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(girthforge.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("the root set holds at least 2**"), proc.stdout
 
 
 # Excluded: (5, 5) on both sides; exact girth / cycle search from every root

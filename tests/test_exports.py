@@ -2,6 +2,7 @@
 the names the benchmark harness reaches for resolve; and the command-line
 entry point imports no heavier module than it needs."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -16,24 +17,39 @@ import girthforge
 MODULES = sorted(m.name for m in pkgutil.iter_modules(girthforge.__path__))
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# (module, name) pairs the benchmark harness imports or calls by attribute.
-BENCHMARK_NAMES = [
-    ("algebraic", "LUParams"),
-    ("algebraic", "WengerParams"),
-    ("algebraic", "build_lu_graph"),
-    ("algebraic", "build_wenger_graph"),
-    ("truncation", "LUTruncationSpec"),
-    ("truncation", "WengerTruncationSpec"),
-    ("truncation", "build_truncated"),
-    ("graphs", "girth"),
-    ("graphs", "has_cycle_of_length"),
-    ("cli", "run"),
-]
+
+def benchmark_names():
+    """The (module, name) pairs the benchmark harness's source reaches for.
+
+    Every ``from girthforge.X import name``, and every ``m.name`` where m is
+    bound by ``from girthforge import m``, in each file of the harness.
+    """
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        modules = {}  # local name -> girthforge submodule
+        for node in nodes:
+            if not isinstance(node, ast.ImportFrom) or node.level or not node.module:
+                continue
+            package, _, module = node.module.partition(".")
+            if package == "girthforge" and module:
+                names.update((module, alias.name) for alias in node.names)
+            elif package == "girthforge":
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        for node in nodes:
+            owner = getattr(node, "value", None)
+            if isinstance(node, ast.Attribute) and isinstance(owner, ast.Name) and owner.id in modules:
+                names.add((modules[owner.id], node.attr))
+    return sorted(names)
+
+
+BENCHMARK_NAMES = benchmark_names()
 # Test-only code that lives in tests/helpers.py, not in the package.
 MOVED_TO_HELPERS = [
     ("truncation", "lu_edge_free"),
     ("truncation", "wenger_edge_free"),
     ("geometry", "point_on_line"),
+    ("geometry", "line_from_params"),
     ("graphs", "root_orbits"),
 ]
 
@@ -53,8 +69,13 @@ def test_star_import_resolves_every_exported_name(module):
 def test_package_names_resolve():
     namespace = {}
     exec("from girthforge import *", namespace)
-    for name in ("build_truncated", "line_from_params", "LUTruncationSpec", "WengerTruncationSpec"):
+    for name in ("build_truncated", "LUTruncationSpec", "WengerTruncationSpec"):
         assert namespace[name] is getattr(girthforge, name)
+
+
+def test_the_benchmark_names_are_read_off_its_source():
+    # both import forms are found: names imported from a submodule and attributes of an imported module
+    assert {("truncation", "build_truncated"), ("cli", "run"), ("cli", "_lines_of")} <= set(BENCHMARK_NAMES)
 
 
 def test_names_the_benchmark_uses_resolve(monkeypatch):

@@ -9,7 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from helpers import canonical_planar_line, fraction_export_svg, fraction_viewport
+from helpers import canonical_planar_line, fraction_export_svg, fraction_viewport, line_from_params
 from hypothesis import given, settings, strategies as st
 
 import girthforge
@@ -28,7 +28,6 @@ from girthforge.geometry import (
     PlanarArrangement,
     ProjectionMap,
     incidence_set_kd,
-    line_from_params,
     project_generic,
     project_with_map,
 )

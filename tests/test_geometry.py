@@ -4,7 +4,13 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
-from helpers import canonical_planar_line, point_on_line, scan_incidence_set_kd, scan_planar_incidences
+from helpers import (
+    canonical_planar_line,
+    line_from_params,
+    point_on_line,
+    scan_incidence_set_kd,
+    scan_planar_incidences,
+)
 
 from girthforge.families import family_named, substitute
 from girthforge.geometry import (
@@ -15,7 +21,6 @@ from girthforge.geometry import (
     ProjectionMap,
     certify_lines_distinct,
     incidence_set_kd,
-    line_from_params,
     lines_from_params,
     project_generic,
     project_with_map,

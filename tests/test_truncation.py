@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,33 @@ class TestRanges:
     def test_exponent_steps(self):
         assert family_named("lu").exponent_step(3) == Fraction(1, 6)
         assert family_named("wenger").exponent_step(2) == Fraction(1, 3)
+        # the paper's exponents 1 + 4/(k^2 + 6k - 3) and 1 + 2/(k(k + 1))
+        for k in range(3, 100, 2):
+            assert family_named("lu").exponent_step(k) == Fraction(4, k * k + 6 * k - 3), k
+        for k in (2, 3, 5):
+            assert family_named("wenger").exponent_step(k) == Fraction(2, k * (k + 1)), k
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_every_partner_of_an_in_box_point_lands_in_the_line_box(self, k):
+        # every box pair whose point box holds at most 2,000 points; from a
+        # point, partner coordinates never decrease in the free coordinate x,
+        # so the two ends of its line range bound every partner
+        family = family_named("lu")
+        plan = family.plan(k)
+        boxes, n = {}, 1
+        while True:
+            points, lines = family.ranges(k, n)
+            if prod(hi - lo + 1 for lo, hi in points) > 2000:
+                break
+            boxes.setdefault((tuple(points), tuple(lines)), n)
+            n += 1
+        for (points, lines), n in boxes.items():
+            ends = lines[plan[0]]
+            for u in product(*(range(lo, hi + 1) for lo, hi in points)):
+                const, slope = substitute(plan, u, from_point=True)
+                for x in ends:
+                    v = [c + m * x for c, m in zip(const, slope)]
+                    assert all(lo <= c <= hi for c, (lo, hi) in zip(v, lines)), (n, u, x)
 
 
 class TestBuildLU:
