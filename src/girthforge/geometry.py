@@ -86,20 +86,6 @@ class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), (
     def pivot(self) -> int:
         return _pivot(self.direction)
 
-    @classmethod
-    def through(cls, point, direction) -> "AffineLineKD":
-        """Canonicalize the line through an exact point with an integer direction."""
-        if len(point) != len(direction):
-            raise ValueError("point and direction must have equal length")
-        direction, pivot = _canonical_direction(direction)
-        return cls(direction, _cross_key(point, direction, pivot))
-
-    def point_at(self, t):
-        """The point key / d_j + t * direction; t = 0 gives the point whose
-        pivot coordinate j is zero."""
-        dj = self.direction[self.pivot]
-        return tuple(_as_exact(Fraction(c, dj) + t * d) for c, d in zip(self.key, self.direction))
-
 
 def _pivot(direction) -> int:
     """The index of the first nonzero entry of a direction."""

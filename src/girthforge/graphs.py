@@ -3,27 +3,44 @@
 Girth is breadth-first search cut at the first level that can close no
 cycle shorter than the best; fixed-length cycle detection is an exhaustive
 decision procedure over simple paths, pruned by exact BFS distances back to
-the start.  Both start by the start rule below, each start searching the
-graph without the vertices below it.  Both prunings drop only work that
-cannot change the answer, so answers and witnesses are those of the
-unpruned searches; every witness returned by either routine is
-machine-checked before it leaves this module.
+the start.  Both take their starts from one place, _starts, by the start
+rule below, each start searching the graph without the vertices below it.
+Both prunings drop only work that cannot change the answer, so answers and
+witnesses are those of the unpruned searches; every witness returned by
+either routine is machine-checked before it leaves this module.
 
 The start rule: global indices put every point (left vertex) below every
 line, and every edge joins a point to a line, so the smallest vertex of a
-cycle is a point and every component with an edge holds a point.  A search
-that must meet each cycle or each component starts at points only.
+cycle is a point, and the cycle lies in the graph without the points below
+it.  A search that must meet each cycle from its smallest vertex starts at
+each point s on the 2-core of that graph, or at the orbit roots when the
+graph has them.
 
-Orbit roots narrow those starts.  A graph's roots, when set, are sorted
-points that include the smallest point of every orbit of some group of its
-automorphisms; the field-graph builders prove the group from the plan
-(:func:`girthforge.algebraic.plan_roots`).  Among the cycles of a given
-length take the smallest point m on one of them: an automorphism carries
-that cycle to one through the smallest point of m's orbit, which is
-therefore no smaller than m, so m is a root.  The cycle through m avoids
+The 2-core is what is left after vertices of degree at most 1 are removed
+until none is left: it keeps every cycle, since each vertex of a cycle
+keeps two neighbours on it, and it is empty exactly on forests.  One peel
+serves all the starts: after each start the start itself is removed and
+the peel runs on, so each vertex is removed once.  A point s left out lies
+on no cycle of the graph without the points below s, so the cycle search
+finds nothing from it; there the girth BFS closes only walks with a stem,
+at least two edges longer than the girth, which never give the final girth
+or witness.  So the starts left out change no answer and no witness.
+A tree hung off the graph costs one peel, not a BFS from each of its
+points, and a graph that is one long cycle costs one BFS, from its
+smallest point.
+
+Orbit roots narrow the starts instead.  A graph's roots, when set, are
+sorted points that include the smallest point of every orbit of some group
+of its automorphisms; the field-graph builders prove the group from the
+plan (:func:`girthforge.algebraic.plan_roots`).  Among the cycles of a
+given length take the smallest point m on one of them: an automorphism
+carries that cycle to one through the smallest point of m's orbit, which
+is therefore no smaller than m, so m is a root.  The cycle through m avoids
 every vertex below m, and no root below m lies on a cycle of that length,
 so the searches from the roots, each still skipping the vertices below it,
 miss no cycle and return the witnesses of the searches from every point.
+Field graphs are q-regular, so their 2-core is the whole graph and roots
+are taken as they are, without a peel.
 """
 
 from __future__ import annotations
@@ -43,7 +60,6 @@ __all__ = [
     "girth",
     "check_cycle_length",
     "has_cycle_of_length",
-    "is_forest",
     "degree_stats",
     "st_ratio",
     "theoretical_exponent",
@@ -177,9 +193,37 @@ def _validate_cycle(adj, cycle, expected_len=None) -> None:
             raise AssertionError(f"witness step {a}->{b} is not an edge")
 
 
-def _starts(g: BipartiteGraph):
-    """The points, or the orbit roots when g has them: the starts of the start rule."""
-    return range(g.left_count) if g.roots is None else g.roots
+def _starts(g: BipartiteGraph, adj):
+    """Yield the starts of the start rule: g's orbit roots when set, else
+    each point s on the 2-core of the graph without the points below s.
+
+    The peel removes vertices of degree 1 until none is left; a vertex of
+    degree 0 removes nothing.  The first leaves are read off the points and
+    their rows: a line of degree 1 is in exactly one point's row, so it is
+    listed once.  When the next start is asked for, the last one is removed
+    and the peel runs on, so the degrees left are those of the next point's
+    2-core and every vertex is removed once.
+    """
+    if g.roots is not None:
+        yield from g.roots
+        return
+    degree = list(map(len, adj))
+
+    def peel(leaves):
+        while leaves:
+            v = leaves.pop()
+            degree[v] = 0
+            for w in adj[v]:
+                if degree[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        leaves.append(w)
+
+    peel([v for s in range(g.left_count) for v in (s, *adj[s]) if degree[v] == 1])
+    for s in range(g.left_count):
+        if degree[s]:
+            yield s
+            peel([s])
 
 
 def girth(g: BipartiteGraph) -> GirthReport:
@@ -188,9 +232,11 @@ def girth(g: BipartiteGraph) -> GirthReport:
     BFS runs from each start of the start rule (module docstring), the start
     s searching the graph without the vertices w < s.  A cycle is found from
     its smallest vertex, in a subgraph that still holds it whole, and no
-    cycle is searched twice; with orbit roots, the smallest point on some
-    shortest cycle is still a root.  Either way the girth and the witness
-    are those of the search from every point.
+    cycle is searched twice.  The smallest point of a shortest cycle is a
+    start, and with orbit roots the smallest point on some shortest cycle is
+    still a root; a point left out closes only walks with a stem, longer
+    than the girth.  Either way the girth and the witness are those of the
+    search from every point.
 
     Depths alternate sides, so a vertex u at depth d closes a new cycle of
     length 2d + 2: one of length 2d through a non-parent w at depth d - 1
@@ -207,9 +253,7 @@ def girth(g: BipartiteGraph) -> GirthReport:
     seen = [-1] * n
     depth = [0] * n
     parent = [-1] * n
-    for s in _starts(g):
-        if not adj[s]:
-            continue
+    for s in _starts(g, adj):
         seen[s] = s
         depth[s] = 0
         parent[s] = -1
@@ -281,9 +325,10 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     than the BFS distance.  The surviving paths are visited in the same
     order, so the first witness is the one the unpruned search returns.
 
-    The starts are the points, or the orbit roots when g has them, by the
-    start rule in the module docstring; the starts left out find nothing,
-    so the answer and the witness are those of the search from every vertex.
+    The starts are those of the start rule in the module docstring: the
+    points left out lie on no cycle of the subgraph they would search, and
+    the roots leave out only starts that find nothing, so the answer and
+    the witness are those of the search from every vertex.
     """
     check_cycle_length(length)
     if length > 2 * min(g.left_count, g.right_count):
@@ -296,9 +341,7 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
     # also keeps the path to vertices > s
     dist = [length] * n
 
-    for s in _starts(g):
-        if len(adj[s]) < 2:
-            continue
+    for s in _starts(g, adj):
         dist[s] = 0
         reached = [s]
         frontier = [s]
@@ -340,43 +383,6 @@ def has_cycle_of_length(g: BipartiteGraph, length: int) -> tuple[int, ...] | Non
         for v in reached:
             dist[v] = length
     return None
-
-
-def is_forest(g: BipartiteGraph) -> bool:
-    """Whether g has no cycle.
-
-    A component is a tree exactly when it has one edge fewer than vertices.
-    The component walks start at points only, by the start rule in the
-    module docstring, and step over left_adj and right_adj directly,
-    counting each line as it is first reached.  The first component with a
-    cycle ends the search.
-    """
-    left_adj, right_adj = g.left_adj, g.right_adj
-    point_seen = [False] * g.left_count
-    line_seen = [False] * g.right_count
-    for r, nbrs in enumerate(left_adj):
-        if not nbrs or point_seen[r]:
-            continue
-        point_seen[r] = True
-        stack = [r]
-        vertices = 1
-        edges = 0
-        while stack:
-            lines = left_adj[stack.pop()]
-            edges += len(lines)
-            for j in lines:
-                if line_seen[j]:
-                    continue
-                line_seen[j] = True
-                vertices += 1
-                for i in right_adj[j]:
-                    if not point_seen[i]:
-                        point_seen[i] = True
-                        vertices += 1
-                        stack.append(i)
-        if edges >= vertices:
-            return False
-    return True
 
 
 class DegreeSummary(NamedTuple):

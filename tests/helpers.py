@@ -35,7 +35,14 @@ from itertools import product
 from girthforge import algebraic
 from girthforge.exactmath import ceil_pow, floor_pow
 from girthforge.families import box_rank, family_named, plan_holds_mod, substitute
-from girthforge.geometry import PlanarArrangement, lines_from_params
+from girthforge.geometry import (
+    AffineLineKD,
+    PlanarArrangement,
+    _as_exact,
+    _canonical_direction,
+    _cross_key,
+    lines_from_params,
+)
 from girthforge.graphs import BipartiteGraph
 from girthforge.truncation import lu_points_on, wenger_points_on
 
@@ -368,11 +375,26 @@ def scan_girth(graph):
     return best, witness
 
 
+def line_through(point, direction):
+    """The canonical AffineLineKD through an exact point with a nonzero integer direction."""
+    if len(point) != len(direction):
+        raise ValueError("point and direction must have equal length")
+    direction, pivot = _canonical_direction(direction)
+    return AffineLineKD(direction, _cross_key(point, direction, pivot))
+
+
+def point_at(line, t):
+    """The point key / d_j + t * direction of a line; t = 0 gives the point
+    whose pivot coordinate j is zero."""
+    dj = line.direction[line.pivot]
+    return tuple(_as_exact(Fraction(c, dj) + t * d) for c, d in zip(line.key, line.direction))
+
+
 def scan_incidence_set_kd(points, lines):
     """Oracle incidences in R^k: the exact membership test on every pair."""
     out = set()
     for lj, line in enumerate(lines):
-        base, direction = line.point_at(0), line.direction
+        base, direction = point_at(line, 0), line.direction
         dim = line.dim
         j = line.pivot
         dj = direction[j]
@@ -398,7 +420,7 @@ def point_on_line(point, line):
     """Exact membership in R^k: point - base is parallel to the direction, each coordinate against the pivot."""
     if len(point) != line.dim:
         raise ValueError(f"point has dimension {len(point)}, line has {line.dim}")
-    base, direction, j = line.point_at(0), line.direction, line.pivot
+    base, direction, j = point_at(line, 0), line.direction, line.pivot
     tj = point[j] - base[j]
     return all((x - b) * direction[j] == tj * d for x, b, d in zip(point, base, direction))
 

@@ -91,6 +91,15 @@ def test_names_the_benchmark_uses_resolve(monkeypatch):
         assert name not in module.__all__ and not hasattr(module, name), name
 
 
+def test_test_only_line_helpers_and_is_forest_are_gone():
+    # line_through and point_at live in tests/helpers.py; a forest is a girth report without a witness
+    from girthforge.geometry import AffineLineKD
+    from girthforge import graphs
+
+    assert not hasattr(AffineLineKD, "through") and not hasattr(AffineLineKD, "point_at")
+    assert "is_forest" not in graphs.__all__ and not hasattr(graphs, "is_forest")
+
+
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     # -S keeps the site hooks' own imports out of the check
     src = str(Path(girthforge.__file__).parents[1])

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from helpers import (
     canonical_planar_line,
     line_from_params,
+    line_through,
+    point_at,
     point_on_line,
     scan_incidence_set_kd,
     scan_planar_incidences,
@@ -51,13 +53,13 @@ def lu5_system_holds(v, x):
 class TestLineConstruction:
     def test_lu_k3_shape(self):
         line = line_from_params("lu", (1, 2, 2), 3)
-        assert line.point_at(0) == (0, 2, 2)
+        assert point_at(line, 0) == (0, 2, 2)
         assert line.key == (0, 2, 2)
         assert line.direction == (1, -1, -2)
 
     def test_lu_zero_params_is_first_axis(self):
         line = line_from_params("lu", (0, 0, 0), 3)
-        assert line.point_at(0) == (0, 0, 0)
+        assert point_at(line, 0) == (0, 0, 0)
         assert line.key == (0, 0, 0)
         assert line.direction == (1, 0, 0)
 
@@ -67,7 +69,7 @@ class TestLineConstruction:
         v = tuple(rng.randrange(-6, 7) for _ in range(3))
         line = line_from_params("lu", v, 3)
         for t in (0, 1, -2, Fraction(1, 3)):
-            assert lu3_system_holds(v, line.point_at(t))
+            assert lu3_system_holds(v, point_at(line, t))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lu_k5_line_points_satisfy_system(self, seed):
@@ -75,7 +77,7 @@ class TestLineConstruction:
         v = tuple(rng.randrange(-6, 7) for _ in range(5))
         line = line_from_params("lu", v, 5)
         for t in (0, 1, -3, Fraction(-2, 5)):
-            assert lu5_system_holds(v, line.point_at(t))
+            assert lu5_system_holds(v, point_at(line, t))
 
     def test_wenger_k2_shape(self):
         v = (5, 3)
@@ -93,7 +95,7 @@ class TestLineConstruction:
 
     def test_wenger_zero_params_is_last_axis(self):
         line = line_from_params("wenger", (0, 0, 0), 3)
-        assert line.point_at(0) == (0, 0, 0)
+        assert point_at(line, 0) == (0, 0, 0)
         assert line.key == (0, 0, 0)
         assert line.direction == (0, 0, 1)
 
@@ -104,7 +106,7 @@ class TestLineConstruction:
             v = tuple(rng.randrange(-5, 6) for _ in range(k))
             line = line_from_params("wenger", v, k)
             for t in (0, 2, -1, Fraction(5, 2)):
-                assert wenger_system_holds(v, line.point_at(t), k)
+                assert wenger_system_holds(v, point_at(line, t), k)
 
     def test_wrong_parameter_length(self):
         with pytest.raises(ValueError):
@@ -132,7 +134,7 @@ class TestLinesFromParams:
         plan = family_named(family).plan(k)
         for v, line in zip(params, lines):
             const, slope = substitute(plan, v, from_point=False)
-            assert line == AffineLineKD.through(const, slope)
+            assert line == line_through(const, slope)
             assert AffineLineKD(line.direction, line.key) == line
             for x in range(-2, 3):
                 assert point_on_line([c + x * s for c, s in zip(const, slope)], line)
@@ -164,7 +166,7 @@ class TestPointOnLine:
 
     def test_base_always_on_line(self):
         line = line_from_params("wenger", (5, 3), 2)
-        assert point_on_line(line.point_at(0), line)
+        assert point_on_line(point_at(line, 0), line)
 
     def test_derived_example_false(self):
         line = line_from_params("lu", (1, 2, 2), 3)
@@ -185,7 +187,7 @@ class TestCanonicalForm:
     def test_make_and_replace_check_like_the_constructor(self):
         with pytest.raises(ValueError, match="^key and direction must have equal length$"):
             AffineLineKD._make(((0, 0), "junk"))
-        line = AffineLineKD.through((6, 5), (2, 4))
+        line = line_through((6, 5), (2, 4))
         with pytest.raises(ValueError, match="^key must have a zero pivot coordinate$"):
             line._replace(key=(1, -7))
         with pytest.raises(ValueError, match="^leading direction entry must be positive$"):
@@ -193,23 +195,23 @@ class TestCanonicalForm:
         assert line._replace(key=(0, 3)) == AffineLineKD((1, 2), (0, 3))
 
     def test_through_normalizes_direction_sign_and_gcd(self):
-        line = AffineLineKD.through((0, 0), (-4, -6))
+        line = line_through((0, 0), (-4, -6))
         assert line.direction == (2, 3)
 
     def test_base_pivot_is_zero(self):
-        line = AffineLineKD.through((6, 5), (2, 4))
-        assert line.point_at(0)[line.pivot] == 0
+        line = line_through((6, 5), (2, 4))
+        assert point_at(line, 0)[line.pivot] == 0
         assert line.key == (0, -7)
         assert point_on_line((6, 5), line)
 
     def test_same_line_same_form(self):
-        a = AffineLineKD.through((0, 1, 5), (1, 2, 0))
-        b = AffineLineKD.through((3, 7, 5), (-2, -4, 0))
+        a = line_through((0, 1, 5), (1, 2, 0))
+        b = line_through((3, 7, 5), (-2, -4, 0))
         assert a == b
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            AffineLineKD.through((1, 2), (0, 0))
+            line_through((1, 2), (0, 0))
 
 
     @given(
@@ -219,8 +221,8 @@ class TestCanonicalForm:
     def test_idempotent(self, base, direction):
         if not any(direction):
             return
-        line = AffineLineKD.through(base, direction)
-        again = AffineLineKD.through(line.point_at(0), line.direction)
+        line = line_through(base, direction)
+        again = line_through(point_at(line, 0), line.direction)
         assert line == again
 
     @given(
@@ -231,9 +233,9 @@ class TestCanonicalForm:
     def test_shifted_base_gives_same_line(self, base, direction, shift):
         if not any(direction):
             return
-        line = AffineLineKD.through(base, direction)
+        line = line_through(base, direction)
         other_point = tuple(b + shift * d for b, d in zip(base, direction))
-        assert AffineLineKD.through(other_point, direction) == line
+        assert line_through(other_point, direction) == line
 
 
 class TestConstructorContract:
@@ -262,7 +264,7 @@ class TestConstructorContract:
 
     def test_equal_lines_hash_equal(self):
         a = AffineLineKD((1, 2), (0, 3))
-        b = AffineLineKD.through((1, 5), (-2, -4))
+        b = line_through((1, 5), (-2, -4))
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
@@ -321,14 +323,14 @@ def arrangements(draw):
     vectors = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
     coordinates = st.tuples(*[small_rationals] * dim)
     lines = [
-        AffineLineKD.through(base, direction)
+        line_through(base, direction)
         for direction in draw(st.lists(vectors, min_size=1, max_size=4))
         for base in draw(st.lists(coordinates, min_size=1, max_size=4))
     ]
     placed = draw(
         st.lists(st.tuples(st.integers(0, len(lines) - 1), small_rationals), max_size=12)
     )
-    points = [lines[lj].point_at(t) for lj, t in placed]
+    points = [point_at(lines[lj], t) for lj, t in placed]
     points += draw(st.lists(coordinates, max_size=6))
     return points, lines
 
@@ -373,12 +375,12 @@ def integer_arrangements(draw, entries, points_size):
     lines = []
     origin = (0,) * dim
     vectors = draw(st.lists(vectors, min_size=1, max_size=3))
-    directions = {AffineLineKD.through(origin, v).direction for v in vectors}
+    directions = {line_through(origin, v).direction for v in vectors}
     for direction in sorted(directions):
         pivot = next(idx for idx, d in enumerate(direction) if d)
         for through in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
             if through and points:
-                lines.append(AffineLineKD.through(draw(st.sampled_from(points)), direction))
+                lines.append(line_through(draw(st.sampled_from(points)), direction))
             else:
                 key = draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim))
                 key[pivot] = 0
@@ -418,7 +420,7 @@ class TestWalkOrProbe:
 
     def test_walk_keeps_every_index_of_a_duplicate_point(self):
         points = [(0, 0), (1, 1), (0, 0), (2, 1)] * 2
-        lines = [AffineLineKD.through((0, 0), (1, 1)), AffineLineKD.through((2, 1), (0, 1))]
+        lines = [line_through((0, 0), (1, 1)), line_through((2, 1), (0, 1))]
         assert all(walk is not None for walk in walks(points, lines).values())
         found = incidence_set_kd(points, lines)
         assert found == scan_incidence_set_kd(points, lines)
@@ -426,7 +428,7 @@ class TestWalkOrProbe:
 
     def test_non_integer_point_on_a_walkable_line(self):
         points = [(x, y) for x in range(4) for y in range(4)] + [(Fraction(1, 2), Fraction(1, 2))]
-        lines = [AffineLineKD.through((0, 0), (1, 1))]
+        lines = [line_through((0, 0), (1, 1))]
         assert walks(points, lines) == {(1, 1): None}
         found = incidence_set_kd(points, lines)
         assert found == scan_incidence_set_kd(points, lines)
@@ -434,15 +436,15 @@ class TestWalkOrProbe:
 
     def test_non_integer_key_is_probed(self):
         points = [(x, y) for x in range(4) for y in range(4)]
-        half = AffineLineKD.through((Fraction(1, 2), 0), (0, 1))
-        lines = [half, AffineLineKD.through((1, 0), (0, 1)), AffineLineKD.through((0, 0), (1, 1))]
+        half = line_through((Fraction(1, 2), 0), (0, 1))
+        lines = [half, line_through((1, 0), (0, 1)), line_through((0, 0), (1, 1))]
         assert half.key == (Fraction(1, 2), 0)
         assert walks(points, lines) == {(0, 1): None, (1, 1): (0, 0, 3)}
         assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
 
     def test_huge_coordinate_is_probed_at_once(self):
         points = [(x, y) for x in range(4) for y in range(4)] + [(10**30, 10**30)]
-        lines = [AffineLineKD.through((0, 0), (1, 1)), AffineLineKD.through((0, 1), (1, 1))]
+        lines = [line_through((0, 0), (1, 1)), line_through((0, 1), (1, 1))]
         assert walks(points, lines) == {(1, 1): None}
         assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
         assert (16, 0) in incidence_set_kd(points, lines)
@@ -450,7 +452,7 @@ class TestWalkOrProbe:
     @pytest.mark.parametrize("count", [2, 16], ids=["probed", "walked"])
     def test_point_of_wrong_dimension_rejected(self, count):
         points = [(x, x % 2) for x in range(count)]
-        lines = [AffineLineKD.through((0, 0), (0, 1))]
+        lines = [line_through((0, 0), (0, 1))]
         assert (walks(points, lines)[(0, 1)] is None) == (count == 2)
         with pytest.raises(ValueError, match="point 1 has dimension 3"):
             incidence_set_kd([points[0], (1, 0, 0)] + points[1:], lines)
@@ -594,7 +596,7 @@ class TestProjection:
 
     def test_map_that_gains_an_incidence_fails_verification(self):
         points = [(0, 0, 1)]
-        lines = [AffineLineKD.through((0, 0, 0), (1, 0, 0))]
+        lines = [line_through((0, 0, 0), (1, 0, 0))]
         pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ProjectionError, match=r"\+1 / -0"):
             project_with_map(points, lines, pmap, incidence_set_kd(points, lines))
@@ -656,11 +658,11 @@ class TestPerDirectionProjection:
         assert list(planar.lines) == [planar_triple(line, pmap) for line in lines]
 
     def test_fraction_key_matches_two_point_oracle(self):
-        half = AffineLineKD.through((Fraction(1, 2), 0), (0, 1))
-        third = AffineLineKD.through((Fraction(1, 3), Fraction(2, 3)), (2, -4))
+        half = line_through((Fraction(1, 2), 0), (0, 1))
+        third = line_through((Fraction(1, 3), Fraction(2, 3)), (2, -4))
         # (5, 2) maps to (17, 0): a = 0 and b < 0 until the sign is turned.
-        flat = AffineLineKD.through((0, Fraction(1, 3)), (5, 2))
-        lines = [half, third, flat, AffineLineKD.through((1, 0), (0, 1)), AffineLineKD.through((0, 0), (1, 1))]
+        flat = line_through((0, Fraction(1, 3)), (5, 2))
+        lines = [half, third, flat, line_through((1, 0), (0, 1)), line_through((0, 0), (1, 1))]
         assert half.key == (Fraction(1, 2), 0)
         pmap = ProjectionMap(((3, 1), (-2, 5)))
         planar = project_with_map([], lines, pmap, set())
@@ -680,8 +682,8 @@ class TestPerDirectionProjection:
     @pytest.mark.parametrize("first", [0, 1])
     def test_degenerate_direction_names_its_first_line(self, first):
         # The map kills (0, 0, 1); lines `first` and `first + 1` have that direction.
-        killed = [AffineLineKD.through((0, 0, 0), (0, 0, 1)), AffineLineKD.through((1, 0, 0), (0, 0, 1))]
-        lines = [AffineLineKD.through((0, 0, 0), (1, 0, 0))][:first] + killed
+        killed = [line_through((0, 0, 0), (0, 0, 1)), line_through((1, 0, 0), (0, 0, 1))]
+        lines = [line_through((0, 0, 0), (1, 0, 0))][:first] + killed
         pmap = ProjectionMap(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ProjectionError, match=f"^line {first} degenerates under the map$"):
             project_with_map([], lines, pmap, set())
@@ -689,5 +691,5 @@ class TestPerDirectionProjection:
 
 def planar_triple(line, pmap):
     """The canonical planar line through the images of two points of the line."""
-    (x0, y0), (x1, y1) = pmap.apply(line.point_at(0)), pmap.apply(line.point_at(1))
+    (x0, y0), (x1, y1) = pmap.apply(point_at(line, 0)), pmap.apply(point_at(line, 1))
     return canonical_planar_line(y1 - y0, x0 - x1, x1 * y0 - x0 * y1)

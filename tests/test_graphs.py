@@ -38,7 +38,6 @@ from girthforge.graphs import (
     degree_stats,
     girth,
     has_cycle_of_length,
-    is_forest,
     st_ratio,
     theoretical_exponent,
 )
@@ -119,6 +118,43 @@ def bipartite_graphs(draw, min_side=2):
         else st.just([])
     )
     return BipartiteGraph(left_count, right_count, edges)
+
+
+@st.composite
+def graphs_with_trees(draw):
+    """bipartite_graphs with paths and trees hung off them, both sides' indices shuffled."""
+    g = draw(bipartite_graphs(min_side=1))
+    left, right, edges = g.left_count, g.right_count, g.edges()
+    for _ in range(draw(st.integers(0, 14))):
+        # a new point on a line, or a new line through a point; taking the
+        # newest vertex of the other side grows a path
+        new_point = draw(st.booleans())
+        other = right if new_point else left
+        j = draw(st.just(other - 1) | st.integers(0, other - 1))
+        if new_point:
+            edges.append((left, j))
+            left += 1
+        else:
+            edges.append((j, right))
+            right += 1
+    points = draw(st.permutations(range(left)))
+    lines = draw(st.permutations(range(right)))
+    return BipartiteGraph(left, right, [(points[i], lines[j]) for i, j in edges])
+
+
+class CountingRows(tuple):
+    """A global adjacency that counts the rows read by index."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        CountingRows.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def long_path(points):
+    """The path U0-V0-U1-V1-...-U(points-1)."""
+    return [(i, i) for i in range(points - 1)] + [(i + 1, i) for i in range(points - 1)]
 
 
 class TestBipartiteGraph:
@@ -250,6 +286,34 @@ class TestGirth:
         g = field_graph(family, k, q)
         assert g.roots is not None
         assert girth(g) == scan_girth(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_trees())
+    def test_same_answers_as_the_scans_with_trees_hung_off(self, g):
+        # the points a peel leaves out are no starts, and change no answer or witness
+        assert girth(g) == scan_girth(g)
+        for length in range(4, 13, 2):
+            assert has_cycle_of_length(g, length) == scan_cycle_of_length(g, length), length
+
+    @pytest.mark.parametrize("shape, expected", [("path", math.inf), ("path and hexagon", 6), ("cycle", 4000)])
+    def test_a_long_path_or_cycle_costs_linear_work(self, shape, expected):
+        # 2,000 points on a path; with a hexagon U2000-V1999-U2001-V2000-U2002-V2001
+        # hung at U1999; or closed into one cycle by the line V1999 through U1999 and U0
+        edges = long_path(2000)
+        points, lines = 2000, 1999
+        if shape == "path and hexagon":
+            edges += [(1999, 1999)] + [(2000 + i, 1999 + i) for i in range(3)]
+            edges += [(2000 + (i + 1) % 3, 1999 + i) for i in range(3)]
+            points, lines = 2003, 2002
+        elif shape == "cycle":
+            edges += [(1999, 1999), (0, 1999)]
+            lines = 2000
+        g = BipartiteGraph(points, lines, edges)
+        g._global_adj = CountingRows(g.global_adjacency())
+        CountingRows.reads = 0
+        report = girth(g)
+        assert report.girth == expected
+        assert CountingRows.reads <= 2 * (g.vertex_count + g.edge_count)
 
     def test_truncated_wenger_with_the_smaller_right_side(self):
         # 822 points on the left, 408 lines on the right: starts are still points
@@ -554,17 +618,17 @@ class TestOrbitRoots:
 
 
 class TestForest:
+    # a graph is a forest exactly when its girth report has no witness
     def test_forests_and_cyclic_graphs(self):
-        assert is_forest(path_graph())
-        assert is_forest(BipartiteGraph(0, 0, []))
-        assert is_forest(BipartiteGraph(3, 3, [(0, 0), (2, 2)]))
-        assert not is_forest(hexagon())
-        assert not is_forest(build_lu_graph(LUParams(3, 3)))
+        for g in (path_graph(), BipartiteGraph(0, 0, []), BipartiteGraph(3, 3, [(0, 0), (2, 2)])):
+            assert girth(g).witness is None and not union_find_has_cycle(g)
+        for g in (hexagon(), build_lu_graph(LUParams(3, 3))):
+            assert girth(g).witness is not None and union_find_has_cycle(g)
 
     @settings(max_examples=200, deadline=None)
     @given(bipartite_graphs())
     def test_forest_exactly_when_the_girth_is_infinite(self, g):
-        assert is_forest(g) == (enumeration_girth(g) == math.inf)
+        assert (girth(g).witness is None) == (not union_find_has_cycle(g)) == (enumeration_girth(g) == math.inf)
 
 
 # Truncations whose sides differ by up to 120 times, and the even lengths at
@@ -599,7 +663,7 @@ class TestPointSideStarts:
     @pytest.mark.parametrize("name", TRUNCATION_LENGTHS)
     def test_forest_answer_matches_union_find_on_truncations(self, request, name):
         g = request.getfixturevalue(name).to_bipartite_graph()
-        assert is_forest(g) == (not union_find_has_cycle(g)) == (name == "lu5_64")
+        assert (girth(g).witness is None) == (not union_find_has_cycle(g)) == (name == "lu5_64")
 
 
 class TestGirthOracleAgreement:
