@@ -187,14 +187,18 @@ def _cmd_verify(args) -> int:
     if report is not None and report.witness is None:
         print("note: the graph is a forest, so a girth or cycle check on it proves nothing")
     left, right = degree_stats(graph)
-    if args.min_point_degree is not None:
-        if left.minimum < args.min_point_degree:
-            raise CheckFailure(f"minimum point degree {left.minimum} < {args.min_point_degree}")
-        print(f"ok: every point lies on >= {args.min_point_degree} lines")
-    if args.min_line_degree is not None:
-        if right.minimum < args.min_line_degree:
-            raise CheckFailure(f"minimum line degree {right.minimum} < {args.min_line_degree}")
-        print(f"ok: every line carries >= {args.min_line_degree} points")
+    for side, least, summary, holds in (
+        ("point", args.min_point_degree, left, "every point lies on >= {} lines"),
+        ("line", args.min_line_degree, right, "every line carries >= {} points"),
+    ):
+        if least is None:
+            continue
+        if not summary.histogram:  # no vertex on this side, so no degree falls short
+            print(f"note: there are no {side}s, so --min-{side}-degree proves nothing")
+        elif summary.minimum < least:
+            raise CheckFailure(f"minimum {side} degree {summary.minimum} < {least}")
+        else:
+            print("ok: " + holds.format(least))
     if args.subgraph_prime is not None:
         q = embedding_prime(arr, args.subgraph_prime)
         if not verify_subgraph_embedding(arr, q):

@@ -17,8 +17,8 @@ grows as n**(1 + step).  Every box end and window end is ``s * n**e``,
 floored (ceiled at a lower end), so a family states only scales and
 :class:`Family` evaluates them by one rule.
 
-The layered family ``D(q, k)`` uses a block-structured coordinate labeling
-(:func:`lu_label`) and its plan is derived from the labels; the positional
+The layered family ``D(k, q)`` has its plan read off a block-structured
+coordinate labeling (:func:`lu_labels`); the positional
 family ``H_k(p)`` has the relations ``v_j = u_j + u_{j+1} * v_{k-1}``.
 """
 
@@ -35,7 +35,6 @@ __all__ = [
     "Family",
     "FAMILIES",
     "family_named",
-    "lu_label",
     "lu_labels",
     "substitute",
     "plan_holds_mod",
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 
-class CoordLabel(NamedTuple("CoordLabel", [("kind", str), ("i", int), ("j", int)])):
+class CoordLabel(NamedTuple):
     """Label of one coordinate position in a layered vertex tuple.
 
     kind is 'first' for the leading coordinate, 'pair' for a doubly indexed
@@ -52,58 +51,26 @@ class CoordLabel(NamedTuple("CoordLabel", [("kind", str), ("i", int), ("j", int)
     of layer 1 is identified with the (1, 1) pair and never stored.
     """
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
-
-    def __new__(cls, kind, i=0, j=0):
-        if kind == "first":
-            if i or j:
-                raise ValueError("'first' carries no indices")
-        elif kind == "pair":
-            if i < 1 or j < 1 or abs(i - j) > 1:
-                raise ValueError(f"invalid pair indices ({i}, {j})")
-        elif kind == "primed":
-            if i < 2:
-                raise ValueError("primed coordinates start at layer 2")
-            if j != i:
-                raise ValueError("primed coordinates are diagonal")
-        else:
-            raise ValueError(f"unknown coordinate kind {kind!r}")
-        return tuple.__new__(cls, (kind, i, j))
+    kind: str
+    i: int = 0
+    j: int = 0
 
 
-_FIRST = CoordLabel("first")
-
-
-def lu_label(pos: int, k: int) -> CoordLabel:
-    """Coordinate label at 1-based position pos of a length-k layered tuple.
-
-    Position 1 is the first coordinate; positions 2..5 are the pairs
-    (1,1), (1,2), (2,1), (2,2); afterwards blocks of four repeat for each
-    layer i >= 2: primed(i), (i,i+1), (i+1,i), (i+1,i+1).
-    """
-    if not 1 <= pos <= k:
-        raise ValueError(f"position {pos} out of range 1..{k}")
-    if pos == 1:
-        return _FIRST
-    if pos <= 5:
-        i, j = ((1, 1), (1, 2), (2, 1), (2, 2))[pos - 2]
-        return CoordLabel("pair", i, j)
-    block, step = divmod(pos - 6, 4)
-    layer = block + 2
-    if step == 0:
-        return CoordLabel("primed", layer, layer)
-    if step == 1:
-        return CoordLabel("pair", layer, layer + 1)
-    if step == 2:
-        return CoordLabel("pair", layer + 1, layer)
-    return CoordLabel("pair", layer + 1, layer + 1)
-
-
-@lru_cache(maxsize=None)
 def lu_labels(k: int) -> tuple[CoordLabel, ...]:
-    """All k coordinate labels in storage order."""
-    return tuple(lu_label(pos, k) for pos in range(1, k + 1))
+    """The first k coordinate labels in storage order, block by block.
+
+    The first coordinate, then the pairs (1,1), (1,2), (2,1), (2,2), then
+    one block of four for each layer i >= 2: primed(i), (i,i+1), (i+1,i),
+    (i+1,i+1).
+    """
+    labels = [CoordLabel("first")]
+    labels += (CoordLabel("pair", i, j) for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    i = 2
+    while len(labels) < k:
+        labels += [CoordLabel("primed", i, i), CoordLabel("pair", i, i + 1),
+                   CoordLabel("pair", i + 1, i), CoordLabel("pair", i + 1, i + 1)]
+        i += 1
+    return tuple(labels[:k])
 
 
 # (free position, steps (t, a, b) meaning v[t] - u[t] = v[a] * u[b])

@@ -28,10 +28,17 @@ __all__ = [
     "parse_planar",
     "render_edge_list",
     "sniff_format",
+    "MAX_DIM",
 ]
 
 ARRANGEMENT_HEADER = "GIRTHFORGE-ARR 1"
 PLANAR_HEADER = "GIRTHFORGE-PLANAR 1"
+
+# The largest dim a file may declare.  A box of k coordinates holds at least
+# 2**k tuples (algebraic.check_box_lower_bound), so no file construct can
+# build comes near it, while the commands' per-coordinate work (the layered
+# plan, the box bounds) grows with the declared dim, however few rows follow.
+MAX_DIM = 4096
 
 
 class ParseError(ValueError):
@@ -124,6 +131,8 @@ def parse_arrangement(text: str) -> TruncatedArrangement:
     if r.next_line() != ARRANGEMENT_HEADER:
         raise ParseError(f"missing header {ARRANGEMENT_HEADER!r}")
     k = r.int_field("dim")
+    if k > MAX_DIM:
+        raise ParseError(f"dim {k} is above the ceiling of {MAX_DIM}")
     family = r.keyword("family")
     n = r.int_field("n")
     try:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import girthforge
+from girthforge import families
 from girthforge.algebraic import (
     BudgetExceededError,
     FieldParams,
@@ -18,7 +19,7 @@ from girthforge.algebraic import (
     build_wenger_graph,
     plan_roots,
 )
-from girthforge.families import CoordLabel, family_named, lu_label, lu_labels, substitute
+from girthforge.families import CoordLabel, family_named, lu_labels, substitute
 from girthforge.geometry import ProjectionMap
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
 from girthforge.truncation import TruncationSpec
@@ -27,7 +28,7 @@ from helpers import LU_BY_HAND, bumped, field_edge, field_neighbors, lu_edge_fre
 
 class TestLabels:
     def test_first_position(self):
-        assert lu_label(1, 5) == CoordLabel("first")
+        assert lu_labels(5)[0] == CoordLabel("first")
 
     def test_k5_matches_display_order(self):
         expected = [
@@ -40,10 +41,10 @@ class TestLabels:
         assert list(lu_labels(5)) == expected
 
     def test_position_nine_is_pair_3_3(self):
-        assert lu_label(9, 9) == CoordLabel("pair", 3, 3)
+        assert lu_labels(9)[8] == CoordLabel("pair", 3, 3)
 
     def test_second_block(self):
-        assert [lu_label(p, 13) for p in range(6, 14)] == [
+        assert list(lu_labels(13)[5:]) == [
             CoordLabel("primed", 2, 2),
             CoordLabel("pair", 2, 3),
             CoordLabel("pair", 3, 2),
@@ -54,16 +55,26 @@ class TestLabels:
             CoordLabel("pair", 4, 4),
         ]
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            lu_label(0, 5)
-        with pytest.raises(ValueError):
-            lu_label(6, 5)
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            # the primed coordinate of layer 1 is identified with (1,1), never stored
+            (lambda labels: labels[:5] + (CoordLabel("primed", 1, 1),) + labels[6:], KeyError),
+            # (2,2) stored before the (1,2) its equation reads
+            (lambda labels: labels[:2] + labels[4:1:-1] + labels[5:], AssertionError),
+        ],
+        ids=["unknown-coordinate", "reads-a-later-position"],
+    )
+    def test_the_plan_refuses_a_label_it_cannot_read(self, monkeypatch, edit, error):
+        # labels carry no checks of their own; the plan reading them is the check
+        labels = edit(lu_labels(7))
+        monkeypatch.setattr(families, "lu_labels", lambda k: labels)
+        with pytest.raises(error):
+            families._lu_plan.__wrapped__(7)
 
     @pytest.mark.parametrize(
         "value, bad",
         [
-            (CoordLabel("pair", 1, 1), {"j": 3}),
             (FieldParams("lu", 3, 5), {"q": 4}),
             (TruncationSpec("lu", 3, 7), {"n": 0}),
             (ProjectionMap(((1, 0), (0, 1))), {"rows": ((1, 0), (2, 0))}),
@@ -75,14 +86,6 @@ class TestLabels:
             value._replace(**bad)
         with pytest.raises(ValueError):
             type(value)._make({**value._asdict(), **bad}.values())
-
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            CoordLabel("pair", 1, 3)  # indices differ by 2
-        with pytest.raises(ValueError):
-            CoordLabel("primed", 1, 1)  # layer-1 primed is identified, never stored
-        with pytest.raises(ValueError):
-            CoordLabel("diagonal", 2, 2)
 
     def test_plan_reads_only_earlier_positions(self):
         # the layered plan solves the positions in storage order, and each

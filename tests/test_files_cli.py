@@ -16,6 +16,7 @@ import girthforge
 from girthforge.cli import run
 from girthforge.exactmath import _MR_LIMIT
 from girthforge.files import (
+    MAX_DIM,
     ParseError,
     parse_arrangement,
     parse_planar,
@@ -178,6 +179,7 @@ def small_arrangement_text(dim=2, family="wenger", n=1, points=1, lines=1, incid
     [
         {"family": "lu", "dim": 4},
         {"family": "lu", "dim": 1},
+        {"family": "lu", "dim": MAX_DIM + 1},
         {"family": "wenger", "dim": 4},
         {"n": 0},
         {"points": -1},
@@ -195,6 +197,14 @@ def test_header_outside_family_rules_rejected(tmp_path, header):
     path.write_text(text)
     assert run(["stats", "--in", str(path)]) == 2
     assert run(["verify", "--in", str(path), "--subgraph-prime", "minimal"]) == 2
+
+
+def test_the_largest_layered_dim_below_the_ceiling_is_read(tmp_path):
+    path = tmp_path / "a.arr"
+    path.write_text(small_arrangement_text(dim=MAX_DIM - 1, family="lu", points=0, lines=0))
+    assert parse_arrangement(path.read_text()).k == MAX_DIM - 1
+    assert run(["stats", "--in", str(path)]) == 0
+    assert run(["verify", "--in", str(path), "--subgraph-prime", "paper"]) == 0
 
 
 def _with_line(text: str, at: int, row: str) -> str:
@@ -543,6 +553,15 @@ class TestCLI:
                     "--no-cycle-length", "4"]) == 0
         assert "note:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("points, lines, side", [(1, 0, "line"), (0, 1, "point"), (0, 0, "line")])
+    def test_a_degree_check_on_an_empty_side_is_vacuous(self, tmp_path, capsys, points, lines, side):
+        path = tmp_path / "a.arr"
+        path.write_text(small_arrangement_text(points=points, lines=lines))
+        flag = f"--min-{side}-degree"
+        assert run(["verify", "--in", str(path), flag, "1"]) == 0
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")]
+        assert notes == [f"note: there are no {side}s, so {flag} proves nothing"]
+
     def test_verify_searches_no_length_below_the_girth(self, tmp_path, capsys, monkeypatch):
         tri = tmp_path / "tri.arr"
         tri.write_text(render_arrangement(triangle_arrangement()))
@@ -853,6 +872,23 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert "mod 2 " in proc.stdout
 
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["verify"], ["verify", "--subgraph-prime", "paper"], ["project"]],
+        ids=" ".join,
+    )
+    def test_a_dim_above_the_ceiling_is_refused_before_any_coordinate_work(self, tmp_path, command):
+        # The layered plan and box bounds grow linearly with k: at dim 2000001
+        # each of these commands took seconds, and a ten-digit dim would not finish.
+        path = tmp_path / "a.arr"
+        path.write_text(small_arrangement_text(dim=2000001, family="lu", n=1, points=0, lines=0))
+        argv = [command[0], "--in", str(path), *command[1:]]
+        if command[0] == "project":
+            argv += ["--out", str(tmp_path / "a.planar")]
+        proc = run_module(argv, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "dim 2000001" in proc.stderr
+
 
 def run_module(argv, timeout):
     """``python -m girthforge.cli argv`` in a child process, with this checkout's sources."""
@@ -876,8 +912,10 @@ def small_valid_files() -> tuple[str, str]:
     return render_arrangement(arr), render_planar(planar)
 
 
+# "9" * 4290 sits just below Python's 4300-digit limit on int-string conversion.
 _TOKENS = st.sampled_from(
-    ["0", "1", "-1", "2", "x", "1/0", "0/0", "3/2", "9" * 30, "points", "lu", "GIRTHFORGE-ARR"]
+    ["0", "1", "-1", "2", "x", "1/0", "0/0", "3/2", "9" * 30, "9" * 4290,
+     "points", "lu", "GIRTHFORGE-ARR"]
 )
 
 
@@ -906,14 +944,18 @@ def mutated_files(draw):
 @given(mutated_files())
 def test_mutated_files_keep_the_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp, "mutated.txt"), Path(tmp, "edges.txt")
+        path, out = Path(tmp, "mutated.txt"), Path(tmp, "out.txt")
         path.write_text(text)
         for argv in (
             ["stats", "--in", str(path)],
             ["verify", "--in", str(path)],
             ["verify", "--in", str(path), "--girth-at-least", "6", "--no-cycle-length", "4"],
             ["verify", "--in", str(path), "--no-cycle-length", "6"],
+            ["verify", "--in", str(path), "--subgraph-prime", "paper"],
+            ["verify", "--in", str(path), "--min-point-degree", "1", "--min-line-degree", "1"],
             ["export", "--in", str(path), "--out", str(out), "--format", "edges"],
+            ["export", "--in", str(path), "--out", str(out), "--format", "svg"],
+            ["project", "--in", str(path), "--out", str(out), "--seed", "1"],
         ):
             assert run(argv) in (0, 1, 2)
 

@@ -1,0 +1,25 @@
+"""The sources stay readable by the oldest Python the package admits, and CI runs tier-1 on it."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = (ROOT / "pyproject.toml").read_text()
+OLDEST = tuple(int(x) for x in re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT).groups())
+MODULES = sorted([*(ROOT / "src" / "girthforge").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_module_parses_as_the_oldest_python(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST)
+
+
+def test_workflow_runs_the_tier1_command_on_the_oldest_and_current_python():
+    yaml = pytest.importorskip("yaml")
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    job = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"]["tier1"]
+    assert job["strategy"]["matrix"]["python-version"] == ["%d.%d" % OLDEST, "3.11"]
+    assert tier1 in [step.get("run") for step in job["steps"]]
