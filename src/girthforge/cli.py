@@ -9,6 +9,7 @@ echoed, so any output can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -263,19 +264,31 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+# A run of more than 40 digits is named by its length in a printed message.
+_LONG_INTEGER = re.compile(r"\d{41,}")
+
+
+def _readable(exc: BaseException) -> str:
+    """The exception's message with each over-long integer named by its digit count."""
+    message = str(exc) or type(exc).__name__
+    return _LONG_INTEGER.sub(lambda m: f"<a {len(m[0])}-digit number>", message)
+
+
 def run(argv=None) -> int:
     """Run one command and return its exit code; this is the only place one is chosen.
 
-    Internal faults are raised as AssertionError and keep their traceback.
+    Running out of memory is an input error: the input asked for more than
+    this machine holds.  Internal faults are raised as AssertionError and
+    keep their traceback.
     """
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CheckFailure, ProjectionError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
+        print(f"FAIL: {_readable(exc)}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, BudgetExceededError, MemoryError) as exc:
+        print(f"error: {_readable(exc)}", file=sys.stderr)
         return 2
 
 

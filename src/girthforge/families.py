@@ -92,14 +92,16 @@ def _lu_plan(k: int) -> Plan:
     steps = []
     for t, lab in enumerate(labels[1:], start=1):
         i, j = lab.i, lab.j
-        if lab.kind == "primed":  # l'_ii - p'_ii = l_{i,i-1} * p_1
+        if lab.kind == "primed" and i == j:  # l'_ii - p'_ii = l_{i,i-1} * p_1
             a, b = pos["pair", i, i - 1], 0
-        elif j == i + 1:  # l_{i,i+1} - p_{i,i+1} = l_ii * p_1
+        elif lab.kind == "pair" and j == i + 1:  # l_{i,i+1} - p_{i,i+1} = l_ii * p_1
             a, b = pos["pair", i, i], 0
-        elif i == j + 1:  # l_{j+1,j} - p_{j+1,j} = l_1 * p'_jj
+        elif lab.kind == "pair" and i == j + 1:  # l_{j+1,j} - p_{j+1,j} = l_1 * p'_jj
             a, b = 0, pos["primed", j, j]
-        else:  # l_ii - p_ii = l_1 * p_{i-1,i}
+        elif lab.kind == "pair" and i == j:  # l_ii - p_ii = l_1 * p_{i-1,i}
             a, b = 0, pos["pair", i - 1, i]
+        else:
+            raise AssertionError(f"no equation for the label {lab}")
         if a >= t or b >= t:
             raise AssertionError("equation must only read earlier positions")
         steps.append((t, a, b))

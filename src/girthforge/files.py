@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress, islice
 from math import gcd
+from operator import not_
 
 from .geometry import PlanarArrangement, _as_exact
 from .truncation import TruncatedArrangement, TruncationSpec
@@ -52,22 +54,27 @@ _LEADING_ZERO = re.compile(r"\s0[0-9]")
 
 class _Reader:
     def __init__(self, text: str):
-        # The non-blank lines, stripped, with their physical line numbers; last first.
-        self.lines = [(at, s) for at, line in enumerate(text.splitlines(), 1) if (s := line.strip())]
-        self.lines.reverse()
-        self.at = 0
+        self.text = text
+        # The non-blank lines, stripped; pos is the next one to read.
+        self.lines = list(filter(None, map(str.strip, text.splitlines())))
+        self.pos = 0
         # int() also reads '+1', '1_0', '-0', '01' and non-ASCII digits.  A text
         # with none of them can be read by int() alone; any other text has each
-        # integer field of row() compared with its canonical rendering.
+        # integer field compared with its canonical rendering.
         self.plain = text.isascii() and not (
             "+" in text or "_" in text or "-0" in text or _LEADING_ZERO.search(text)
         )
 
+    def line_number(self, pos: int) -> int:
+        """The physical line number of the non-blank line at pos; blank lines count too."""
+        numbered = (at for at, line in enumerate(self.text.splitlines(), 1) if line.strip())
+        return next(islice(numbered, pos, None))
+
     def next_line(self) -> str:
-        if not self.lines:
+        if self.pos == len(self.lines):
             raise ParseError("unexpected end of file")
-        self.at, line = self.lines.pop()
-        return line
+        self.pos += 1
+        return self.lines[self.pos - 1]
 
     def keyword(self, key: str) -> str:
         line = self.next_line()
@@ -92,13 +99,38 @@ class _Reader:
             raise ParseError(f"negative count for {key!r}: {value}")
         return value
 
+    def rows(self, count: int, width: int, convert=None) -> list[tuple]:
+        """The next count lines as rows of exactly width fields: canonical
+        integers, or each passed through convert.
+
+        The section is read as one block: each line's width is checked, the
+        joined block is split once, every field converted by one map, and
+        the rows formed by zip.  When any of that fails, the lines are read
+        again one at a time by row(), which names the first bad one.
+        """
+        block = self.lines[self.pos : self.pos + count]
+        if len(block) == count and set(map(len, map(str.split, block))) <= {width}:
+            fields = " ".join(block).split()
+            try:
+                values = list(map(convert or int, fields))
+                if convert is None and not self.plain and list(map(str, values)) != fields:
+                    raise ValueError("not a canonical integer")
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                self.pos += count
+                return list(zip(*[iter(values)] * width))
+        for _ in range(count):
+            self.row(width, convert)
+        raise AssertionError("a section was refused but each of its rows reads")
+
     def row(self, width: int, convert=None) -> tuple:
-        """The next line as exactly width fields: canonical integers, or each
-        passed through convert."""
+        """The next line as exactly width fields, or the ParseError that names it."""
         line = self.next_line()
+        at = self.pos - 1
         parts = line.split()
         if len(parts) != width:
-            raise ParseError(f"line {self.at}: expected {width} fields, got {len(parts)}")
+            raise ParseError(f"line {self.line_number(at)}: expected {width} fields, got {len(parts)}")
         try:
             if convert is not None:
                 return tuple(map(convert, parts))
@@ -107,7 +139,7 @@ class _Reader:
                 raise ValueError("not a canonical integer")
             return values
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"line {self.at}: bad field in {line!r}") from exc
+            raise ParseError(f"line {self.line_number(at)}: bad field in {line!r}") from exc
 
 
 def render_arrangement(arr: TruncatedArrangement) -> str:
@@ -141,28 +173,27 @@ def parse_arrangement(text: str) -> TruncatedArrangement:
         raise ParseError(str(exc)) from exc
     n_points = r.count_field("points")
     n_lines = r.count_field("lines")
-    points = tuple(r.row(k) for _ in range(n_points))
+    points = tuple(r.rows(n_points, k))
     if len(set(points)) != len(points):
         raise ParseError("duplicate point")
-    line_params = tuple(r.row(k) for _ in range(n_lines))
+    line_params = tuple(r.rows(n_lines, k))
     edges = _parse_incidences(r, n_points, n_lines)
     return TruncatedArrangement(family, k, n, points, line_params, edges)
 
 
 def _parse_incidences(r: _Reader, n_points: int, n_lines: int) -> tuple:
-    count = r.count_field("incidences")
-    edges = []
-    for _ in range(count):
-        pi, lj = r.row(2)
-        if not (0 <= pi < n_points and 0 <= lj < n_lines):
+    edges = r.rows(r.count_field("incidences"), 2)
+    if edges:
+        pis, ljs = zip(*edges)
+        if not (min(pis) >= 0 and max(pis) < n_points and min(ljs) >= 0 and max(ljs) < n_lines):
+            pi, lj = next((pi, lj) for pi, lj in edges if not (0 <= pi < n_points and 0 <= lj < n_lines))
             raise ParseError(f"incidence ({pi}, {lj}) out of range")
-        edges.append((pi, lj))
     if len(set(edges)) != len(edges):
         raise ParseError("duplicate incidence pair")
-    if r.lines:
-        at, line = r.lines[-1]
-        raise ParseError(f"line {at}: trailing content: {line!r}")
-    return tuple(sorted(edges))
+    if r.pos < len(r.lines):
+        raise ParseError(f"line {r.line_number(r.pos)}: trailing content: {r.lines[r.pos]!r}")
+    edges.sort()
+    return tuple(edges)
 
 
 def _frac_str(x) -> str:
@@ -198,21 +229,22 @@ def parse_planar(text: str) -> PlanarArrangement:
     if r.next_line() != PLANAR_HEADER:
         raise ParseError(f"missing header {PLANAR_HEADER!r}")
     n_points = r.count_field("points")
-    points = tuple(r.row(2, _rational) for _ in range(n_points))
+    points = tuple(r.rows(n_points, 2, _rational))
     if len(set(points)) != len(points):
         raise ParseError("duplicate planar point")
     n_lines = r.count_field("lines")
-    lines = []
-    for _ in range(n_lines):
-        a, b, c = r.row(3)
-        # The canonical form itself: primitive, first nonzero of (a, b) positive.
-        if not (gcd(a, b, c) == 1 and (a or b) > 0):
+    lines = tuple(r.rows(n_lines, 3))
+    # The canonical form itself: primitive, first nonzero of (a, b) positive.
+    # Column-wise: every gcd is 1, every a >= 0, and b > 0 wherever a == 0.
+    if lines:
+        a, b, c = zip(*lines)
+        if set(map(gcd, a, b, c)) != {1} or min(a) < 0 or min(compress(b, map(not_, a)), default=1) <= 0:
+            a, b, c = next(t for t in lines if not (gcd(*t) == 1 and (t[0] or t[1]) > 0))
             raise ParseError(f"line ({a}, {b}, {c}) is not in canonical form")
-        lines.append((a, b, c))
     if len(set(lines)) != len(lines):
         raise ParseError("duplicate planar line")
     edges = _parse_incidences(r, n_points, n_lines)
-    return PlanarArrangement(points, tuple(lines), frozenset(edges))
+    return PlanarArrangement(points, lines, frozenset(edges))
 
 
 def render_edge_list(edges) -> str:

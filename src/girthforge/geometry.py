@@ -18,13 +18,14 @@ is resampled.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, product, repeat
 from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from .families import family_named, substitute
+from .families import family_named
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -126,10 +127,12 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
 
     Parametrized by the family's free coordinate: substitution from v makes
     every other coordinate affine in it, so key and direction entries are
-    integers.  The plan is looked up once, and each distinct slope is
-    canonicalized and its direction checked once, since a box of line
-    parameters yields few directions; each line checks only its parameter
-    length and its zero pivot key.
+    integers.  The work runs over whole columns, one per coordinate: the
+    plan's steps give const and slope as columns over all lines, the lines
+    are grouped by slope, and each distinct slope is canonicalized and its
+    direction checked once, since a box of line parameters yields few
+    directions.  Each group's keys are formed column by column, and its
+    pivot column is checked to be zero.
 
     When the pivot is the free coordinate f, the key is const itself:
     substitution leaves const[f] = 0 and slope[f] = 1, so the slope is
@@ -137,24 +140,38 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
     the cross key const_i * d_f - const_f * d_i is const_i.  Every lu line
     has its pivot at f = 0.
     """
-    plan = family_named(family).plan(k)
-    free = plan[0]
-    directions: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    free, steps = family_named(family).plan(k)
+    params = tuple(params)
+    if set(map(len, params)) - {k}:
+        v = next(v for v in params if len(v) != k)
+        raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
+    v = list(zip(*params))
+    if not v:
+        return []
+    const, slope = {free: [0] * len(params)}, {free: [1] * len(params)}
+    for t, a, b in steps:  # u[t] = v[t] - v[a] * u[b], column by column
+        if b == free:  # const 0 and slope 1 there
+            const[t], slope[t] = v[t], [-y for y in v[a]]
+        else:
+            const[t] = [x - y * c for x, y, c in zip(v[t], v[a], const[b])]
+            slope[t] = [-y * m for y, m in zip(v[a], slope[b])]
+    const = [const[i] for i in range(k)]
+    groups = defaultdict(list)
+    for lj, s in enumerate(zip(*(slope[i] for i in range(k)))):
+        groups[s].append(lj)
     new_line = tuple.__new__
-    lines = []
-    for v in params:
-        if len(v) != k:
-            raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
-        const, slope = substitute(plan, v, from_point=False)
-        slope = tuple(slope)
-        canonical = directions.get(slope)
-        if canonical is None:
-            direction, _ = _canonical_direction(slope)
-            canonical = directions[slope] = (direction, _check_direction(direction))
-        direction, pivot = canonical
-        key = tuple(const) if pivot == free else _cross_key(const, direction, pivot)
-        _check_pivot_key(key, pivot)
-        lines.append(new_line(AffineLineKD, (direction, key)))
+    lines = [None] * len(params)
+    for s, group in groups.items():
+        direction, _ = _canonical_direction(s)
+        pivot = _check_direction(direction)
+        keys = [[col[lj] for lj in group] for col in const]
+        if pivot != free:  # the cross key, column by column
+            dj, xj = direction[pivot], keys[pivot]
+            keys = [[x * dj - y * d for x, y in zip(col, xj)] for col, d in zip(keys, direction)]
+        if any(keys[pivot]):
+            raise ValueError("key must have a zero pivot coordinate")
+        for lj, key in zip(group, zip(*keys)):
+            lines[lj] = new_line(AffineLineKD, (direction, key))
     return lines
 
 
@@ -213,19 +230,13 @@ def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
                 at.setdefault(tuple(p), []).append(pi)
         axis, lo, hi = walk
         di = direction[axis]
-        # b + t * step has coordinate axis equal to t, since b_axis = 0.
-        steps = [tuple(t * di * d for d in direction) for t in range(lo, hi + 1)]
-        for key, on_line in keys.items():
-            # On the pivot axis d_j = 1 and b_j = -key_j = 0, so b is the key.
-            base = key if axis == pivot else _integer_base(key, direction, axis, pivot)
-            if base is None:
-                continue
-            for step in steps:
-                hit = at.get(tuple(map(add, base, step)))
-                if hit:
-                    for pi in hit:
-                        for lj in on_line:
-                            out.add((pi, lj))
+        bases, on_lines = _integer_bases(keys, direction, axis, pivot)
+        for t in range(lo, hi + 1):
+            # b + t * d_i * d has coordinate axis equal to t, since b_axis = 0.
+            shifted = [map(add, col, repeat(t * di * d)) if d else col for col, d in zip(bases, direction)]
+            hits = list(map(at.get, zip(*shifted)))
+            for hit, on_line in compress(zip(hits, on_lines), hits):
+                out.update(product(hit, on_line))
     return out
 
 
@@ -269,17 +280,24 @@ def _incidence_plan(points, lines):
         yield direction, pivot, keys, walk
 
 
-def _integer_base(key, direction, axis, pivot):
-    """The integer point b with b_axis = 0 on the line (direction, key), or
-    None when the line has no integer point; direction[axis] is +-1."""
-    bj, dj = -key[axis] * direction[axis], direction[pivot]
-    base = []
-    for c, d in zip(key, direction):
-        q, r = divmod(c + bj * d, dj)
-        if r:
-            return None
-        base.append(q)
-    return tuple(base)
+def _integer_bases(keys, direction, axis, pivot):
+    """The walk's start points as k columns, and the line indices of each.
+
+    keys maps the line keys of one direction to their line indices.  Each
+    start is the integer point b with b_axis = 0 on the line (direction,
+    key); a line with no integer point is left out.  direction[axis] is +-1.
+    """
+    columns, on_lines = list(zip(*keys)), list(keys.values())
+    if axis == pivot:  # On the pivot axis d_j = 1 and b_j = -key_j = 0, so b is the key.
+        return columns, on_lines
+    dj = direction[pivot]
+    bj = [-c * direction[axis] for c in columns[axis]]
+    columns = [[c + y * d for c, y in zip(col, bj)] for col, d in zip(columns, direction)]
+    if dj != 1:
+        keep = [not any(row) for row in zip(*[[c % dj for c in col] for col in columns])]
+        columns = [[c // dj for c in compress(col, keep)] for col in columns]
+        on_lines = list(compress(on_lines, keep))
+    return columns, on_lines
 
 
 class ProjectionMap(

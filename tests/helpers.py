@@ -23,11 +23,18 @@ translation_pairs gives it the plan's pairs, each move applied to the
 digits of every index by move_permutation, so a pair the plan certifies is
 checked again on the graph itself.  point_on_line tests membership by
 parallel differences, independent of the cross key; lu_edge_free and
-wenger_edge_free run the truncation's row filters on one point, and
-line_from_params builds one line by the package's batch builder.
+wenger_edge_free run the truncation's row filters on one point.
+rowwise_lines_from_params is the line builder as it was before it went
+column-wise: one substitution, one slope lookup and one key per line, and
+line_from_params builds one line with it.  RowReader, with
+rowwise_parse_arrangement and rowwise_parse_planar, is the file reader as it
+was before it read whole sections: one line split and converted at a time,
+each incidence range-checked and each planar triple checked as it is read,
+so the first fault in file order is the one named.
 """
 
 import math
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -35,16 +42,18 @@ from itertools import product
 from girthforge import algebraic
 from girthforge.exactmath import ceil_pow, floor_pow
 from girthforge.families import box_rank, family_named, plan_holds_mod, substitute
+from girthforge.files import ARRANGEMENT_HEADER, MAX_DIM, PLANAR_HEADER, ParseError
 from girthforge.geometry import (
     AffineLineKD,
     PlanarArrangement,
     _as_exact,
     _canonical_direction,
+    _check_direction,
+    _check_pivot_key,
     _cross_key,
-    lines_from_params,
 )
 from girthforge.graphs import BipartiteGraph
-from girthforge.truncation import lu_points_on, wenger_points_on
+from girthforge.truncation import TruncatedArrangement, TruncationSpec, lu_points_on, wenger_points_on
 
 
 def is_cycle(graph, witness, length):
@@ -411,9 +420,31 @@ def scan_incidence_set_kd(points, lines):
     return out
 
 
+def rowwise_lines_from_params(family, params, k):
+    """The solution lines of a family's equations, one substitution per parameter tuple."""
+    plan = family_named(family).plan(k)
+    free = plan[0]
+    directions = {}
+    lines = []
+    for v in params:
+        if len(v) != k:
+            raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
+        const, slope = substitute(plan, v, from_point=False)
+        slope = tuple(slope)
+        canonical = directions.get(slope)
+        if canonical is None:
+            direction, _ = _canonical_direction(slope)
+            canonical = directions[slope] = (direction, _check_direction(direction))
+        direction, pivot = canonical
+        key = tuple(const) if pivot == free else _cross_key(const, direction, pivot)
+        _check_pivot_key(key, pivot)
+        lines.append(AffineLineKD(direction, key))
+    return lines
+
+
 def line_from_params(family, v, k):
     """The solution line of a family's equations for line parameters v."""
-    return lines_from_params(family, [v], k)[0]
+    return rowwise_lines_from_params(family, [v], k)[0]
 
 
 def point_on_line(point, line):
@@ -631,3 +662,130 @@ def fraction_export_svg(planar: PlanarArrangement) -> str:
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+_LEADING_ZERO = re.compile(r"\s0[0-9]")
+
+
+class RowReader:
+    """The file reader one line at a time: every row is split and converted on its own."""
+
+    def __init__(self, text):
+        self.lines = [(at, s) for at, line in enumerate(text.splitlines(), 1) if (s := line.strip())]
+        self.lines.reverse()
+        self.at = 0
+        self.plain = text.isascii() and not (
+            "+" in text or "_" in text or "-0" in text or _LEADING_ZERO.search(text)
+        )
+
+    def next_line(self):
+        if not self.lines:
+            raise ParseError("unexpected end of file")
+        self.at, line = self.lines.pop()
+        return line
+
+    def keyword(self, key):
+        line = self.next_line()
+        head, _, rest = line.partition(" ")
+        if head != key:
+            raise ParseError(f"expected '{key} ...', got {line!r}")
+        return rest.strip()
+
+    def int_field(self, key):
+        value = self.keyword(key)
+        try:
+            x = int(value)
+        except ValueError as exc:
+            raise ParseError(f"bad integer for {key!r}: {value!r}") from exc
+        if str(x) != value:
+            raise ParseError(f"bad integer for {key!r}: {value!r}")
+        return x
+
+    def count_field(self, key):
+        value = self.int_field(key)
+        if value < 0:
+            raise ParseError(f"negative count for {key!r}: {value}")
+        return value
+
+    def row(self, width, convert=None):
+        line = self.next_line()
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError(f"line {self.at}: expected {width} fields, got {len(parts)}")
+        try:
+            if convert is not None:
+                return tuple(map(convert, parts))
+            values = tuple(map(int, parts))
+            if not self.plain and list(map(str, values)) != parts:
+                raise ValueError("not a canonical integer")
+            return values
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {self.at}: bad field in {line!r}") from exc
+
+
+def rowwise_parse_arrangement(text):
+    r = RowReader(text)
+    if r.next_line() != ARRANGEMENT_HEADER:
+        raise ParseError(f"missing header {ARRANGEMENT_HEADER!r}")
+    k = r.int_field("dim")
+    if k > MAX_DIM:
+        raise ParseError(f"dim {k} is above the ceiling of {MAX_DIM}")
+    family = r.keyword("family")
+    n = r.int_field("n")
+    try:
+        TruncationSpec(family, k, n)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    n_points = r.count_field("points")
+    n_lines = r.count_field("lines")
+    points = tuple(r.row(k) for _ in range(n_points))
+    if len(set(points)) != len(points):
+        raise ParseError("duplicate point")
+    line_params = tuple(r.row(k) for _ in range(n_lines))
+    edges = _rowwise_incidences(r, n_points, n_lines)
+    return TruncatedArrangement(family, k, n, points, line_params, edges)
+
+
+def _rowwise_incidences(r, n_points, n_lines):
+    count = r.count_field("incidences")
+    edges = []
+    for _ in range(count):
+        pi, lj = r.row(2)
+        if not (0 <= pi < n_points and 0 <= lj < n_lines):
+            raise ParseError(f"incidence ({pi}, {lj}) out of range")
+        edges.append((pi, lj))
+    if len(set(edges)) != len(edges):
+        raise ParseError("duplicate incidence pair")
+    if r.lines:
+        at, line = r.lines[-1]
+        raise ParseError(f"line {at}: trailing content: {line!r}")
+    return tuple(sorted(edges))
+
+
+def _rowwise_rational(token):
+    num, _, den = token.partition("/")
+    x = Fraction(int(num), int(den))
+    if token != f"{x.numerator}/{x.denominator}":
+        raise ValueError(f"not a canonical rational: {token!r}")
+    return _as_exact(x)
+
+
+def rowwise_parse_planar(text):
+    r = RowReader(text)
+    if r.next_line() != PLANAR_HEADER:
+        raise ParseError(f"missing header {PLANAR_HEADER!r}")
+    n_points = r.count_field("points")
+    points = tuple(r.row(2, _rowwise_rational) for _ in range(n_points))
+    if len(set(points)) != len(points):
+        raise ParseError("duplicate planar point")
+    n_lines = r.count_field("lines")
+    lines = []
+    for _ in range(n_lines):
+        a, b, c = r.row(3)
+        if not (math.gcd(a, b, c) == 1 and (a or b) > 0):
+            raise ParseError(f"line ({a}, {b}, {c}) is not in canonical form")
+        lines.append((a, b, c))
+    if len(set(lines)) != len(lines):
+        raise ParseError("duplicate planar line")
+    edges = _rowwise_incidences(r, n_points, n_lines)
+    return PlanarArrangement(points, tuple(lines), frozenset(edges))

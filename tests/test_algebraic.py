@@ -62,8 +62,11 @@ class TestLabels:
             (lambda labels: labels[:5] + (CoordLabel("primed", 1, 1),) + labels[6:], KeyError),
             # (2,2) stored before the (1,2) its equation reads
             (lambda labels: labels[:2] + labels[4:1:-1] + labels[5:], AssertionError),
+            # a pair two layers apart, and a kind the plan has no equation for
+            (lambda labels: labels[:6] + (CoordLabel("pair", 1, 3),), AssertionError),
+            (lambda labels: labels[:6] + (CoordLabel("diagonal", 2, 2),), AssertionError),
         ],
-        ids=["unknown-coordinate", "reads-a-later-position"],
+        ids=["unknown-coordinate", "reads-a-later-position", "pair-two-layers-apart", "unknown-kind"],
     )
     def test_the_plan_refuses_a_label_it_cannot_read(self, monkeypatch, edit, error):
         # labels carry no checks of their own; the plan reading them is the check

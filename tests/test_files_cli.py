@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -9,7 +10,14 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from helpers import canonical_planar_line, fraction_export_svg, fraction_viewport, line_from_params
+from helpers import (
+    canonical_planar_line,
+    fraction_export_svg,
+    fraction_viewport,
+    line_from_params,
+    rowwise_parse_arrangement,
+    rowwise_parse_planar,
+)
 from hypothesis import given, settings, strategies as st
 
 import girthforge
@@ -842,6 +850,32 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"at or above the exact primality limit {_MR_LIMIT}" in err
 
+    @pytest.mark.parametrize("mode", ["paper", "minimal"])
+    def test_a_huge_integer_is_named_by_its_digit_count(self, tmp_path, capsys, mode):
+        # the fuzz's 4290-digit token as the header's n, or as a point coordinate
+        huge = "9" * 4290
+        if mode == "paper":
+            text = small_arrangement_text(n=huge, incidences=1) + "0 0\n"
+        else:
+            text = _with_line(small_arrangement_text(), 6, f"{huge} 0")
+        path = tmp_path / "a.arr"
+        path.write_text(text)
+        assert run(["verify", "--in", str(path), "--subgraph-prime", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "-digit number>" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_running_out_of_memory_is_an_input_error(self, tmp_path):
+        # the address-space cap applies to the child alone
+        cap = 256 << 20
+        argv = ["construct", "--family", "lu", "--k", "3", "--n", "10000000",
+                "--budget", "1000000000000", "--out", str(tmp_path / "a.arr")]
+        proc = run_module(
+            argv, timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
     def test_module_entry_point_keeps_the_exit_code(self, tmp_path):
         proc = run_module(["stats", "--in", str(tmp_path / "none.arr")], timeout=60)
         assert proc.returncode == 2
@@ -890,7 +924,7 @@ class TestCLI:
         assert proc.stderr.startswith("error:") and "dim 2000001" in proc.stderr
 
 
-def run_module(argv, timeout):
+def run_module(argv, timeout, preexec_fn=None):
     """``python -m girthforge.cli argv`` in a child process, with this checkout's sources."""
     src = str(Path(girthforge.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -900,6 +934,7 @@ def run_module(argv, timeout):
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -920,11 +955,11 @@ _TOKENS = st.sampled_from(
 
 
 @st.composite
-def mutated_files(draw):
-    """A small valid file after one to three token or line mutations."""
+def mutated_files(draw, mutations=st.integers(1, 3)):
+    """A small valid file after token or line mutations, as many as mutations draws (one to three)."""
     text = draw(st.sampled_from(small_valid_files()))
     rows = [line.split() for line in text.splitlines()]
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(mutations)):
         i = draw(st.integers(0, len(rows) - 1))
         op = draw(st.sampled_from(["replace", "append", "drop", "delete"]))
         if op == "delete" and len(rows) > 1:
@@ -958,6 +993,24 @@ def test_mutated_files_keep_the_exit_code_contract(text):
             ["project", "--in", str(path), "--out", str(out), "--seed", "1"],
         ):
             assert run(argv) in (0, 1, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_files(mutations=st.just(1)))
+def test_the_block_reader_agrees_with_the_row_reader(text):
+    # one fault at a time: several faults may be named in another order
+    for parse, oracle in (
+        (parse_arrangement, rowwise_parse_arrangement),
+        (parse_planar, rowwise_parse_planar),
+    ):
+        try:
+            expected = oracle(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse(text) == expected
 
 
 @st.composite

@@ -10,6 +10,7 @@ from helpers import (
     line_through,
     point_at,
     point_on_line,
+    rowwise_lines_from_params,
     scan_incidence_set_kd,
     scan_planar_incidences,
 )
@@ -125,7 +126,37 @@ def param_batches(draw):
     return family, k, draw(st.lists(st.sampled_from(pool), max_size=30))
 
 
+@st.composite
+def oracle_batches(draw):
+    """A family, a k it accepts, and up to 40 line parameter tuples with
+    repeats; sometimes one tuple has the wrong length."""
+    family, k = draw(st.sampled_from(
+        [("lu", 3), ("lu", 5), ("lu", 7), ("wenger", 2), ("wenger", 3), ("wenger", 5)]
+    ))
+    entries = st.integers(-4, 4) | st.integers(-10**6, 10**6)
+    pool = draw(st.lists(st.tuples(*[entries] * k), min_size=1, max_size=12))
+    params = draw(st.lists(st.sampled_from(pool), max_size=40))
+    if draw(st.booleans()):
+        wrong = draw(st.lists(entries, max_size=k + 2).filter(lambda v: len(v) != k))
+        params.insert(draw(st.integers(0, len(params))), tuple(wrong))
+    return family, k, params
+
+
 class TestLinesFromParams:
+    @given(oracle_batches())
+    def test_columns_match_the_per_line_oracle(self, batch):
+        family, k, params = batch
+        try:
+            expected = rowwise_lines_from_params(family, params, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                lines_from_params(family, params, k)
+            assert str(got.value) == str(exc)
+        else:
+            lines = lines_from_params(family, params, k)
+            assert lines == expected
+            assert all(type(line) is AffineLineKD for line in lines)
+
     @given(param_batches())
     def test_batch_matches_one_line_at_a_time(self, batch):
         family, k, params = batch
