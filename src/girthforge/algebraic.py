@@ -17,7 +17,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .exactmath import is_prime
-from .families import family_named
+from .families import family_named, substitute
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -190,23 +190,18 @@ def plan_roots(params: FieldParams) -> tuple[int, ...] | None:
 def _neighbour_rows(params: FieldParams):
     """Each point's q neighbour indices, points in lexicographic order, built column-wise.
 
-    The neighbour x of u is const + slope * x (mod q).  The plan's steps give
-    const and slope as whole columns over all points, one comprehension
-    each; then each x gives one column of indices (:func:`_digit_weights`),
-    looking up each solved coordinate's weighted digit in a q * q table by
-    c + q * m.  The rows are those q columns read across.
+    The neighbour x of u is const + slope * x (mod q), with const and slope
+    whole integer columns over all points by substitution from the digit
+    columns; each key c % q + q * (m % q) is the one reduction, exact as it
+    commutes with + and *.  Then each x gives one column of indices
+    (:func:`_digit_weights`), looking up each solved coordinate's weighted
+    digit in a q * q table by key.  The rows are those q columns read across.
     """
     k, q = params.k, params.q
-    free, steps = family_named(params.family).plan(k)
-    columns, weights = _digit_columns(k, q), _digit_weights(k, q)
-    const, slope, keys = {}, {}, {}
-    for t, a, b in steps:  # const[t] = u[t] + const[a] * u[b], slope[t] = slope[a] * u[b]
-        if a == free:  # const 0 and slope 1 there
-            const[t], slope[t] = columns[t], columns[b]
-        else:
-            const[t] = [(ut + c * y) % q for ut, c, y in zip(columns[t], const[a], columns[b])]
-            slope[t] = [m * y % q for m, y in zip(slope[a], columns[b])]
-        keys[t] = [c + q * m for c, m in zip(const[t], slope[t])]
+    free, steps = plan = family_named(params.family).plan(k)
+    weights = _digit_weights(k, q)
+    const, slope = substitute(plan, _digit_columns(k, q), from_point=True)
+    keys = {t: [c % q + q * (m % q) for c, m in zip(const[t], slope[t])] for t, _, _ in steps}
     neighbours = []
     for x in range(q):
         column = [x * weights[free]] * q**k

@@ -251,9 +251,11 @@ def _cmd_stats(args) -> int:
         print("planar arrangement")
     n_points, n_lines, n_inc = graph.left_count, graph.right_count, graph.edge_count
     print(f"points {n_points}  lines {n_lines}  incidences {n_inc}")
-    left, right = degree_stats(graph)
-    print(f"point degrees min {left.minimum} max {left.maximum}")
-    print(f"line degrees min {right.minimum} max {right.maximum}")
+    for side, summary in zip(("point", "line"), degree_stats(graph)):
+        if summary.histogram:
+            print(f"{side} degrees min {summary.minimum} max {summary.maximum}")
+        else:  # min 0 max 0 would read as vertices of degree 0
+            print(f"note: there are no {side}s, so there are no {side} degrees")
     report = girth(graph)
     print(f"girth {report.girth}")
     if report.witness is None:

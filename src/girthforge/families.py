@@ -7,7 +7,8 @@ and an ordered tuple of steps ``(t, a, b)``, each meaning
 ``v[t] - u[t] = v[a] * u[b]`` for a point u and a line vertex v.  In plan
 order every step reads only the free coordinate or a coordinate solved by an
 earlier step, from whichever side is held fixed, so :func:`substitute` gives
-the whole other side as an affine function of the free coordinate.
+the whole other side as an affine function of the free coordinate, column by
+column for a whole batch; it is the package's one forward substitution.
 
 The plan also fixes the box exponents.  Weight 1 at the free coordinate and
 w[t] = w[a] + w[b] at each step make every equation homogeneous; coordinate
@@ -231,25 +232,30 @@ def family_named(name: str) -> Family:
         raise ValueError(f"unknown family {name!r}") from None
 
 
-def substitute(plan: Plan, fixed, from_point: bool) -> tuple[list[int], list[int]]:
-    """Solve the equations for the partner of a fixed vertex, over the integers.
+def substitute(plan: Plan, columns, from_point: bool) -> tuple[list, list]:
+    """Solve the equations for the partners of a batch of fixed vertices, over the integers.
 
-    Returns ``(const, slope)``: the partners of ``fixed`` (a point u when
-    from_point, else a line vertex v) are exactly the tuples
-    ``const[i] + slope[i] * x``, where x is the partner's free coordinate.
+    columns holds the fixed side, points u when from_point else line
+    vertices v, as k coordinate columns with one entry per vertex.  Returns
+    ``(const, slope)``, k columns each: the partners of vertex r are exactly
+    the tuples ``const[i][r] + slope[i][r] * x``, x the partner's free
+    coordinate.  Returned columns may be given ones; mutate neither.
     """
     free, steps = plan
-    const = [0] * len(fixed)
-    slope = [0] * len(fixed)
-    slope[free] = 1
+    size = len(columns[free])
+    const, slope = [None] * len(columns), [None] * len(columns)
+    const[free], slope[free] = [0] * size, [1] * size
     if from_point:  # v[t] = u[t] + v[a] * u[b]
-        for t, a, b in steps:
-            const[t] = fixed[t] + const[a] * fixed[b]
-            slope[t] = slope[a] * fixed[b]
-    else:  # u[t] = v[t] - v[a] * u[b]
-        for t, a, b in steps:
-            const[t] = fixed[t] - fixed[a] * const[b]
-            slope[t] = -fixed[a] * slope[b]
+        factors = [(a, columns[b]) for _, a, b in steps]
+    else:  # u[t] = v[t] + u[b] * -v[a]
+        negated = {a: [-y for y in columns[a]] for _, a, _ in steps}
+        factors = [(b, negated[a]) for _, a, b in steps]
+    for (t, _, _), (s, y) in zip(steps, factors):  # partner[t] = fixed[t] + partner[s] * y
+        if s == free:  # const 0 and slope 1 there
+            const[t], slope[t] = columns[t], y
+        else:
+            const[t] = [x + c * z for x, c, z in zip(columns[t], const[s], y)]
+            slope[t] = [m * z for m, z in zip(slope[s], y)]
     return const, slope
 
 

@@ -25,7 +25,7 @@ from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from .families import family_named
+from .families import family_named, substitute
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -127,8 +127,8 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
 
     Parametrized by the family's free coordinate: substitution from v makes
     every other coordinate affine in it, so key and direction entries are
-    integers.  The work runs over whole columns, one per coordinate: the
-    plan's steps give const and slope as columns over all lines, the lines
+    integers.  The work runs over whole columns, one per coordinate:
+    substitution gives const and slope as columns over all lines, the lines
     are grouped by slope, and each distinct slope is canonicalized and its
     direction checked once, since a box of line parameters yields few
     directions.  Each group's keys are formed column by column, and its
@@ -140,24 +140,16 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
     the cross key const_i * d_f - const_f * d_i is const_i.  Every lu line
     has its pivot at f = 0.
     """
-    free, steps = family_named(family).plan(k)
+    free, _ = plan = family_named(family).plan(k)
     params = tuple(params)
     if set(map(len, params)) - {k}:
         v = next(v for v in params if len(v) != k)
         raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
-    v = list(zip(*params))
-    if not v:
+    if not params:
         return []
-    const, slope = {free: [0] * len(params)}, {free: [1] * len(params)}
-    for t, a, b in steps:  # u[t] = v[t] - v[a] * u[b], column by column
-        if b == free:  # const 0 and slope 1 there
-            const[t], slope[t] = v[t], [-y for y in v[a]]
-        else:
-            const[t] = [x - y * c for x, y, c in zip(v[t], v[a], const[b])]
-            slope[t] = [-y * m for y, m in zip(v[a], slope[b])]
-    const = [const[i] for i in range(k)]
+    const, slope = substitute(plan, list(zip(*params)), from_point=False)
     groups = defaultdict(list)
-    for lj, s in enumerate(zip(*(slope[i] for i in range(k)))):
+    for lj, s in enumerate(zip(*slope)):
         groups[s].append(lj)
     new_line = tuple.__new__
     lines = [None] * len(params)

@@ -8,7 +8,8 @@ bounds evaluated exactly: closed ranges with floored upper ends (and ceiled
 lower ends where a lower bound exists).  Each family's boxes, equations and
 prime window come from the family table in :mod:`girthforge.families`.
 
-Edge generation walks the free coordinate and substitutes.  Whenever the
+Edge generation substitutes the walked side once, column by column, then
+walks the free coordinate over those columns.  Whenever the
 instance is small enough, which covers every desk-scale run, a brute-force
 pass cross-checks the result on every point/line pair: line by line, it
 filters the whole point box through the family's equations written out by
@@ -18,7 +19,8 @@ position, one equation at a time.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, product
+from itertools import chain, product, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .algebraic import BudgetExceededError, check_box_lower_bound
@@ -138,16 +140,19 @@ def _box_size(ranges) -> int:
 def _walk(plan, fixed, partner_ranges, from_point: bool) -> list[tuple[int, int]]:
     """(fixed index, partner index) of every partner that lands inside its box.
 
-    Each fixed vertex (a point when from_point, else a line vertex) is
-    substituted once, then its partners are read off for every value of the
-    free coordinate in the partner box and ranked in that box by box_rank.
+    The fixed side (points when from_point, else line vertices) is
+    substituted once, as whole columns.  Each value x of the free
+    coordinate in the partner box then gives the candidate columns
+    const + slope * x, and each candidate, read across, is ranked in the
+    partner box by box_rank; edges come out ordered by x.
     """
     free_lo, free_hi = partner_ranges[plan[0]]
-    edges = []
-    for i, w in enumerate(fixed):
-        const, slope = substitute(plan, w, from_point)
-        for x in range(free_lo, free_hi + 1):
-            j = box_rank([c + s * x for c, s in zip(const, slope)], partner_ranges)
+    const, slope = substitute(plan, list(zip(*fixed)), from_point)
+    edges, indices = [], list(range(len(fixed)))  # one int object per index, shared by its edges
+    for x in range(free_lo, free_hi + 1):
+        columns = [map(add, cs, map(mul, ss, repeat(x))) for cs, ss in zip(const, slope)]
+        for i, w in zip(indices, zip(*columns)):
+            j = box_rank(w, partner_ranges)
             if j is not None:
                 edges.append((i, j))
     return edges

@@ -13,7 +13,7 @@ window formulas are written out by position, independent of the family table
 in girthforge.families.  The SVG oracle is the original renderer, which
 clips and scales with Fraction arithmetic, independent of the integer grid
 of girthforge.svg.  The field-graph oracle is the per-edge build: each
-neighbour tuple from field_neighbors (one substitution per point), ranked by
+neighbour tuple from field_neighbors (one solve_one per point), ranked by
 box_rank, fed as an edge list to the BipartiteGraph constructor, independent
 of the builder's columns.  Its roots come from the forced-map certificate
 over all 2k coordinate translations, independent of the plan's translation
@@ -24,8 +24,10 @@ digits of every index by move_permutation, so a pair the plan certifies is
 checked again on the graph itself.  point_on_line tests membership by
 parallel differences, independent of the cross key; lu_edge_free and
 wenger_edge_free run the truncation's row filters on one point.
+solve_one is the forward substitution for one fixed vertex, scalar and apart
+from the column kernel girthforge.families.substitute that it checks.
 rowwise_lines_from_params is the line builder as it was before it went
-column-wise: one substitution, one slope lookup and one key per line, and
+column-wise: one solve_one, one slope lookup and one key per line, and
 line_from_params builds one line with it.  RowReader, with
 rowwise_parse_arrangement and rowwise_parse_planar, is the file reader as it
 was before it read whole sections: one line split and converted at a time,
@@ -41,7 +43,7 @@ from itertools import product
 
 from girthforge import algebraic
 from girthforge.exactmath import ceil_pow, floor_pow
-from girthforge.families import box_rank, family_named, plan_holds_mod, substitute
+from girthforge.families import box_rank, family_named, plan_holds_mod
 from girthforge.files import ARRANGEMENT_HEADER, MAX_DIM, PLANAR_HEADER, ParseError
 from girthforge.geometry import (
     AffineLineKD,
@@ -77,6 +79,26 @@ def _check_length(vertex, k, name):
         raise ValueError(f"{name} has length {len(vertex)}, expected {k}")
 
 
+def solve_one(plan, fixed, from_point):
+    """(const, slope) for one fixed vertex: its partners are const + slope * x, x the free coordinate.
+
+    The scalar forward substitution, step by step: from a point u,
+    v[t] = u[t] + v[a] * u[b]; from a line vertex v, u[t] = v[t] - v[a] * u[b].
+    """
+    free, steps = plan
+    const = [0] * len(fixed)
+    slope = [0] * len(fixed)
+    slope[free] = 1
+    for t, a, b in steps:
+        if from_point:
+            const[t] = fixed[t] + const[a] * fixed[b]
+            slope[t] = slope[a] * fixed[b]
+        else:
+            const[t] = fixed[t] - fixed[a] * const[b]
+            slope[t] = -fixed[a] * slope[b]
+    return const, slope
+
+
 def field_edge(u, v, params):
     """Whether the family's equations hold mod q for point u and line-vertex v."""
     _check_length(u, params.k, "u")
@@ -88,7 +110,7 @@ def field_neighbors(u, params):
     """The q neighbors of u, one per value of the free coordinate of v."""
     _check_length(u, params.k, "u")
     q = params.q
-    const, slope = substitute(family_named(params.family).plan(params.k), u, from_point=True)
+    const, slope = solve_one(family_named(params.family).plan(params.k), u, from_point=True)
     return [tuple((c + s * x) % q for c, s in zip(const, slope)) for x in range(q)]
 
 
@@ -429,7 +451,7 @@ def rowwise_lines_from_params(family, params, k):
     for v in params:
         if len(v) != k:
             raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
-        const, slope = substitute(plan, v, from_point=False)
+        const, slope = solve_one(plan, v, from_point=False)
         slope = tuple(slope)
         canonical = directions.get(slope)
         if canonical is None:

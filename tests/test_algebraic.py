@@ -19,11 +19,11 @@ from girthforge.algebraic import (
     build_wenger_graph,
     plan_roots,
 )
-from girthforge.families import CoordLabel, family_named, lu_labels, substitute
+from girthforge.families import CoordLabel, family_named, lu_labels
 from girthforge.geometry import ProjectionMap
 from girthforge.graphs import degree_stats, girth, has_cycle_of_length
 from girthforge.truncation import TruncationSpec
-from helpers import LU_BY_HAND, bumped, field_edge, field_neighbors, lu_edge_free, per_edge_field_graph
+from helpers import LU_BY_HAND, bumped, field_edge, field_neighbors, lu_edge_free, per_edge_field_graph, solve_one
 
 
 class TestLabels:
@@ -146,7 +146,7 @@ def check_lu_against_hand_system(k, q=7):
     rng = random.Random(k)
     for _ in range(60):
         u = tuple(rng.randrange(q) for _ in range(k))
-        const, slope = substitute(family_named("lu").plan(k), u, from_point=True)
+        const, slope = solve_one(family_named("lu").plan(k), u, from_point=True)
         partners = [tuple(c + s * x for c, s in zip(const, slope)) for x in range(q)]
         for v in partners:
             assert not any(by_hand(u, v))

@@ -215,6 +215,50 @@ def test_the_largest_layered_dim_below_the_ceiling_is_read(tmp_path):
     assert run(["verify", "--in", str(path), "--subgraph-prime", "paper"]) == 0
 
 
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (MAX_DIM, f"the lu family requires odd k >= 3, got k={MAX_DIM}"),
+        (MAX_DIM + 1, f"dim {MAX_DIM + 1} is above the ceiling of {MAX_DIM}"),
+    ],
+)
+def test_the_ceiling_refuses_only_a_dim_above_it(tmp_path, capsys, dim, message):
+    # MAX_DIM itself passes the ceiling and meets the family's k rule
+    text = small_arrangement_text(dim=dim, family="lu", points=0, lines=0)
+    with pytest.raises(ParseError) as got:
+        parse_arrangement(text)
+    assert str(got.value) == message
+    path = tmp_path / "a.arr"
+    path.write_text(text)
+    assert run(["stats", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+# one point, one line and one incidence pair, filled in by format()
+ONE_PAIR_FILES = {
+    "arr": ("GIRTHFORGE-ARR 1\ndim 2\nfamily wenger\nn 1\npoints 1\nlines 1\n0 0\n1 1\nincidences 1\n{}\n",
+            parse_arrangement),
+    "planar": ("GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n1 0 0\nincidences 1\n{}\n", parse_planar),
+}
+
+
+@pytest.mark.parametrize("kind", ["arr", "planar"])
+@pytest.mark.parametrize("pair", ["1 0", "0 1"], ids=["point-index-equals-points", "line-index-equals-lines"])
+def test_an_incidence_index_equal_to_its_count_is_out_of_range(tmp_path, capsys, kind, pair):
+    template, parse = ONE_PAIR_FILES[kind]
+    parse(template.format("0 0"))  # the one in-range pair is read
+    text = template.format(pair)
+    with pytest.raises(ParseError, match=rf"^incidence \({pair.replace(' ', ', ')}\) out of range$"):
+        parse(text)
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    export = ["export", "--in", str(path), "--out", str(tmp_path / "e"), "--format", "edges"]
+    for argv in (["verify", "--in", str(path)], export):
+        assert run(argv) == 2
+        assert "out of range" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def _with_line(text: str, at: int, row: str) -> str:
     lines = text.splitlines()
     lines[at] = row
@@ -701,6 +745,25 @@ class TestCLI:
         assert out[out.index("girth inf") + 1] == "note: the graph is a forest, so girth inf proves nothing"
         assert run(["stats", "--in", str(cyclic)]) == 0
         assert "note:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["arr", "planar"])
+    @pytest.mark.parametrize("points, lines", [(1, 0), (0, 1), (0, 0)])
+    def test_stats_notes_a_side_with_no_vertices(self, tmp_path, capsys, kind, points, lines):
+        # a side with no vertices has no degrees, not degrees min 0 max 0
+        path = tmp_path / f"a.{kind}"
+        if kind == "arr":
+            path.write_text(small_arrangement_text(points=points, lines=lines))
+        else:
+            rows = ["GIRTHFORGE-PLANAR 1", f"points {points}", *["0/1 0/1"] * points,
+                    f"lines {lines}", *["1 0 0"] * lines, "incidences 0"]
+            path.write_text("\n".join(rows) + "\n")
+        assert run(["stats", "--in", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for side, count in (("point", points), ("line", lines)):
+            degrees = [l for l in out if l.startswith(f"{side} degrees")]
+            note = f"note: there are no {side}s, so there are no {side} degrees"
+            assert degrees == ([f"{side} degrees min 0 max 0"] if count else [])
+            assert (note in out) == (not count)
 
     def test_stats_on_planar_file(self, tmp_path, capsys):
         arr_path = tmp_path / "w.arr"

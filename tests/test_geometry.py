@@ -13,9 +13,10 @@ from helpers import (
     rowwise_lines_from_params,
     scan_incidence_set_kd,
     scan_planar_incidences,
+    solve_one,
 )
 
-from girthforge.families import family_named, substitute
+from girthforge.families import family_named
 from girthforge.geometry import (
     AffineLineKD,
     _incidence_plan,
@@ -164,7 +165,7 @@ class TestLinesFromParams:
         assert len(lines) == len(params)
         plan = family_named(family).plan(k)
         for v, line in zip(params, lines):
-            const, slope = substitute(plan, v, from_point=False)
+            const, slope = solve_one(plan, v, from_point=False)
             assert line == line_through(const, slope)
             assert AffineLineKD(line.direction, line.key) == line
             for x in range(-2, 3):

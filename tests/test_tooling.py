@@ -23,3 +23,13 @@ def test_workflow_runs_the_tier1_command_on_the_oldest_and_current_python():
     job = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"]["tier1"]
     assert job["strategy"]["matrix"]["python-version"] == ["%d.%d" % OLDEST, "3.11", "3.12"]
     assert tier1 in [step.get("run") for step in job["steps"]]
+
+
+def test_workflow_installs_exactly_the_test_extra():
+    # a regex, not tomllib, which the oldest Python lacks; a package missing
+    # from the extra would skip a test locally without a word
+    extra = re.search(r"^test = \[(.*)\]$", PYPROJECT, re.M).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    install = re.findall(r"^\s+run: python -m pip install (.+)$", workflow, re.M)
+    assert len(install) == 1
+    assert sorted(install[0].split()) == sorted(re.findall(r'"([^"]+)"', extra))

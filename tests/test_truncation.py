@@ -32,6 +32,7 @@ from helpers import (
     lu_boxes_by_position,
     lu_edge_free,
     paper_window_by_hand,
+    solve_one,
     wenger_boxes_by_position,
     wenger_edge_free,
 )
@@ -141,7 +142,7 @@ class TestRanges:
         for (points, lines), n in boxes.items():
             ends = lines[plan[0]]
             for u in product(*(range(lo, hi + 1) for lo, hi in points)):
-                const, slope = substitute(plan, u, from_point=True)
+                const, slope = solve_one(plan, u, from_point=True)
                 for x in ends:
                     v = [c + m * x for c, m in zip(const, slope)]
                     assert all(lo <= c <= hi for c, (lo, hi) in zip(v, lines)), (n, u, x)
@@ -456,7 +457,7 @@ class TestFreePredicates:
         for _ in range(4):
             fixed = (rng.randint(1, 5),) + tuple(rng.randint(0, 5) for _ in range(k - 1))
             for from_point in (True, False):
-                const, slope = substitute(plan, fixed, from_point)
+                const, slope = solve_one(plan, fixed, from_point)
                 x = rng.randint(1, 5)
                 partner = tuple(c + s * x for c, s in zip(const, slope))
                 u, v = (fixed, partner) if from_point else (partner, fixed)
@@ -479,7 +480,7 @@ def line_and_points(draw, family, k):
     coord = st.integers(-4, 4)
     anywhere = st.tuples(*[coord] * k)
     v = draw(anywhere)
-    const, slope = substitute(family_named(family).plan(k), v, False)
+    const, slope = solve_one(family_named(family).plan(k), v, False)
     on = st.builds(lambda x: tuple(c + s * x for c, s in zip(const, slope)), coord)
     near = st.builds(bumped, on, st.integers(0, k - 1), st.sampled_from((-1, 1)))
     rows = draw(st.lists(st.one_of(anywhere, on, near), max_size=10))
@@ -499,6 +500,26 @@ def test_points_on_a_line_is_the_pair_predicate_row_by_row(family, k, data):
     v, points = data.draw(line_and_points(family, k))
     points_on, edge_free = POINTS_ON[family]
     assert points_on(v, points, k) == [i for i, u in enumerate(points) if edge_free(u, v, k)]
+
+
+# small coordinates of either sign, and coordinates of 300 to 400 digits of either sign
+HUGE = st.integers(10**299, 10**400)
+COORDINATE = st.one_of(st.integers(-9, 9), HUGE, HUGE.map(lambda c: -c))
+
+
+@pytest.mark.parametrize("from_point", [True, False], ids=["from-point", "from-line"])
+@pytest.mark.parametrize(
+    "family,k", [("lu", 3), ("lu", 5), ("lu", 7), ("lu", 9), ("wenger", 2), ("wenger", 3), ("wenger", 5)]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_kernel_is_the_scalar_solve_row_by_row(family, k, from_point, data):
+    rows = data.draw(st.lists(st.tuples(*[COORDINATE] * k), min_size=1, max_size=6))
+    plan = family_named(family).plan(k)
+    const, slope = substitute(plan, list(zip(*rows)), from_point)
+    assert len(const) == len(slope) == k
+    for r, fixed in enumerate(rows):
+        assert ([c[r] for c in const], [s[r] for s in slope]) == solve_one(plan, fixed, from_point)
 
 
 def dropping_first_edge(walk):
