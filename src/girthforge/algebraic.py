@@ -201,7 +201,10 @@ def _neighbour_rows(params: FieldParams):
     free, steps = plan = family_named(params.family).plan(k)
     weights = _digit_weights(k, q)
     const, slope = substitute(plan, _digit_columns(k, q), from_point=True)
-    keys = {t: [c % q + q * (m % q) for c, m in zip(const[t], slope[t])] for t, _, _ in steps}
+    keys = {}
+    for t, a, _ in steps:  # a step that reads the free coordinate has digit columns, below q
+        pairs = zip(const[t], slope[t])
+        keys[t] = [c + q * m for c, m in pairs] if a == free else [c % q + q * (m % q) for c, m in pairs]
     neighbours = []
     for x in range(q):
         column = [x * weights[free]] * q**k

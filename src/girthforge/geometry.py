@@ -8,6 +8,10 @@ line.  The key decides identity, incidence and projection alike; for a line
 through an integer point it is all integers.  All arithmetic is integer or
 rational; there is no epsilon anywhere.
 
+A batch of lines is one LineGroups value, grouped by direction, so the
+distinctness check, the incidence walk and the projection read whole key
+columns; single AffineLineKD values are built only on demand.
+
 The projection to the plane is a random integer linear map that is checked,
 not trusted: points must stay distinct, lines must stay distinct and
 nondegenerate, and the planar incidence relation must match the
@@ -20,9 +24,9 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, repeat
 from math import gcd
-from operator import add, mul
+from operator import add, floordiv, mul
 from typing import NamedTuple
 
 from .families import family_named, substitute
@@ -30,6 +34,7 @@ from .graphs import BipartiteGraph
 
 __all__ = [
     "AffineLineKD",
+    "LineGroups",
     "ProjectionMap",
     "PlanarArrangement",
     "ProjectionError",
@@ -76,16 +81,9 @@ class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), (
     def __new__(cls, direction, key):
         if len(key) != len(direction):
             raise ValueError("key and direction must have equal length")
-        _check_pivot_key(key, _check_direction(direction))
+        if key[_check_direction(direction)] != 0:
+            raise ValueError("key must have a zero pivot coordinate")
         return tuple.__new__(cls, (direction, key))
-
-    @property
-    def dim(self) -> int:
-        return len(self.direction)
-
-    @property
-    def pivot(self) -> int:
-        return _pivot(self.direction)
 
 
 def _pivot(direction) -> int:
@@ -107,11 +105,6 @@ def _check_direction(direction) -> int:
     return pivot
 
 
-def _check_pivot_key(key, pivot) -> None:
-    if key[pivot] != 0:
-        raise ValueError("key must have a zero pivot coordinate")
-
-
 def _canonical_direction(direction) -> tuple[tuple[int, ...], int]:
     """The primitive multiple of a nonzero integer direction whose first
     nonzero entry is positive, and the index of that entry (the pivot)."""
@@ -122,7 +115,46 @@ def _canonical_direction(direction) -> tuple[tuple[int, ...], int]:
     return tuple(d // g for d in direction), pivot
 
 
-def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
+class LineGroups:
+    """Lines grouped by direction: groups holds (direction, pivot, keys,
+    indices) per direction in the order of its first line, with keys the k
+    key columns and indices the increasing line indices.  len() counts the
+    lines; iterating or indexing yields AffineLineKD values in line order,
+    built on demand.
+    """
+
+    __slots__ = ("groups", "count")
+
+    def __init__(self, groups, count):
+        self.groups, self.count = groups, count
+
+    @classmethod
+    def of(cls, lines) -> LineGroups:
+        """A LineGroups as it is; any other sequence of lines grouped one line at a time."""
+        if isinstance(lines, cls):
+            return lines
+        by_direction = defaultdict(lambda: ([], []))
+        for lj, (direction, key) in enumerate(lines):
+            by_direction[direction][0].append(key)
+            by_direction[direction][1].append(lj)
+        groups = [(d, _pivot(d), list(zip(*keys)), ljs) for d, (keys, ljs) in by_direction.items()]
+        return cls(groups, len(lines))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        lines = [None] * self.count
+        for direction, _, keys, indices in self.groups:
+            for lj, key in zip(indices, zip(*keys)):
+                lines[lj] = tuple.__new__(AffineLineKD, (direction, key))
+        return iter(lines)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
+def lines_from_params(family: str, params, k: int) -> LineGroups:
     """The solution lines of a family's equations, one per parameter tuple.
 
     Parametrized by the family's free coordinate: substitution from v makes
@@ -132,7 +164,8 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
     are grouped by slope, and each distinct slope is canonicalized and its
     direction checked once, since a box of line parameters yields few
     directions.  Each group's keys are formed column by column, and its
-    pivot column is checked to be zero.
+    pivot column is checked to be zero.  Every slope is 1 at the free
+    coordinate, so the slope groups are the direction groups.
 
     When the pivot is the free coordinate f, the key is const itself:
     substitution leaves const[f] = 0 and slope[f] = 1, so the slope is
@@ -146,37 +179,39 @@ def lines_from_params(family: str, params, k: int) -> list[AffineLineKD]:
         v = next(v for v in params if len(v) != k)
         raise ValueError(f"parameter tuple has length {len(v)}, expected {k}")
     if not params:
-        return []
+        return LineGroups([], 0)
     const, slope = substitute(plan, list(zip(*params)), from_point=False)
-    groups = defaultdict(list)
+    by_slope = defaultdict(list)
     for lj, s in enumerate(zip(*slope)):
-        groups[s].append(lj)
-    new_line = tuple.__new__
-    lines = [None] * len(params)
-    for s, group in groups.items():
+        by_slope[s].append(lj)
+    groups = []
+    for s, indices in by_slope.items():
         direction, _ = _canonical_direction(s)
         pivot = _check_direction(direction)
-        keys = [[col[lj] for lj in group] for col in const]
+        keys = [[col[lj] for lj in indices] for col in const]
         if pivot != free:  # the cross key, column by column
             dj, xj = direction[pivot], keys[pivot]
             keys = [[x * dj - y * d for x, y in zip(col, xj)] for col, d in zip(keys, direction)]
         if any(keys[pivot]):
             raise ValueError("key must have a zero pivot coordinate")
-        for lj, key in zip(group, zip(*keys)):
-            lines[lj] = new_line(AffineLineKD, (direction, key))
-    return lines
+        groups.append((direction, pivot, keys, indices))
+    return LineGroups(groups, len(params))
 
 
 def certify_lines_distinct(lines) -> tuple[bool, tuple[int, int] | None]:
-    """All-distinct check over canonical forms; reports the first collision."""
-    if len(set(lines)) == len(lines):
-        return True, None
-    seen: dict[AffineLineKD, int] = {}
-    for idx, line in enumerate(lines):
-        if line in seen:
-            return False, (seen[line], idx)
-        seen[line] = idx
-    raise AssertionError("a collision was counted but not found")
+    """All-distinct check, key by key within each direction group; reports
+    the first collision (i, j), i < j, the one with the smallest j."""
+    first = None
+    for _, _, keys, indices in LineGroups.of(lines).groups:
+        if len(set(zip(*keys))) < len(indices):
+            seen: dict[tuple, int] = {}
+            for lj, key in zip(indices, zip(*keys)):
+                if key in seen:
+                    break
+                seen[key] = lj
+            if first is None or lj < first[1]:
+                first = (seen[key], lj)
+    return first is None, first
 
 
 def _cross_key(x, direction, pivot) -> tuple:
@@ -189,8 +224,8 @@ def _cross_key(x, direction, pivot) -> tuple:
 def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
     """All (point index, line index) pairs with the point on the line.
 
-    Output-sensitive and exact.  The lines are grouped by direction d, and
-    each group takes the cheaper of two exact methods (see _incidence_plan):
+    Output-sensitive and exact.  Each direction group d (see LineGroups)
+    takes the cheaper of two exact methods (see _incidence_plan):
 
     - probe: a point lies on a line of direction d exactly when its cross
       key (see _cross_key) equals the line's key, so one hash lookup per
@@ -205,15 +240,18 @@ def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
     pivot, so when one of these divisions is not exact the line has no
     integer point.  Every integer point of the line is b + t * d_i * d with
     t = x_i, so walking t over [lo_i, hi_i] finds each of them exactly once.
-    Points are looked up by value, and a point that occurs twice keeps both
-    indices.
+    Points are looked up by value, and a point or line that occurs twice
+    keeps both indices.
     """
     out = set()
     at = None
-    for direction, pivot, keys, walk in _incidence_plan(points, lines):
+    for (direction, pivot, keys, indices), walk in _incidence_plan(points, LineGroups.of(lines)):
         if walk is None:
+            by_key: dict[tuple, list[int]] = {}
+            for lj, key in zip(indices, zip(*keys)):
+                by_key.setdefault(key, []).append(lj)
             for pi, p in enumerate(points):
-                for lj in keys.get(_cross_key(p, direction, pivot), ()):
+                for lj in by_key.get(_cross_key(p, direction, pivot), ()):
                     out.add((pi, lj))
             continue
         if at is None:
@@ -222,39 +260,32 @@ def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
                 at.setdefault(tuple(p), []).append(pi)
         axis, lo, hi = walk
         di = direction[axis]
-        bases, on_lines = _integer_bases(keys, direction, axis, pivot)
+        bases, on_lines = _integer_bases(keys, indices, direction, axis, pivot)
         for t in range(lo, hi + 1):
             # b + t * d_i * d has coordinate axis equal to t, since b_axis = 0.
             shifted = [map(add, col, repeat(t * di * d)) if d else col for col, d in zip(bases, direction)]
             hits = list(map(at.get, zip(*shifted)))
-            for hit, on_line in compress(zip(hits, on_lines), hits):
-                out.update(product(hit, on_line))
+            for hit, lj in compress(zip(hits, on_lines), hits):
+                out.update(zip(hit, repeat(lj)))
     return out
 
 
-def _incidence_plan(points, lines):
-    """Yield (direction, pivot, keys, walk) per direction group of the lines.
+def _incidence_plan(points, lines: LineGroups):
+    """Yield (group, walk) per direction group of the lines.
 
-    keys maps each line key of the group to its line indices.  walk is
-    (i, lo_i, hi_i) when the group's lines are cheaper to walk along
+    walk is (i, lo_i, hi_i) when the group's lines are cheaper to walk along
     coordinate i over the points' extent [lo_i, hi_i] than to probe with
     every point, and None when the points are probed.  Walking costs
-    |keys| * (hi_i - lo_i + 1) lookups over the best i with d_i = +-1, and
+    |lines| * (hi_i - lo_i + 1) lookups over the best i with d_i = +-1, and
     probing costs one lookup per point; the costs are compared as integers,
     so a huge extent only makes the walk expensive.  A point or key with a
     coordinate that is not an int rules the walk out.  Raises ValueError
     for a point whose dimension differs from a line's.
     """
-    groups: dict[tuple[int, ...], tuple[int, dict[tuple, list[int]]]] = {}
-    for lj, (direction, key) in enumerate(lines):
-        group = groups.get(direction)
-        if group is None:
-            group = groups[direction] = (_pivot(direction), {})
-        group[1].setdefault(key, []).append(lj)
     dims = {len(p) for p in points}
     integral = bool(points) and {int}.issuperset(map(type, chain.from_iterable(points)))
     spans = [(min(col), max(col)) for col in zip(*points)] if integral else None
-    for direction, (pivot, keys) in groups.items():
+    for direction, pivot, keys, indices in lines.groups:
         dim = len(direction)
         if dims - {dim}:
             pi = next(pi for pi, p in enumerate(points) if len(p) != dim)
@@ -265,31 +296,30 @@ def _incidence_plan(points, lines):
             extent, axis = min(((spans[i][1] - spans[i][0] + 1, i) for i in unit), default=(0, None))
             if (
                 axis is not None
-                and len(keys) * extent < len(points)
+                and len(indices) * extent < len(points)
                 and {int}.issuperset(map(type, chain.from_iterable(keys)))
             ):
                 walk = (axis, *spans[axis])
-        yield direction, pivot, keys, walk
+        yield (direction, pivot, keys, indices), walk
 
 
-def _integer_bases(keys, direction, axis, pivot):
-    """The walk's start points as k columns, and the line indices of each.
+def _integer_bases(keys, indices, direction, axis, pivot):
+    """The walk's start points as k columns, and the line index of each.
 
-    keys maps the line keys of one direction to their line indices.  Each
-    start is the integer point b with b_axis = 0 on the line (direction,
+    keys and indices are one direction group's key columns and line indices.
+    Each start is the integer point b with b_axis = 0 on the line (direction,
     key); a line with no integer point is left out.  direction[axis] is +-1.
     """
-    columns, on_lines = list(zip(*keys)), list(keys.values())
     if axis == pivot:  # On the pivot axis d_j = 1 and b_j = -key_j = 0, so b is the key.
-        return columns, on_lines
+        return keys, indices
     dj = direction[pivot]
-    bj = [-c * direction[axis] for c in columns[axis]]
-    columns = [[c + y * d for c, y in zip(col, bj)] for col, d in zip(columns, direction)]
+    bj = [-c * direction[axis] for c in keys[axis]]
+    columns = [[c + y * d for c, y in zip(col, bj)] if d else col for col, d in zip(keys, direction)]
     if dj != 1:
         keep = [not any(row) for row in zip(*[[c % dj for c in col] for col in columns])]
         columns = [[c // dj for c in compress(col, keep)] for col in columns]
-        on_lines = list(compress(on_lines, keep))
-    return columns, on_lines
+        indices = list(compress(indices, keep))
+    return columns, indices
 
 
 class ProjectionMap(
@@ -396,13 +426,14 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArra
     the image of d, and c = dx * y - dy * x for the image (x, y) of the key;
     the scale d_j > 0 makes an integer key give an integer triple.  (a, b),
     its sign and g0 = gcd(a, b) depend only on d and are computed once per
-    direction, and so is the covector w = dx * r2 - dy * r1 of the map's
-    rows r1, r2, taken after the sign turn: c = w . key is one exact dot
-    product per line, for int and Fraction keys alike.  With c = n / m in
-    lowest terms the canonical triple is (a * m, b * m, n) / gcd(g0 * m, n),
+    direction group, and so is the covector w = dx * r2 - dy * r1 of the
+    map's rows r1, r2, taken after the sign turn: c = w . key is formed over
+    the group's key columns, for int and Fraction keys alike.  With c = n / m
+    in lowest terms the canonical triple is (a * m, b * m, n) / gcd(g0 * m, n),
     and gcd(g0 * m, n) = gcd(g0, n) because m and n are coprime.
     """
-    other = ({len(p) for p in points} | {len(line.direction) for line in lines}) - {pmap.dim}
+    lines = LineGroups.of(lines)
+    other = ({len(p) for p in points} | {len(group[0]) for group in lines.groups}) - {pmap.dim}
     if other:
         raise ValueError(
             f"the map has dimension {pmap.dim}, the arrangement has dimension {min(other)}"
@@ -411,26 +442,31 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArra
     if len(set(flat_points)) != len(flat_points):
         raise ProjectionError("projected points collide")
     r1, r2 = pmap.rows
-    images: dict[tuple[int, ...], tuple[tuple[int, ...], int, int, int]] = {}
-    flat_lines = []
-    for idx, (direction, key) in enumerate(lines):
-        image = images.get(direction)
-        if image is None:
-            dx, dy = pmap.apply(direction)
-            if dx == 0 and dy == 0:
-                raise ProjectionError(f"line {idx} degenerates under the map")
-            # Canonical sign: the first nonzero of (a, b) = (dy, -dx) * d_j > 0.
-            if (dy or -dx) < 0:
-                dx, dy = -dx, -dy
-            dj = direction[_pivot(direction)]
-            a, b = dy * dj, -dx * dj
-            w = tuple(dx * q - dy * p for p, q in zip(r1, r2))
-            image = images[direction] = (w, a, b, gcd(a, b))
-        w, a, b, g0 = image
-        c = sum(map(mul, w, key))
-        m, n = c.denominator, c.numerator
-        g = gcd(g0, n)
-        flat_lines.append((a * m // g, b * m // g, n // g))
+    flat_lines = [None] * len(lines)
+    for direction, pivot, keys, indices in lines.groups:
+        dx, dy = pmap.apply(direction)
+        if dx == 0 and dy == 0:
+            raise ProjectionError(f"line {indices[0]} degenerates under the map")
+        # Canonical sign: the first nonzero of (a, b) = (dy, -dx) * d_j > 0.
+        if (dy or -dx) < 0:
+            dx, dy = -dx, -dy
+        dj = direction[pivot]
+        a, b = dy * dj, -dx * dj
+        c = [0] * len(indices)
+        for i, (p, q, col) in enumerate(zip(r1, r2, keys)):
+            w = dx * q - dy * p
+            if w and i != pivot:  # the key is zero at the pivot
+                c = [x + w * y for x, y in zip(c, col)]
+        if {int}.issuperset(map(type, c)):
+            a_col, b_col = repeat(a), repeat(b)
+        else:  # c = n / m: scale a and b by m
+            m = [x.denominator for x in c]
+            c = [x.numerator for x in c]
+            a_col, b_col = map(mul, repeat(a), m), map(mul, repeat(b), m)
+        g = list(map(gcd, repeat(gcd(a, b)), c))
+        triples = zip(map(floordiv, a_col, g), map(floordiv, b_col, g), map(floordiv, c, g))
+        for lj, triple in zip(indices, triples):
+            flat_lines[lj] = triple
     if len(set(flat_lines)) != len(flat_lines):
         raise ProjectionError("projected lines collide")
     planar = _planar_incidences(flat_points, flat_lines)
@@ -457,12 +493,13 @@ def project_generic(
     points = [tuple(p) for p in points]
     if len(set(points)) != len(points):
         raise ValueError("input points must be pairwise distinct")
+    lines = LineGroups.of(lines)
     ok, pair = certify_lines_distinct(lines)
     if not ok:
         raise ValueError(f"input lines {pair[0]} and {pair[1]} coincide")
     if not points or not lines:
         raise ValueError("projection needs at least one point and one line")
-    dim = lines[0].dim
+    dim = len(lines.groups[0][0])
     expected = incidence_set_kd(points, lines)
     last_error = "no attempt made"
     for attempt in range(_PROJECTION_RETRIES):

@@ -28,7 +28,10 @@ solve_one is the forward substitution for one fixed vertex, scalar and apart
 from the column kernel girthforge.families.substitute that it checks.
 rowwise_lines_from_params is the line builder as it was before it went
 column-wise: one solve_one, one slope lookup and one key per line, and
-line_from_params builds one line with it.  RowReader, with
+line_from_params builds one line with it.  scan_first_collision and
+project_line_by_line take the lines one at a time, independent of the
+direction groups of girthforge.geometry: the first compares every pair, the
+second maps each line through the images of two of its points.  RowReader, with
 rowwise_parse_arrangement and rowwise_parse_planar, is the file reader as it
 was before it read whole sections: one line split and converted at a time,
 each incidence range-checked and each planar triple checked as it is read,
@@ -48,10 +51,10 @@ from girthforge.files import ARRANGEMENT_HEADER, MAX_DIM, PLANAR_HEADER, ParseEr
 from girthforge.geometry import (
     AffineLineKD,
     PlanarArrangement,
+    ProjectionError,
     _as_exact,
     _canonical_direction,
     _check_direction,
-    _check_pivot_key,
     _cross_key,
 )
 from girthforge.graphs import BipartiteGraph
@@ -414,10 +417,15 @@ def line_through(point, direction):
     return AffineLineKD(direction, _cross_key(point, direction, pivot))
 
 
+def pivot_of(line):
+    """The index of the first nonzero entry of a line's direction."""
+    return next(i for i, d in enumerate(line.direction) if d)
+
+
 def point_at(line, t):
     """The point key / d_j + t * direction of a line; t = 0 gives the point
     whose pivot coordinate j is zero."""
-    dj = line.direction[line.pivot]
+    dj = line.direction[pivot_of(line)]
     return tuple(_as_exact(Fraction(c, dj) + t * d) for c, d in zip(line.key, line.direction))
 
 
@@ -426,8 +434,8 @@ def scan_incidence_set_kd(points, lines):
     out = set()
     for lj, line in enumerate(lines):
         base, direction = point_at(line, 0), line.direction
-        dim = line.dim
-        j = line.pivot
+        dim = len(direction)
+        j = pivot_of(line)
         dj = direction[j]
         bj = base[j]
         for pi, p in enumerate(points):
@@ -459,9 +467,17 @@ def rowwise_lines_from_params(family, params, k):
             canonical = directions[slope] = (direction, _check_direction(direction))
         direction, pivot = canonical
         key = tuple(const) if pivot == free else _cross_key(const, direction, pivot)
-        _check_pivot_key(key, pivot)
         lines.append(AffineLineKD(direction, key))
     return lines
+
+
+def scan_first_collision(lines):
+    """Oracle: the pair (i, j), i < j, of equal lines with the smallest j, or None."""
+    for j, line in enumerate(lines):
+        for i in range(j):
+            if lines[i] == line:
+                return i, j
+    return None
 
 
 def line_from_params(family, v, k):
@@ -471,9 +487,9 @@ def line_from_params(family, v, k):
 
 def point_on_line(point, line):
     """Exact membership in R^k: point - base is parallel to the direction, each coordinate against the pivot."""
-    if len(point) != line.dim:
-        raise ValueError(f"point has dimension {len(point)}, line has {line.dim}")
-    base, direction, j = point_at(line, 0), line.direction, line.pivot
+    if len(point) != len(line.direction):
+        raise ValueError(f"point has dimension {len(point)}, line has {len(line.direction)}")
+    base, direction, j = point_at(line, 0), line.direction, pivot_of(line)
     tj = point[j] - base[j]
     return all((x - b) * direction[j] == tj * d for x, b, d in zip(point, base, direction))
 
@@ -501,6 +517,31 @@ def scan_planar_incidences(points, lines):
         for pi, (x, y) in enumerate(points)
         if a * x + b * y + c == 0
     }
+
+
+def planar_triple(line, pmap):
+    """The canonical planar line through the images of two points of the line."""
+    (x0, y0), (x1, y1) = pmap.apply(point_at(line, 0)), pmap.apply(point_at(line, 1))
+    return canonical_planar_line(y1 - y0, x0 - x1, x1 * y0 - x0 * y1)
+
+
+def project_line_by_line(points, lines, pmap):
+    """Oracle projection: the planar points, the canonical planar line
+    through the images of two points of each line, and the planar
+    incidences by the pairwise scan.  Raises ProjectionError with the
+    messages of project_with_map for colliding points, a degenerate line
+    (the first in line order) and colliding lines."""
+    flat_points = [pmap.apply(p) for p in points]
+    if len(set(flat_points)) != len(flat_points):
+        raise ProjectionError("projected points collide")
+    flat_lines = []
+    for idx, line in enumerate(lines):
+        if pmap.apply(point_at(line, 0)) == pmap.apply(point_at(line, 1)):
+            raise ProjectionError(f"line {idx} degenerates under the map")
+        flat_lines.append(planar_triple(line, pmap))
+    if len(set(flat_lines)) != len(flat_lines):
+        raise ProjectionError("projected lines collide")
+    return flat_points, flat_lines, scan_planar_incidences(flat_points, flat_lines)
 
 
 def lu3_residues(u, v):

@@ -259,6 +259,17 @@ def test_an_incidence_index_equal_to_its_count_is_out_of_range(tmp_path, capsys,
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("kind", ["arr", "planar"])
+@pytest.mark.parametrize("pair", ["1 0", "0 1", "-1 0", "0 -1"], ids=["point", "line", "negative-point", "negative-line"])
+def test_the_out_of_range_pair_after_an_index_zero_pair_is_the_one_named(kind, pair):
+    # the pair 0 0 lies in range on both sides, so only the later pair may be named
+    template, parse = ONE_PAIR_FILES[kind]
+    text = template.replace("incidences 1", "incidences 2").format(f"0 0\n{pair}")
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    assert str(got.value) == f"incidence ({pair.replace(' ', ', ')}) out of range"
+
+
 def _with_line(text: str, at: int, row: str) -> str:
     lines = text.splitlines()
     lines[at] = row

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -8,9 +9,13 @@ from helpers import (
     canonical_planar_line,
     line_from_params,
     line_through,
+    pivot_of,
+    planar_triple,
     point_at,
     point_on_line,
+    project_line_by_line,
     rowwise_lines_from_params,
+    scan_first_collision,
     scan_incidence_set_kd,
     scan_planar_incidences,
     solve_one,
@@ -19,6 +24,7 @@ from helpers import (
 from girthforge.families import family_named
 from girthforge.geometry import (
     AffineLineKD,
+    LineGroups,
     _incidence_plan,
     _planar_incidences,
     ProjectionError,
@@ -155,7 +161,7 @@ class TestLinesFromParams:
             assert str(got.value) == str(exc)
         else:
             lines = lines_from_params(family, params, k)
-            assert lines == expected
+            assert list(lines) == expected
             assert all(type(line) is AffineLineKD for line in lines)
 
     @given(param_batches())
@@ -184,11 +190,103 @@ class TestLinesFromParams:
             assert AffineLineKD(line.direction, line.key) == line
 
     def test_empty_batch(self):
-        assert lines_from_params("wenger", [], 2) == []
+        lines = lines_from_params("wenger", [], 2)
+        assert len(lines) == 0 and list(lines) == []
 
     def test_wrong_length_in_a_batch_rejected(self):
         with pytest.raises(ValueError, match="length 2, expected 3"):
             lines_from_params("lu", [(1, 2, 2), (0, 0, 0), (1, 2)], 3)
+
+
+def assert_groups_match_the_per_line_oracles(points, lines, groups, seed, bound):
+    """groups, the LineGroups of lines, against oracles that take one line at a time."""
+    assert len(groups) == len(lines) and list(groups) == lines
+    assert [groups[lj] for lj in range(len(lines))] == lines
+    first = scan_first_collision(lines)
+    assert certify_lines_distinct(groups) == (first is None, first)
+    expected = scan_incidence_set_kd(points, lines)
+    assert incidence_set_kd(points, groups) == expected
+    pmap = sample_projection(len(lines[0].direction), seed, bound)
+    try:
+        flat_points, flat_lines, planar = project_line_by_line(points, lines, pmap)
+    except ProjectionError as exc:
+        with pytest.raises(ProjectionError) as got:
+            project_with_map(points, groups, pmap, expected)
+        assert str(got.value) == str(exc)
+        return
+    if planar != expected:
+        message = f"incidences changed: +{len(planar - expected)} / -{len(expected - planar)}"
+        with pytest.raises(ProjectionError, match=f"^{re.escape(message)}$"):
+            project_with_map(points, groups, pmap, expected)
+    else:
+        got = project_with_map(points, groups, pmap, expected)
+        assert got == (tuple(flat_points), tuple(flat_lines), frozenset(planar))
+
+
+@st.composite
+def family_line_sets(draw):
+    """A family's lines from parameter tuples with repeats, and integer points
+    on them (partners at small x) among a few free ones."""
+    family, k = draw(st.sampled_from(
+        [("lu", 3), ("lu", 5), ("lu", 7), ("wenger", 2), ("wenger", 3), ("wenger", 5)]
+    ))
+    entries = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    pool = draw(st.lists(st.tuples(*[entries] * k), min_size=1, max_size=8))
+    params = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    plan = family_named(family).plan(k)
+    points = []
+    for v, x in draw(st.lists(st.tuples(st.sampled_from(params), st.integers(-2, 2)), max_size=20)):
+        const, slope = solve_one(plan, v, from_point=False)
+        points.append(tuple(c + m * x for c, m in zip(const, slope)))
+    points += draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), max_size=20))
+    return family, k, params, points
+
+
+@st.composite
+def hand_built_line_sets(draw):
+    """Integer points in [-2, 2]^dim and lines in up to 4 directions, some
+    through a drawn point (walkable when the direction has a +-1 entry) and
+    some through a rational point (a Fraction key: probed), drawn with
+    repeats."""
+    dim = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=40))
+    vectors = st.tuples(*[st.sampled_from([-2, -1, 0, 1, 3])] * dim).filter(any)
+    bases = st.sampled_from(points) | st.tuples(*[small_rationals] * dim)
+    pool = [
+        line_through(base, direction)
+        for direction in draw(st.lists(vectors, min_size=1, max_size=4))
+        for base in draw(st.lists(bases, min_size=1, max_size=3))
+    ]
+    return points, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+
+
+class TestLineGroupsAgainstOracles:
+    """Each consumer of the direction groups against its per-line oracle."""
+
+    @given(family_line_sets(), st.integers(0, 1000), st.sampled_from([2, 3, 1 << 16]))
+    def test_family_lines(self, case, seed, bound):
+        family, k, params, points = case
+        lines = rowwise_lines_from_params(family, params, k)
+        groups = lines_from_params(family, params, k)
+        assert_groups_match_the_per_line_oracles(points, lines, groups, seed, bound)
+
+    @given(hand_built_line_sets(), st.integers(0, 1000), st.sampled_from([2, 3, 1 << 16]))
+    def test_hand_built_lines(self, case, seed, bound):
+        points, lines = case
+        assert_groups_match_the_per_line_oracles(points, lines, LineGroups.of(lines), seed, bound)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_fractions_probes_and_walks_at_once(self, seed):
+        points = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+        walked = [line_through((0, 0), (1, 1)), line_through((1, 0), (1, 1))]
+        half = line_through((Fraction(1, 2), 0), (0, 1))
+        steep = line_through((0, 0), (2, 3))
+        lines = [walked[0], half, steep, walked[1], half, walked[0], line_through((1, 1), (2, 3))]
+        groups = LineGroups.of(lines)
+        plan = {group[0]: walk for group, walk in _incidence_plan(points, groups)}
+        assert plan == {(1, 1): (0, -2, 2), (0, 1): None, (2, 3): None}
+        assert certify_lines_distinct(groups) == (False, (1, 4))
+        assert_groups_match_the_per_line_oracles(points, lines, groups, seed, 1 << 16)
 
 
 class TestPointOnLine:
@@ -232,7 +330,7 @@ class TestCanonicalForm:
 
     def test_base_pivot_is_zero(self):
         line = line_through((6, 5), (2, 4))
-        assert point_at(line, 0)[line.pivot] == 0
+        assert point_at(line, 0)[pivot_of(line)] == 0
         assert line.key == (0, -7)
         assert point_on_line((6, 5), line)
 
@@ -291,7 +389,6 @@ class TestConstructorContract:
     def test_valid_line_keeps_its_fields(self):
         line = AffineLineKD((0, 2, -3), (Fraction(1, 2), 0, 7))
         assert (line.direction, line.key) == ((0, 2, -3), (Fraction(1, 2), 0, 7))
-        assert (line.dim, line.pivot) == (3, 1)
         assert repr(line).startswith("AffineLineKD(")
 
     def test_equal_lines_hash_equal(self):
@@ -393,7 +490,7 @@ class TestIncidences:
 
 def walks(points, lines):
     """Per direction, the walk the incidence pass takes, or None where it probes."""
-    return {direction: walk for direction, _, _, walk in _incidence_plan(points, lines)}
+    return {group[0]: walk for group, walk in _incidence_plan(points, LineGroups.of(lines))}
 
 
 @st.composite
@@ -636,7 +733,7 @@ class TestProjection:
     @given(arrangements(), st.integers(0, 1000), st.sampled_from([2, 3, 1 << 16]))
     def test_planar_check_matches_pairwise_scan(self, arrangement, seed, bound):
         points, lines = (list(dict.fromkeys(items)) for items in arrangement)
-        pmap = sample_projection(lines[0].dim, seed, bound)
+        pmap = sample_projection(len(lines[0].direction), seed, bound)
         expected = scan_incidence_set_kd(points, lines)
         try:
             planar = project_with_map(points, lines, pmap, expected)
@@ -665,7 +762,7 @@ class TestProjection:
             raise AssertionError("a point was projected")
 
         monkeypatch.setattr(ProjectionMap, "apply", no_apply)
-        dims = rf"dimension {len(rows[0])}\b.*dimension {lines[0].dim}\b"
+        dims = rf"dimension {len(rows[0])}\b.*dimension {len(lines[0].direction)}\b"
         with pytest.raises(ValueError, match=dims):
             project_with_map(arr.points, lines, pmap, arr.edge_set)
 
@@ -685,7 +782,7 @@ class TestPerDirectionProjection:
     def test_reference_lines_match_two_point_oracle(self, reference, request):
         arr = request.getfixturevalue(reference)
         lines = request.getfixturevalue(f"{reference}_lines")
-        pmap = sample_projection(lines[0].dim, 7)
+        pmap = sample_projection(len(lines[0].direction), 7)
         planar = project_with_map(arr.points, lines, pmap, arr.edge_set)
         assert list(planar.lines) == [planar_triple(line, pmap) for line in lines]
 
@@ -704,7 +801,7 @@ class TestPerDirectionProjection:
     def test_lines_match_two_point_oracle(self, arrangement, seed):
         _, lines = arrangement
         lines = list(dict.fromkeys(lines))
-        pmap = sample_projection(lines[0].dim, seed)
+        pmap = sample_projection(len(lines[0].direction), seed)
         try:
             planar = project_with_map([], lines, pmap, set())
         except ProjectionError:
@@ -720,8 +817,3 @@ class TestPerDirectionProjection:
         with pytest.raises(ProjectionError, match=f"^line {first} degenerates under the map$"):
             project_with_map([], lines, pmap, set())
 
-
-def planar_triple(line, pmap):
-    """The canonical planar line through the images of two points of the line."""
-    (x0, y0), (x1, y1) = pmap.apply(point_at(line, 0)), pmap.apply(point_at(line, 1))
-    return canonical_planar_line(y1 - y0, x0 - x1, x1 * y0 - x0 * y1)

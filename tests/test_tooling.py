@@ -25,6 +25,19 @@ def test_workflow_runs_the_tier1_command_on_the_oldest_and_current_python():
     assert tier1 in [step.get("run") for step in job["steps"]]
 
 
+def test_workflow_smoke_runs_the_traced_benchmark_after_tier1():
+    # a traced run checks the probes and the pinned counts of every workload
+    yaml = pytest.importorskip("yaml")
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    job = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"]["tier1"]
+    runs = [step.get("run") for step in job["steps"]]
+    smoke = [
+        f"python3 perfbench/run.py --workload {name} --seed 1 --seconds 5 --trace 1"
+        for name in ("lu3-n400-pipeline", "wenger2-n200-pipeline")
+    ]
+    assert runs[runs.index(tier1) + 1:] == smoke
+
+
 def test_workflow_installs_exactly_the_test_extra():
     # a regex, not tomllib, which the oldest Python lacks; a package missing
     # from the extra would skip a test locally without a word

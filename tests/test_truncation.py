@@ -147,6 +147,46 @@ class TestRanges:
                     v = [c + m * x for c, m in zip(const, slope)]
                     assert all(lo <= c <= hi for c, (lo, hi) in zip(v, lines)), (n, u, x)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_partner_of_an_in_box_line_lands_in_the_point_box(self, k):
+        # every box pair whose line box holds at most 2,000 lines; from a line
+        # vertex, each partner coordinate is affine in the free coordinate x,
+        # so the two ends of the point range bound every partner
+        family = family_named("wenger")
+        plan = family.plan(k)
+        boxes, n = {}, 1
+        while True:
+            points, lines = family.ranges(k, n)
+            if prod(hi - lo + 1 for lo, hi in lines) > 2000:
+                break
+            boxes.setdefault((tuple(points), tuple(lines)), n)
+            n += 1
+        for (points, lines), n in boxes.items():
+            ends = points[plan[0]]
+            for v in product(*(range(lo, hi + 1) for lo, hi in lines)):
+                const, slope = solve_one(plan, v, from_point=False)
+                for x in ends:
+                    u = [c + m * x for c, m in zip(const, slope)]
+                    assert all(lo <= c <= hi for c, (lo, hi) in zip(u, points)), (n, v, x)
+
+    @pytest.mark.parametrize(
+        "family,k,n",
+        [("lu", 3, n) for n in (1, 2, 64, 400, 1000)]
+        + [("lu", 5, n) for n in (1, 200)]
+        + [("lu", 7, 1)]
+        + [("wenger", 2, n) for n in (1, 2, 64, 200, 1000)]
+        + [("wenger", 3, n) for n in (1, 144, 300)],
+    )
+    def test_each_walked_vertex_has_one_partner_per_free_value(self, family, k, n):
+        # the walked side is the points for lu and the lines for wenger
+        arr = build_truncated(TruncationSpec(family, k, n))
+        points, lines = family_named(family).ranges(k, n)
+        free = family_named(family).plan(k)[0]
+        walked, (lo, hi) = (arr.points, lines[free]) if family == "lu" else (arr.line_params, points[free])
+        assert len(arr.edges) == len(walked) * (hi - lo + 1)
+        degrees = Counter(pi if family == "lu" else lj for pi, lj in arr.edges)
+        assert set(degrees.values()) == {hi - lo + 1} and len(degrees) == len(walked)
+
 
 class TestBuildLU:
     def test_reference_counts(self, lu64):
