@@ -192,17 +192,19 @@ def _neighbour_rows(params: FieldParams):
 
     The neighbour x of u is const + slope * x (mod q), with const and slope
     whole integer columns over all points by substitution from the digit
-    columns; each key c % q + q * (m % q) is the one reduction, exact as it
-    commutes with + and *.  Then each x gives one column of indices
-    (:func:`_digit_weights`), looking up each solved coordinate's weighted
-    digit in a q * q table by key.  The rows are those q columns read across.
+    columns.  Each key is c % q + q * (m % q), exact as % commutes with + and
+    *, or c + q * m on a step whose a is the free coordinate: that step takes
+    digit columns, already below q, and skips the reduction.  Then each x
+    gives one column of indices (:func:`_digit_weights`), looking up each
+    solved coordinate's weighted digit in a q * q table by key.  The rows are
+    those q columns read across.
     """
     k, q = params.k, params.q
     free, steps = plan = family_named(params.family).plan(k)
     weights = _digit_weights(k, q)
     const, slope = substitute(plan, _digit_columns(k, q), from_point=True)
     keys = {}
-    for t, a, _ in steps:  # a step that reads the free coordinate has digit columns, below q
+    for t, a, _ in steps:
         pairs = zip(const[t], slope[t])
         keys[t] = [c + q * m for c, m in pairs] if a == free else [c % q + q * (m % q) for c, m in pairs]
     neighbours = []

@@ -6,11 +6,10 @@ leading entry, and the key is the cross key of any point of the line against
 that direction (see _cross_key), which is the same for every point of the
 line.  The key decides identity, incidence and projection alike; for a line
 through an integer point it is all integers.  All arithmetic is integer or
-rational; there is no epsilon anywhere.
-
-A batch of lines is one LineGroups value, grouped by direction, so the
-distinctness check, the incidence walk and the projection read whole key
-columns; single AffineLineKD values are built only on demand.
+rational; there is no epsilon anywhere.  A batch of lines is one LineGroups
+value, grouped by direction, so the distinctness check, the incidence walk
+and the projection read whole key columns; single AffineLineKD values are
+built only on demand.
 
 The projection to the plane is a random integer linear map that is checked,
 not trusted: points must stay distinct, lines must stay distinct and
@@ -85,6 +84,14 @@ class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), (
             raise ValueError("key must have a zero pivot coordinate")
         return tuple.__new__(cls, (direction, key))
 
+    @property
+    def dim(self) -> int:
+        return len(self.direction)
+
+    @property
+    def pivot(self) -> int:
+        return _pivot(self.direction)
+
 
 def _pivot(direction) -> int:
     """The index of the first nonzero entry of a direction."""
@@ -119,11 +126,8 @@ class LineGroups:
     """Lines grouped by direction: groups holds (direction, pivot, keys,
     indices) per direction in the order of its first line, with keys the k
     key columns and indices the increasing line indices.  len() counts the
-    lines; iterating or indexing yields AffineLineKD values in line order,
-    built on demand.
+    lines; iterating yields AffineLineKD values in line order, built on demand.
     """
-
-    __slots__ = ("groups", "count")
 
     def __init__(self, groups, count):
         self.groups, self.count = groups, count
@@ -149,9 +153,6 @@ class LineGroups:
             for lj, key in zip(indices, zip(*keys)):
                 lines[lj] = tuple.__new__(AffineLineKD, (direction, key))
         return iter(lines)
-
-    def __getitem__(self, index):
-        return list(self)[index]
 
 
 def lines_from_params(family: str, params, k: int) -> LineGroups:
@@ -204,13 +205,10 @@ def certify_lines_distinct(lines) -> tuple[bool, tuple[int, int] | None]:
     first = None
     for _, _, keys, indices in LineGroups.of(lines).groups:
         if len(set(zip(*keys))) < len(indices):
-            seen: dict[tuple, int] = {}
-            for lj, key in zip(indices, zip(*keys)):
-                if key in seen:
-                    break
-                seen[key] = lj
-            if first is None or lj < first[1]:
-                first = (seen[key], lj)
+            seen, rows = {}, zip(indices, zip(*keys))
+            pair = next((seen[key], lj) for lj, key in rows if seen.setdefault(key, lj) != lj)
+            if first is None or pair[1] < first[1]:
+                first = pair
     return first is None, first
 
 

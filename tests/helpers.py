@@ -417,15 +417,10 @@ def line_through(point, direction):
     return AffineLineKD(direction, _cross_key(point, direction, pivot))
 
 
-def pivot_of(line):
-    """The index of the first nonzero entry of a line's direction."""
-    return next(i for i, d in enumerate(line.direction) if d)
-
-
 def point_at(line, t):
     """The point key / d_j + t * direction of a line; t = 0 gives the point
     whose pivot coordinate j is zero."""
-    dj = line.direction[pivot_of(line)]
+    dj = line.direction[line.pivot]
     return tuple(_as_exact(Fraction(c, dj) + t * d) for c, d in zip(line.key, line.direction))
 
 
@@ -434,8 +429,8 @@ def scan_incidence_set_kd(points, lines):
     out = set()
     for lj, line in enumerate(lines):
         base, direction = point_at(line, 0), line.direction
-        dim = len(direction)
-        j = pivot_of(line)
+        dim = line.dim
+        j = line.pivot
         dj = direction[j]
         bj = base[j]
         for pi, p in enumerate(points):
@@ -487,9 +482,9 @@ def line_from_params(family, v, k):
 
 def point_on_line(point, line):
     """Exact membership in R^k: point - base is parallel to the direction, each coordinate against the pivot."""
-    if len(point) != len(line.direction):
-        raise ValueError(f"point has dimension {len(point)}, line has {len(line.direction)}")
-    base, direction, j = point_at(line, 0), line.direction, pivot_of(line)
+    if len(point) != line.dim:
+        raise ValueError(f"point has dimension {len(point)}, line has {line.dim}")
+    base, direction, j = point_at(line, 0), line.direction, line.pivot
     tj = point[j] - base[j]
     return all((x - b) * direction[j] == tj * d for x, b, d in zip(point, base, direction))
 
