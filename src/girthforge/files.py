@@ -17,7 +17,7 @@ from itertools import compress, islice
 from math import gcd
 from operator import not_
 
-from .geometry import PlanarArrangement, _as_exact
+from .geometry import PlanarArrangement
 from .truncation import TruncatedArrangement, TruncationSpec
 
 __all__ = [
@@ -115,7 +115,7 @@ class _Reader:
                 values = list(map(convert or int, fields))
                 if convert is None and not self.plain and list(map(str, values)) != fields:
                     raise ValueError("not a canonical integer")
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 pass
             else:
                 self.pos += count
@@ -138,7 +138,7 @@ class _Reader:
             if not self.plain and list(map(str, values)) != parts:
                 raise ValueError("not a canonical integer")
             return values
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"line {self.line_number(at)}: bad field in {line!r}") from exc
 
 
@@ -197,8 +197,7 @@ def _parse_incidences(r: _Reader, n_points: int, n_lines: int) -> tuple:
 
 
 def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def render_planar(pa: PlanarArrangement) -> str:
@@ -216,12 +215,13 @@ def _rational(token: str):
 
     The token must be its own canonical rendering: ASCII digits with no
     ``+`` or ``_``, and a pair in lowest terms with a positive denominator.
+    An integral coordinate is read as an int, any other as a Fraction.
     """
     num, _, den = token.partition("/")
-    x = Fraction(int(num), int(den))
-    if token != f"{x.numerator}/{x.denominator}":
+    n, d = int(num), int(den)
+    if token != f"{n}/{d}" or d < 1 or gcd(n, d) != 1:
         raise ValueError(f"not a canonical rational: {token!r}")
-    return _as_exact(x)
+    return n if d == 1 else Fraction(n, d)
 
 
 def parse_planar(text: str) -> PlanarArrangement:

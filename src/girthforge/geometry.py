@@ -4,12 +4,12 @@ Lines are stored in a canonical direction + key form so that equality is
 hashing instead of geometry: the direction is primitive with a positive
 leading entry, and the key is the cross key of any point of the line against
 that direction (see _cross_key), which is the same for every point of the
-line.  The key decides identity, incidence and projection alike; for a line
-through an integer point it is all integers.  All arithmetic is integer or
-rational; there is no epsilon anywhere.  A batch of lines is one LineGroups
-value, grouped by direction, so the distinctness check, the incidence walk
-and the projection read whole key columns; single AffineLineKD values are
-built only on demand.
+line.  The key decides identity, incidence and projection alike.  Points,
+directions and keys are ints, so all arithmetic is integer, with no epsilon
+anywhere; only a planar coordinate may be a Fraction.  A batch of lines is
+one LineGroups value, grouped by direction, so the distinctness check, the
+incidence walk and the projection read whole key columns; single
+AffineLineKD values are built only on demand.
 
 The projection to the plane is a random integer linear map that is checked,
 not trusted: points must stay distinct, lines must stay distinct and
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
 from operator import add, floordiv, mul
@@ -53,25 +52,19 @@ class ProjectionError(RuntimeError):
     """A sampled projection failed verification, or retries ran out."""
 
 
-def _as_exact(x):
-    """Normalize to int when integral so mixed tuples hash and compare cleanly."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    return x
-
-
-class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), ("key", tuple)])):
+class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), ("key", tuple[int, ...])])):
     """A line in R^k in canonical form.
 
     direction is a primitive integer vector (gcd 1) whose first nonzero
     entry, at the pivot j, is positive; key is _cross_key(x, direction, j)
-    for any point x of the line, so key[j] == 0.  Two AffineLineKD values
-    are equal exactly when they describe the same line, and a point lies on
-    the line exactly when its cross key equals key.
+    for any point x of the line, an int vector with key[j] == 0.  Two
+    AffineLineKD values are equal exactly when they describe the same line,
+    and a point lies on the line exactly when its cross key equals key.
 
     The value is the tuple (direction, key), so hashing and equality are
     the tuple's own.  The constructor, and so _make and _replace, checks the
-    whole form; lines_from_params checks each direction once for a batch.
+    whole form, int key entries included; lines_from_params checks each
+    direction once for a batch.
     """
 
     __slots__ = ()
@@ -80,6 +73,8 @@ class AffineLineKD(NamedTuple("AffineLineKD", [("direction", tuple[int, ...]), (
     def __new__(cls, direction, key):
         if len(key) != len(direction):
             raise ValueError("key and direction must have equal length")
+        if not {int}.issuperset(map(type, key)):
+            raise ValueError("key entries must be ints")
         if key[_check_direction(direction)] != 0:
             raise ValueError("key must have a zero pivot coordinate")
         return tuple.__new__(cls, (direction, key))
@@ -228,9 +223,9 @@ def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
     - probe: a point lies on a line of direction d exactly when its cross
       key (see _cross_key) equals the line's key, so one hash lookup per
       point finds every line of the group through it;
-    - walk: when d_i = +-1 for some i and every point and key is integer,
-      each line is walked over the points' extent [lo_i, hi_i] in
-      coordinate i, one lookup of a candidate point per step.
+    - walk: when d_i = +-1 for some i, each line is walked over the points'
+      extent [lo_i, hi_i] in coordinate i, one lookup of a candidate point
+      per step.
 
     The walk is exact.  Take any integer point x on the line.  Then
     b = x - x_i * d_i * d is the line's integer point with b_i = 0.  It is
@@ -239,8 +234,12 @@ def incidence_set_kd(points, lines) -> set[tuple[int, int]]:
     integer point.  Every integer point of the line is b + t * d_i * d with
     t = x_i, so walking t over [lo_i, hi_i] finds each of them exactly once.
     Points are looked up by value, and a point or line that occurs twice
-    keeps both indices.
+    keeps both indices.  Raises ValueError for a point with a coordinate
+    that is not an int.
     """
+    if not {int}.issuperset(map(type, chain.from_iterable(points))):
+        pi = next(pi for pi, p in enumerate(points) if not {int}.issuperset(map(type, p)))
+        raise ValueError(f"point {pi} has a coordinate that is not an int")
     out = set()
     at = None
     for (direction, pivot, keys, indices), walk in _incidence_plan(points, LineGroups.of(lines)):
@@ -276,28 +275,20 @@ def _incidence_plan(points, lines: LineGroups):
     every point, and None when the points are probed.  Walking costs
     |lines| * (hi_i - lo_i + 1) lookups over the best i with d_i = +-1, and
     probing costs one lookup per point; the costs are compared as integers,
-    so a huge extent only makes the walk expensive.  A point or key with a
-    coordinate that is not an int rules the walk out.  Raises ValueError
-    for a point whose dimension differs from a line's.
+    so a huge extent only makes the walk expensive.  Raises ValueError for a
+    point whose dimension differs from a line's.
     """
     dims = {len(p) for p in points}
-    integral = bool(points) and {int}.issuperset(map(type, chain.from_iterable(points)))
-    spans = [(min(col), max(col)) for col in zip(*points)] if integral else None
+    spans = [(min(col), max(col)) for col in zip(*points)]
     for direction, pivot, keys, indices in lines.groups:
         dim = len(direction)
         if dims - {dim}:
             pi = next(pi for pi, p in enumerate(points) if len(p) != dim)
             raise ValueError(f"point {pi} has dimension {len(points[pi])}, line has {dim}")
-        walk = None
-        if spans is not None:
-            unit = [i for i, d in enumerate(direction) if d in (1, -1)]
-            extent, axis = min(((spans[i][1] - spans[i][0] + 1, i) for i in unit), default=(0, None))
-            if (
-                axis is not None
-                and len(indices) * extent < len(points)
-                and {int}.issuperset(map(type, chain.from_iterable(keys)))
-            ):
-                walk = (axis, *spans[axis])
+        # With no unit entry (or no points) the walk's cost is at least the probe's.
+        units = [(hi - lo + 1, i) for i, (d, (lo, hi)) in enumerate(zip(direction, spans)) if d in (1, -1)]
+        extent, axis = min(units, default=(len(points), None))
+        walk = (axis, *spans[axis]) if len(indices) * extent < len(points) else None
         yield (direction, pivot, keys, indices), walk
 
 
@@ -425,10 +416,9 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArra
     the scale d_j > 0 makes an integer key give an integer triple.  (a, b),
     its sign and g0 = gcd(a, b) depend only on d and are computed once per
     direction group, and so is the covector w = dx * r2 - dy * r1 of the
-    map's rows r1, r2, taken after the sign turn: c = w . key is formed over
-    the group's key columns, for int and Fraction keys alike.  With c = n / m
-    in lowest terms the canonical triple is (a * m, b * m, n) / gcd(g0 * m, n),
-    and gcd(g0 * m, n) = gcd(g0, n) because m and n are coprime.
+    map's rows r1, r2, taken after the sign turn: c = w . key is formed as
+    an int column over the group's key columns, and the canonical triple is
+    (a, b, c) / gcd(g0, c).
     """
     lines = LineGroups.of(lines)
     other = ({len(p) for p in points} | {len(group[0]) for group in lines.groups}) - {pmap.dim}
@@ -455,14 +445,8 @@ def project_with_map(points, lines, pmap: ProjectionMap, expected) -> PlanarArra
             w = dx * q - dy * p
             if w and i != pivot:  # the key is zero at the pivot
                 c = [x + w * y for x, y in zip(c, col)]
-        if {int}.issuperset(map(type, c)):
-            a_col, b_col = repeat(a), repeat(b)
-        else:  # c = n / m: scale a and b by m
-            m = [x.denominator for x in c]
-            c = [x.numerator for x in c]
-            a_col, b_col = map(mul, repeat(a), m), map(mul, repeat(b), m)
         g = list(map(gcd, repeat(gcd(a, b)), c))
-        triples = zip(map(floordiv, a_col, g), map(floordiv, b_col, g), map(floordiv, c, g))
+        triples = zip(map(floordiv, repeat(a), g), map(floordiv, repeat(b), g), map(floordiv, c, g))
         for lj, triple in zip(indices, triples):
             flat_lines[lj] = triple
     if len(set(flat_lines)) != len(flat_lines):

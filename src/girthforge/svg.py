@@ -33,10 +33,9 @@ _MARGIN = 40
 
 
 def _viewport_from_points(points):
-    xs = [Fraction(p[0]) for p in points]
-    ys = [Fraction(p[1]) for p in points]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    # min and max are exact on ints and Fractions alike; only the extremes are converted.
+    xs, ys = zip(*points)
+    xmin, xmax, ymin, ymax = map(Fraction, (min(xs), max(xs), min(ys), max(ys)))
     pad_x = max((xmax - xmin) / 20, Fraction(1))
     pad_y = max((ymax - ymin) / 20, Fraction(1))
     return (xmin - pad_x, xmax + pad_x), (ymin - pad_y, ymax + pad_y)

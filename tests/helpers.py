@@ -52,13 +52,19 @@ from girthforge.geometry import (
     AffineLineKD,
     PlanarArrangement,
     ProjectionError,
-    _as_exact,
     _canonical_direction,
     _check_direction,
     _cross_key,
 )
 from girthforge.graphs import BipartiteGraph
 from girthforge.truncation import TruncatedArrangement, TruncationSpec, lu_points_on, wenger_points_on
+
+
+def _as_exact(x):
+    """Normalize to int when integral so mixed tuples hash and compare cleanly."""
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    return x
 
 
 def is_cycle(graph, witness, length):
@@ -410,11 +416,16 @@ def scan_girth(graph):
 
 
 def line_through(point, direction):
-    """The canonical AffineLineKD through an exact point with a nonzero integer direction."""
+    """The canonical AffineLineKD through an exact point with a nonzero integer direction.
+
+    An integral key entry is made an int, so a rational point of an integer
+    line, such as point_at(line, 0), gives the line back; a key entry that is
+    not integral is refused by AffineLineKD.
+    """
     if len(point) != len(direction):
         raise ValueError("point and direction must have equal length")
     direction, pivot = _canonical_direction(direction)
-    return AffineLineKD(direction, _cross_key(point, direction, pivot))
+    return AffineLineKD(direction, tuple(map(_as_exact, _cross_key(point, direction, pivot))))
 
 
 def point_at(line, t):

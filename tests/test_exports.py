@@ -50,6 +50,7 @@ MOVED_TO_HELPERS = [
     ("truncation", "wenger_edge_free"),
     ("geometry", "point_on_line"),
     ("geometry", "line_from_params"),
+    ("geometry", "_as_exact"),
     ("graphs", "root_orbits"),
 ]
 
@@ -98,6 +99,15 @@ def test_test_only_line_helpers_and_is_forest_are_gone():
 
     assert not hasattr(AffineLineKD, "through") and not hasattr(AffineLineKD, "point_at")
     assert "is_forest" not in graphs.__all__ and not hasattr(graphs, "is_forest")
+
+
+def test_geometry_imports_no_fractions():
+    # below the plane points, directions and keys are ints; only a planar coordinate may be a Fraction
+    tree = ast.parse(Path(girthforge.__file__).with_name("geometry.py").read_text())
+    nodes = list(ast.walk(tree))
+    imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
+    assert imported and not any(name.partition(".")[0] == "fractions" for name in imported)
 
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():

@@ -365,6 +365,30 @@ class TestPlanarFormat:
         )
         assert sniff_format(render_planar(planar)) == "planar"
 
+    def test_rational_points_pass_every_command(self, tmp_path, capsys):
+        # A triangle with non-integral vertices: the lines y = 1/3, x = 1/2 and
+        # 10x + 6y = 17, each through two of the points, so the girth is 6.
+        text = (
+            "GIRTHFORGE-PLANAR 1\npoints 3\n1/2 1/3\n3/2 1/3\n1/2 2/1\n"
+            "lines 3\n0 3 -1\n2 0 -1\n10 6 -17\nincidences 6\n0 0\n0 1\n1 0\n1 2\n2 1\n2 2\n"
+        )
+        planar = parse_planar(text)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert planar.points == ((half, third), (3 * half, third), (half, 2))
+        assert type(planar.points[2][1]) is int and render_planar(planar) == text
+        path, svg, edges = tmp_path / "t.planar", tmp_path / "t.svg", tmp_path / "t.edges"
+        path.write_text(text)
+        verify = ["verify", "--in", str(path), "--girth-at-least", "6", "--no-cycle-length", "4",
+                  "--min-point-degree", "2", "--min-line-degree", "2"]
+        assert run(verify) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert run(["stats", "--in", str(path)]) == 0
+        assert "girth 6" in capsys.readouterr().out.splitlines()
+        assert run(["export", "--in", str(path), "--out", str(svg), "--format", "svg"]) == 0
+        assert svg.read_text() == fraction_export_svg(planar)
+        assert run(["export", "--in", str(path), "--out", str(edges), "--format", "edges"]) == 0
+        assert edges.read_text() == render_edge_list(planar.incidences)
+
     @pytest.mark.parametrize("line", ["2 4 6", "0 0 1", "-1 2 3", "0 -1 2"])
     def test_noncanonical_line_rejected(self, line):
         text = f"GIRTHFORGE-PLANAR 1\npoints 1\n0/1 0/1\nlines 1\n{line}\n"
@@ -1061,6 +1085,7 @@ def test_mutated_files_keep_the_exit_code_contract(text):
             ["verify", "--in", str(path), "--girth-at-least", "6", "--no-cycle-length", "4"],
             ["verify", "--in", str(path), "--no-cycle-length", "6"],
             ["verify", "--in", str(path), "--subgraph-prime", "paper"],
+            ["verify", "--in", str(path), "--subgraph-prime", "minimal"],
             ["verify", "--in", str(path), "--min-point-degree", "1", "--min-line-degree", "1"],
             ["export", "--in", str(path), "--out", str(out), "--format", "edges"],
             ["export", "--in", str(path), "--out", str(out), "--format", "svg"],

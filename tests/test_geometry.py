@@ -244,17 +244,19 @@ def family_line_sets(draw):
 def hand_built_line_sets(draw):
     """Integer points in [-2, 2]^dim and lines in up to 4 directions, some
     through a drawn point (walkable when the direction has a +-1 entry) and
-    some through a rational point (a Fraction key: probed), drawn with
-    repeats."""
+    some given by an integer key in [-6, 6]^dim (which may name a line with
+    no integer point), drawn with repeats."""
     dim = draw(st.integers(2, 4))
     points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=40))
     vectors = st.tuples(*[st.sampled_from([-2, -1, 0, 1, 3])] * dim).filter(any)
-    bases = st.sampled_from(points) | st.tuples(*[small_rationals] * dim)
-    pool = [
-        line_through(base, direction)
-        for direction in draw(st.lists(vectors, min_size=1, max_size=4))
-        for base in draw(st.lists(bases, min_size=1, max_size=3))
-    ]
+    keys = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+    pool = []
+    for vector in draw(st.lists(vectors, min_size=1, max_size=4)):
+        origin = line_through((0,) * dim, vector)
+        pool += [line_through(p, vector) for p in draw(st.lists(st.sampled_from(points), max_size=2))]
+        for key in draw(st.lists(keys, min_size=1, max_size=2)):
+            key[origin.pivot] = 0
+            pool.append(AffineLineKD(origin.direction, tuple(key)))
     return points, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
 
 
@@ -274,15 +276,15 @@ class TestLineGroupsAgainstOracles:
         assert_groups_match_the_per_line_oracles(points, lines, LineGroups.of(lines), seed, bound)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_duplicates_fractions_probes_and_walks_at_once(self, seed):
+    def test_duplicates_probes_and_walks_at_once(self, seed):
         points = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
         walked = [line_through((0, 0), (1, 1)), line_through((1, 0), (1, 1))]
-        half = line_through((Fraction(1, 2), 0), (0, 1))
+        off_grid = line_through((3, 0), (0, 1))
         steep = line_through((0, 0), (2, 3))
-        lines = [walked[0], half, steep, walked[1], half, walked[0], line_through((1, 1), (2, 3))]
+        lines = [walked[0], off_grid, steep, walked[1], off_grid, walked[0], line_through((1, 1), (2, 3))]
         groups = LineGroups.of(lines)
         plan = {group[0]: walk for group, walk in _incidence_plan(points, groups)}
-        assert plan == {(1, 1): (0, -2, 2), (0, 1): None, (2, 3): None}
+        assert plan == {(1, 1): (0, -2, 2), (0, 1): (1, -2, 2), (2, 3): None}
         assert certify_lines_distinct(groups) == (False, (1, 4))
         assert_groups_match_the_per_line_oracles(points, lines, groups, seed, 1 << 16)
 
@@ -377,16 +379,22 @@ class TestConstructorContract:
             ((0, -1, 2), (1, 0, 3), "leading direction entry must be positive"),
             ((2, 4, 0), (0, 1, 1), "direction must be primitive"),
             ((0, 1, 3), (2, 5, 0), "key must have a zero pivot coordinate"),
+            ((0, 2, -3), (Fraction(1, 2), 0, 7), "key entries must be ints"),
+            ((0, 2, -3), (Fraction(4, 2), 0, 7), "key entries must be ints"),
+            ((1, 0), (0, 2.0), "key entries must be ints"),
         ],
-        ids=["unequal-length", "zero-direction", "negative-lead", "not-primitive", "pivot-key"],
+        ids=[
+            "unequal-length", "zero-direction", "negative-lead", "not-primitive", "pivot-key",
+            "fraction-key", "integral-fraction-key", "float-key",
+        ],
     )
     def test_invalid_line_rejected(self, direction, key, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             AffineLineKD(direction, key)
 
     def test_valid_line_keeps_its_fields(self):
-        line = AffineLineKD((0, 2, -3), (Fraction(1, 2), 0, 7))
-        assert (line.direction, line.key) == ((0, 2, -3), (Fraction(1, 2), 0, 7))
+        line = AffineLineKD((0, 2, -3), (5, 0, 7))
+        assert (line.direction, line.key) == ((0, 2, -3), (5, 0, 7))
         assert (line.dim, line.pivot) == (3, 1)
         assert repr(line).startswith("AffineLineKD(")
 
@@ -440,27 +448,22 @@ class TestDistinctness:
         assert ok
 
 
-small_rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 1, 2, 3]))
-
-
 @st.composite
 def arrangements(draw):
-    """Small rational arrangements: several parallel lines per direction, and
+    """Small integer arrangements: several parallel lines per direction, and
     points drawn on chosen lines (so hits occur) besides free points."""
     dim = draw(st.integers(2, 4))
     vectors = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
-    coordinates = st.tuples(*[small_rationals] * dim)
-    lines = [
-        line_through(base, direction)
+    coordinates = st.tuples(*[st.integers(-8, 8)] * dim)
+    through = [
+        (base, direction)
         for direction in draw(st.lists(vectors, min_size=1, max_size=4))
         for base in draw(st.lists(coordinates, min_size=1, max_size=4))
     ]
-    placed = draw(
-        st.lists(st.tuples(st.integers(0, len(lines) - 1), small_rationals), max_size=12)
-    )
-    points = [point_at(lines[lj], t) for lj, t in placed]
+    placed = draw(st.lists(st.tuples(st.sampled_from(through), st.integers(-8, 8)), max_size=12))
+    points = [tuple(b + t * d for b, d in zip(base, direction)) for (base, direction), t in placed]
     points += draw(st.lists(coordinates, max_size=6))
-    return points, lines
+    return points, [line_through(base, direction) for base, direction in through]
 
 
 class TestIncidences:
@@ -472,6 +475,9 @@ class TestIncidences:
 
     def test_empty_lines(self, lu64):
         assert incidence_set_kd(lu64.points, []) == set()
+
+    def test_empty_points(self, lu64_lines):
+        assert incidence_set_kd([], lu64_lines) == set()
 
     def test_single_point_degree_recount(self, lu64, lu64_lines):
         pairs = incidence_set_kd([lu64.points[0]], lu64_lines)
@@ -554,21 +560,25 @@ class TestWalkOrProbe:
         assert found == scan_incidence_set_kd(points, lines)
         assert found == {(0, 0), (1, 0), (2, 0), (4, 0), (5, 0), (6, 0), (3, 1), (7, 1)}
 
-    def test_non_integer_point_on_a_walkable_line(self):
-        points = [(x, y) for x in range(4) for y in range(4)] + [(Fraction(1, 2), Fraction(1, 2))]
+    @pytest.mark.parametrize("count", [2, 16], ids=["probed", "walked"])
+    @pytest.mark.parametrize(
+        "point",
+        [(Fraction(1, 2), Fraction(1, 2)), (Fraction(2), 0), (1, 2.0)],
+        ids=["half", "integral-fraction", "float"],
+    )
+    def test_non_integer_point_is_refused(self, count, point):
+        points = [(x, x % 2) for x in range(count)]
         lines = [line_through((0, 0), (1, 1))]
-        assert walks(points, lines) == {(1, 1): None}
-        found = incidence_set_kd(points, lines)
-        assert found == scan_incidence_set_kd(points, lines)
-        assert (16, 0) in found
+        assert (walks(points, lines)[(1, 1)] is None) == (count == 2)
+        with pytest.raises(ValueError, match=f"^point {count} has a coordinate that is not an int$"):
+            incidence_set_kd(points + [point], lines)
+        with pytest.raises(ValueError, match="^point 0 has a coordinate that is not an int$"):
+            incidence_set_kd([point], [])
 
-    def test_non_integer_key_is_probed(self):
-        points = [(x, y) for x in range(4) for y in range(4)]
-        half = line_through((Fraction(1, 2), 0), (0, 1))
-        lines = [half, line_through((1, 0), (0, 1)), line_through((0, 0), (1, 1))]
-        assert half.key == (Fraction(1, 2), 0)
-        assert walks(points, lines) == {(0, 1): None, (1, 1): (0, 0, 3)}
-        assert incidence_set_kd(points, lines) == scan_incidence_set_kd(points, lines)
+    def test_non_integer_key_is_refused(self):
+        with pytest.raises(ValueError, match="^key entries must be ints$"):
+            line_through((Fraction(1, 2), 0), (0, 1))
+        assert line_through((Fraction(1, 2), Fraction(1, 2)), (1, 1)).key == (0, 0)
 
     def test_huge_coordinate_is_probed_at_once(self):
         points = [(x, y) for x in range(4) for y in range(4)] + [(10**30, 10**30)]
@@ -785,13 +795,13 @@ class TestPerDirectionProjection:
         planar = project_with_map(arr.points, lines, pmap, arr.edge_set)
         assert list(planar.lines) == [planar_triple(line, pmap) for line in lines]
 
-    def test_fraction_key_matches_two_point_oracle(self):
-        half = line_through((Fraction(1, 2), 0), (0, 1))
-        third = line_through((Fraction(1, 3), Fraction(2, 3)), (2, -4))
+    def test_integer_keys_match_two_point_oracle(self):
+        # Keys that the pivot entry d_j does not divide, so key / d_j is a rational point.
+        third = line_through((1, 2), (3, -4))
         # (5, 2) maps to (17, 0): a = 0 and b < 0 until the sign is turned.
-        flat = line_through((0, Fraction(1, 3)), (5, 2))
-        lines = [half, third, flat, line_through((1, 0), (0, 1)), line_through((0, 0), (1, 1))]
-        assert half.key == (Fraction(1, 2), 0)
+        flat = line_through((1, 1), (5, 2))
+        lines = [third, flat, line_through((1, 0), (0, 1)), line_through((0, 0), (1, 1))]
+        assert (third.key, flat.key) == ((0, 10), (0, 3))
         pmap = ProjectionMap(((3, 1), (-2, 5)))
         planar = project_with_map([], lines, pmap, set())
         assert list(planar.lines) == [planar_triple(line, pmap) for line in lines]
